@@ -12,17 +12,24 @@ contract this benchmark pins down:
   lookup);
 * **conformance** — both configurations produce pixel-identical frames.
 
-Each configuration is timed as the min of ``RUNS`` warm runs after a
-discarded warm-up run (which is where the one-shot analysis actually
-happens), keeping the verdict about the data path rather than compile
-time.  Timings go to the ``bench_json`` CI artifact when
-``BENCH_RESULTS_DIR`` is set, *and* to ``BENCH_7.json`` at the repository
-root so the perf trajectory is readable straight from the checkout.
+The two configurations are timed in ``RUNS`` back-to-back pairs of warm
+runs, after a discarded warm-up run each (which is where the one-shot
+analysis actually happens), keeping the verdict about the data path
+rather than compile time; the overhead is the median of the per-pair
+ratios, so a slow window of a shared host hits both halves of a pair
+alike.  Fused frames take ~0.25 s on a 2-vCPU host and spread +-20 % run
+to run, far more than the 5 % being resolved: there the median pair ratio
+of 30 pairs stayed within ~1 % of 1.0, while the ratio of per-arm minima
+ranged 0.83-1.18 (one lucky-fast run decides a minimum).  Timings go to
+the ``bench_json`` CI artifact when ``BENCH_RESULTS_DIR`` is set, *and* to
+``BENCH_7.json`` at the repository root so the perf trajectory is readable
+straight from the checkout.
 """
 
 import json
 import os
 import pathlib
+import statistics
 import time
 
 import numpy as np
@@ -36,47 +43,60 @@ from repro.snet.runtime import ThreadedRuntime
 WIDTH = HEIGHT = 48
 NUM_SPHERES = 2000
 TASKS = 8
-RUNS = 3
+RUNS = 30
 MAX_CHECK_OVERHEAD = 1.05
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _build_farm(scene):
-    backend = build_farm_backend(scene, WIDTH, HEIGHT, "records", "packet")
-    network = build_static_network(backend, render_mode="packet")
+    backend = build_farm_backend(scene, WIDTH, HEIGHT, "records", "fused")
+    network = build_static_network(backend, render_mode="fused")
     inputs = farm_inputs("static", scene, nodes=1, tasks=TASKS)
     return backend, network, inputs
 
 
-def _measure_warm(scene, check):
-    """Min-of-RUNS warm frame seconds for one ``check`` setting."""
-    backend, network, inputs = _build_farm(scene)
-    runtime = ThreadedRuntime(check=check)
+class _Config:
+    """One warm farm + runtime under one ``check`` setting."""
 
-    backend.begin_job()
-    runtime.run(network, list(inputs), timeout=150.0)  # warm-up: analysis runs here
+    def __init__(self, scene, check):
+        self.backend, self.network, self.inputs = _build_farm(scene)
+        self.runtime = ThreadedRuntime(check=check)
+        self.seconds = []
+        self._run()  # warm-up: the one-shot analysis runs here
 
-    best = float("inf")
-    for _ in range(RUNS):
-        backend.begin_job()
+    def _run(self):
+        self.backend.begin_job()
         start = time.perf_counter()
-        runtime.run(network, list(inputs), timeout=150.0)
-        best = min(best, time.perf_counter() - start)
-    return extract_image(backend), best
+        self.runtime.run(self.network, list(self.inputs), timeout=150.0)
+        return time.perf_counter() - start
+
+    def timed_run(self):
+        self.seconds.append(self._run())
+
+
+def _measure_warm(scene):
+    """RUNS back-to-back warm frame pairs, check="off" then check="error"."""
+    off = _Config(scene, check="off")
+    on = _Config(scene, check="error")
+    for _ in range(RUNS):
+        off.timed_run()
+        on.timed_run()
+    return off, on
 
 
 def test_static_check_overhead(bench_json):
     scene = paper_scene(num_spheres=NUM_SPHERES)
 
-    image_off, seconds_off = _measure_warm(scene, check="off")
-    image_on, seconds_on = _measure_warm(scene, check="error")
+    off, on = _measure_warm(scene)
+    image_off, seconds_off = extract_image(off.backend), statistics.median(off.seconds)
+    image_on, seconds_on = extract_image(on.backend), statistics.median(on.seconds)
 
     # conformance first: a fast wrong answer is not an optimisation
     np.testing.assert_allclose(image_on, image_off, atol=1e-9)
 
-    overhead = seconds_on / seconds_off
-    assert overhead <= MAX_CHECK_OVERHEAD, (seconds_on, seconds_off)
+    overhead = statistics.median(t_on / t_off for t_off, t_on in zip(off.seconds, on.seconds))
+    assert overhead <= MAX_CHECK_OVERHEAD, (overhead, seconds_on, seconds_off)
 
     payload = {
         "benchmark": "analysis_overhead",

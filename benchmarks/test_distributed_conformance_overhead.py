@@ -64,8 +64,8 @@ fork_only = pytest.mark.skipif(
 
 def _build_farm(scene):
     """One static-farm instance: (backend, network, inputs)."""
-    backend = build_farm_backend(scene, WIDTH, HEIGHT, "records", "packet")
-    network = build_static_network(backend, render_mode="packet")
+    backend = build_farm_backend(scene, WIDTH, HEIGHT, "records", "fused")
+    network = build_static_network(backend, render_mode="fused")
     inputs = farm_inputs("static", scene, nodes=NODES, tasks=TASKS)
     return backend, network, inputs
 
@@ -132,7 +132,7 @@ def test_distributed_conformance_and_wire_bytes(bench_json):
         "tasks": TASKS,
         "nodes": NODES,
         "num_spheres": NUM_SPHERES,
-        "render_mode": "packet",
+        "render_mode": "fused",
         "cpu_count": os.cpu_count(),
         "scene_bytes": scene_bytes,
         "frame_bytes": frame_bytes,

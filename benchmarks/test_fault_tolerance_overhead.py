@@ -17,9 +17,14 @@ data path, and so must ours:
 * **conformance** — both frames stay pixel-identical (``atol=1e-9``) to
   the threaded oracle.
 
-Each configuration is timed as the min of ``RUNS`` warm runs (setup/fork
-excluded), which keeps a loaded one-core CI runner from turning scheduler
-noise into a verdict.  Timings go to the ``bench_json`` CI artifact when
+Each configuration is timed as the median of ``RUNS`` warm runs
+(setup/fork excluded), which keeps a loaded one-core CI runner from turning
+scheduler noise into a verdict.  Both runtimes stay warm side by side and
+alternate run by run, so a slow window of a shared host hits both alike.
+Fused frames take ~0.15 s on a 2-vCPU host and spread +-20 % run to run;
+there the *minimum* of 30 runs per arm moved 1.02-1.13x between two
+identical-cost arms (one lucky-fast run decides it), while the median
+stayed within 2 %.  Timings go to the ``bench_json`` CI artifact when
 ``BENCH_RESULTS_DIR`` is set, *and* to ``BENCH_6.json`` at the repository
 root so the perf trajectory is readable straight from the checkout.
 """
@@ -27,6 +32,7 @@ root so the perf trajectory is readable straight from the checkout.
 import json
 import os
 import pathlib
+import statistics
 import time
 
 import numpy as np
@@ -42,7 +48,7 @@ WIDTH = HEIGHT = 64
 NUM_SPHERES = 1000
 TASKS = 8
 NODES = 2
-RUNS = 3
+RUNS = 30
 MAX_FT_OVERHEAD = 1.1
 MAX_WIRE_RATIO = 1.02
 
@@ -54,30 +60,51 @@ fork_only = pytest.mark.skipif(
 
 
 def _build_farm(scene):
-    backend = build_farm_backend(scene, WIDTH, HEIGHT, "records", "packet")
-    network = build_static_network(backend, render_mode="packet")
+    backend = build_farm_backend(scene, WIDTH, HEIGHT, "records", "fused")
+    network = build_static_network(backend, render_mode="fused")
     inputs = farm_inputs("static", scene, nodes=NODES, tasks=TASKS)
     return backend, network, inputs
 
 
-def _measure_warm(scene, fault_tolerance):
-    """Min-of-RUNS warm frame seconds for one runtime configuration."""
-    backend, network, inputs = _build_farm(scene)
-    runtime = DistributedRuntime(nodes=NODES, fault_tolerance=fault_tolerance)
-    runtime.setup(network, broadcast=(scene,))
+class _Config:
+    """One warm farm on a distributed runtime with or without fault tolerance."""
+
+    def __init__(self, scene, fault_tolerance):
+        self.backend, self.network, self.inputs = _build_farm(scene)
+        self.runtime = DistributedRuntime(nodes=NODES, fault_tolerance=fault_tolerance)
+        self.runtime.setup(self.network, broadcast=(scene,))
+        self.seconds = []
+
+    def timed_run(self):
+        self.backend.begin_job()
+        start = time.perf_counter()
+        self.runtime.run(self.network, list(self.inputs), timeout=150.0)
+        self.seconds.append(time.perf_counter() - start)
+
+    def result(self):
+        assert self.runtime.recoveries == 0  # the happy path: nothing died
+        return (
+            extract_image(self.backend),
+            statistics.median(self.seconds),
+            self.runtime.bytes_pickled,
+        )
+
+
+def _measure_warm(scene):
+    """Median-of-RUNS warm frame seconds, fault tolerance off and on."""
+    configs = []
     try:
-        best = float("inf")
+        off = _Config(scene, fault_tolerance=False)
+        configs.append(off)
+        on = _Config(scene, fault_tolerance=True)
+        configs.append(on)
         for _ in range(RUNS):
-            backend.begin_job()
-            start = time.perf_counter()
-            runtime.run(network, list(inputs), timeout=150.0)
-            best = min(best, time.perf_counter() - start)
-        image = extract_image(backend)
-        wire_bytes = runtime.bytes_pickled
-        assert runtime.recoveries == 0  # the happy path: nothing died
+            off.timed_run()
+            on.timed_run()
+        return off.result(), on.result()
     finally:
-        runtime.teardown()
-    return image, best, wire_bytes
+        for config in configs:
+            config.runtime.teardown()
 
 
 @fork_only
@@ -90,8 +117,9 @@ def test_fault_tolerance_overhead(bench_json):
     ThreadedRuntime().run(network, inputs, timeout=150.0)
     oracle = extract_image(backend)
 
-    image_off, seconds_off, wire_off = _measure_warm(scene, fault_tolerance=False)
-    image_on, seconds_on, wire_on = _measure_warm(scene, fault_tolerance=True)
+    (image_off, seconds_off, wire_off), (image_on, seconds_on, wire_on) = _measure_warm(
+        scene
+    )
 
     # conformance first: a fast wrong answer is not an optimisation
     np.testing.assert_allclose(image_off, oracle, atol=1e-9)

@@ -18,7 +18,13 @@ the conservative shadow-cone test can prove the cloud's tiles clean.
 This benchmark is **1-CPU-safe** and noise-hardened: it measures work
 *skipped* per frame, not parallel speedup; the two arms render each
 animation frame back to back (so a slow container window hits both
-equally) and the bars compare per-frame minima.
+equally).  Fused frames (~0.05 s incremental, ~0.3 s full on a 2-vCPU
+host) vary by 10-20 % frame to frame there, with outliers, so the speedup
+bar compares per-frame minima over ``FRAMES`` = 8 frames per arm, and the
+tight all-dirty bar compares median frame times over ``PAN_FRAMES`` = 32
+pan frames per arm, alternating which arm renders first: two identical
+arms read within ~2-3 % that way, while their per-frame minima moved up
+to 13 % and their means up to 7 % (one slow frame drags a mean).
 
 Acceptance bars:
 
@@ -26,11 +32,13 @@ Acceptance bars:
   from-scratch render of the same scene state (the oracle renders a pickled
   snapshot through a fresh one-shot farm);
 * incremental frames are at least 3x faster than warm full re-renders
-  (measured ~5.6-6x in the reference container);
+  (measured ~5.6-7x on a 2-vCPU container with the fused kernel; the
+  reused tiles reach the merger as one chunk per row-adjacent run, since
+  its per-chunk coordination would otherwise bound the frame);
 * with an all-dirty edit stream (a camera pan) incremental mode degrades
   to at most 1.05x the incremental-off frame time — the price of touch
   capture plus a planner that immediately reports "everything dirty"
-  (measured ~1.02x);
+  (measured 0.98-1.02x);
 * the counters stay honest: ``rays_cast`` counts only rays actually
   traced; skipped work is reported separately as ``tiles_reused`` /
   ``rays_saved``.
@@ -44,6 +52,7 @@ import json
 import os
 import pathlib
 import pickle
+import statistics
 import time
 
 import numpy as np
@@ -60,8 +69,8 @@ CLOUD_SPHERES = 1960
 MOVERS = 40  # 2% of the 2000 primitives move per frame
 NODES = 2
 TASKS = 24
-FRAMES = 4
-PAN_FRAMES = 4
+FRAMES = 8
+PAN_FRAMES = 32
 MIN_SPEEDUP = 3.0
 MAX_ALL_DIRTY_OVERHEAD = 1.05
 
@@ -121,7 +130,7 @@ def cold_oracle(scene):
         nodes=NODES,
         tasks=TASKS,
         scene=snapshot,
-        render_mode="packet",
+        render_mode="fused",
         incremental=False,
     )
     return run.image
@@ -137,7 +146,7 @@ class Arm:
         self.service = RenderService(
             width=WIDTH,
             height=HEIGHT,
-            render_mode="packet",
+            render_mode="fused",
             incremental=incremental,
         )
         self.seconds = []
@@ -194,7 +203,10 @@ def run_pan():
             edit.commit()
             arm.render(timed=False)
         for frame in range(1, PAN_FRAMES + 1):
-            for arm in arms.values():
+            # alternate which arm goes first, so neither always pays for
+            # following the other
+            order = (True, False) if frame % 2 else (False, True)
+            for arm in (arms[key] for key in order):
                 edit = arm.scene.begin_edit()
                 edit.set_camera(
                     Camera(
@@ -235,11 +247,12 @@ def test_incremental_animation_speedup(bench_json):
         assert (result.tiles_reused, result.rays_saved) == (0, 0)
         assert result.rays_cast == WIDTH * HEIGHT
 
-    # per-frame minima: immune to one-off container stalls in either arm
+    # speedup: per-frame minima, immune to one-off container stalls in
+    # either arm; all-dirty overhead: medians (see the module docstring)
     inc_best = min(inc.seconds)
     full_best = min(full.seconds)
     speedup = full_best / inc_best
-    pan_overhead = min(pan_inc.seconds) / min(pan_full.seconds)
+    pan_overhead = statistics.median(pan_inc.seconds) / statistics.median(pan_full.seconds)
 
     print()
     print(f"  full re-render : {full_best:6.3f} s/frame  {[f'{s:.3f}' for s in full.seconds]}")
@@ -257,7 +270,7 @@ def test_incremental_animation_speedup(bench_json):
         "nodes": NODES,
         "tasks": TASKS,
         "frames": FRAMES,
-        "render_mode": "packet",
+        "render_mode": "fused",
         "full_seconds_best": full_best,
         "incremental_seconds_best": inc_best,
         "speedup": speedup,

@@ -68,7 +68,7 @@ def run_one_shot():
         nodes=NODES,
         tasks=TASKS,
         scene=make_scene(),
-        render_mode="packet",
+        render_mode="fused",
         runtime_options={"workers": WORKERS},
         timeout=300.0,
     )
@@ -93,7 +93,7 @@ def test_service_warm_vs_cold(bench_json):
         "process",
         width=WIDTH,
         height=HEIGHT,
-        render_mode="packet",
+        render_mode="fused",
         runtime_options={"workers": WORKERS},
     ) as service:
         first = service.render(
@@ -129,7 +129,7 @@ def test_service_warm_vs_cold(bench_json):
         "nodes": NODES,
         "tasks": TASKS,
         "workers": WORKERS,
-        "render_mode": "packet",
+        "render_mode": "fused",
         "cold_jobs": COLD_JOBS,
         "warm_jobs": WARM_JOBS,
         "cold_seconds_mean": cold_mean,

@@ -7,7 +7,7 @@ array.  The zero-copy plane broadcasts the scene through the fork-shared
 registry once, renders into a ``multiprocessing.shared_memory`` frame
 buffer, and passes only metadata records — this benchmark measures both the
 wall-clock effect and the serialization-volume effect on the paper-sized
-workload (the 300-sphere reference scene at 256x256, packet solver).
+workload (the 300-sphere reference scene at 256x256, fused solver).
 
 The workload is a dense variant of the paper's reference scene (2000
 spheres): the original measurement renders a heavyweight 3000x3000 scene,
@@ -18,7 +18,7 @@ pathology the broadcast layer removes.
 
 Acceptance bars:
 
-* images from both planes are pixel-identical to the sequential packet
+* images from both planes are pixel-identical to the sequential fused
   render (and therefore to each other);
 * the shared plane is at least 1.3x faster end-to-end than the PR 2
   record-pickling plane under identical batching (measured ~1.5x on one
@@ -63,7 +63,7 @@ def _run_plane(scene, data_plane: str, zero_copy: bool):
         nodes=NODES,
         tasks=TASKS,
         scene=scene,
-        render_mode="packet",
+        render_mode="fused",
         data_plane=data_plane,
         # identical batching on both planes: the comparison isolates the
         # data plane itself, not the autotuner
@@ -79,7 +79,7 @@ def _run_plane(scene, data_plane: str, zero_copy: bool):
 def test_shared_memory_speedup(bench_json):
     scene = paper_scene(num_spheres=NUM_SPHERES)
     scene.index  # build the BVH once up front; both planes start prepared
-    reference = render(scene, Camera(width=WIDTH, height=HEIGHT), mode="packet")
+    reference = render(scene, Camera(width=WIDTH, height=HEIGHT), mode="fused")
 
     # both planes go through the runtime's explicit protocol-5 serializer
     # (the instrumentation layer), so the records baseline pays one extra
@@ -107,7 +107,7 @@ def test_shared_memory_speedup(bench_json):
         "num_spheres": NUM_SPHERES,
         "tasks": TASKS,
         "workers": WORKERS,
-        "render_mode": "packet",
+        "render_mode": "fused",
         "records_seconds": records.seconds,
         "shared_seconds": shared.seconds,
         "speedup": speedup,

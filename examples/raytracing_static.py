@@ -13,8 +13,8 @@ worker pool and is the one that shows real wall-clock speedup on a
 multi-core host, while the distributed backend honours the network's
 ``solver !@ <node>`` placement for real — each ``<node>`` tag value's
 solver replica runs on its own forked compute-node process.  ``mode`` is
-``scalar`` (default, one ray at a time) or ``packet`` (NumPy ray packets,
-an order of magnitude faster per solver invocation).
+``fused`` (default, NumPy ray packets over the flat BVH) or ``scalar``
+(the per-pixel oracle, one ray at a time).
 """
 
 import sys
@@ -23,11 +23,15 @@ import time
 from repro.apps import run_raytracing_farm
 from repro.raytracer import Camera, random_scene, render, to_ppm
 from repro.raytracer.image import image_rms_difference
+from repro.raytracer.tracer import DEFAULT_RENDER_MODE
 from repro.snet.runtime import ProcessRuntime, Tracer
 
 
 def main(
-    width: int = 96, height: int = 96, runtime: str = "threaded", mode: str = "scalar"
+    width: int = 96,
+    height: int = 96,
+    runtime: str = "threaded",
+    mode: str = DEFAULT_RENDER_MODE,
 ) -> None:
     scene = random_scene(num_spheres=40, clustering=0.5, seed=7)
     camera = Camera(width=width, height=height)
@@ -79,5 +83,5 @@ if __name__ == "__main__":
     width = int(sys.argv[1]) if len(sys.argv) > 1 else 96
     height = int(sys.argv[2]) if len(sys.argv) > 2 else 96
     runtime = sys.argv[3] if len(sys.argv) > 3 else "threaded"
-    mode = sys.argv[4] if len(sys.argv) > 4 else "scalar"
+    mode = sys.argv[4] if len(sys.argv) > 4 else DEFAULT_RENDER_MODE
     main(width, height, runtime, mode)

@@ -33,7 +33,6 @@ def main(
         runtime,
         width=width,
         height=height,
-        render_mode="packet",
         max_scenes=frames,
         runtime_options={"workers": 2} if runtime == "process" else None,
     )

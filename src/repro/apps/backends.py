@@ -262,9 +262,11 @@ class RenderBackend:
         coordinating process) with the job's full section list.  Returns
         ``{section index: cached chunk}`` for every section that is provably
         unaffected by the scene edits since the cached frame; the splitter
-        short-circuits those records straight to the merger.  Also arms the
-        capture of this frame's summaries (see :meth:`absorb_chunk_stats` /
-        :meth:`finish_job`).
+        short-circuits those records straight to the merger (adjacent ones
+        joined, see :meth:`join_chunks`).  Also arms the capture of this
+        frame's summaries (see :meth:`absorb_chunk_stats` /
+        :meth:`finish_job`); the reused tiles' own entries are banked here,
+        so a joined chunk needs to carry none.
 
         The cache is consulted only when *everything* lines up: incremental
         mode on, the scene is journaled, it is the **same scene object** as
@@ -299,7 +301,7 @@ class RenderBackend:
                         entry = self._tile_cache.get(section.index)
                         if section.index not in dirty and entry is not None:
                             reuse[section.index] = entry[0]
-        self._pending_tiles = {}
+        self._pending_tiles = {index: self._tile_cache[index] for index in reuse}
         self._frame_meta = {
             "capture": capture,
             "scene_id": id(scene),
@@ -350,6 +352,16 @@ class RenderBackend:
         """The solver body: render one section, return the chunk."""
         raise NotImplementedError
 
+    def join_chunks(self, chunks: Sequence[Any]) -> Any:
+        """One zero-ray chunk covering ``chunks``: cached, row-adjacent, in order.
+
+        The splitter sends each run of adjacent cache-reused sections to the
+        merger as one chunk: the merger network unrolls one star level per
+        chunk and passes every chunk through all earlier levels, so 24
+        sections cost it ~24²/2 stream hops however few were re-traced.
+        """
+        raise NotImplementedError
+
     def init_picture(self, chunk: Any) -> Any:
         """The init body: create the accumulator picture from the first chunk."""
         raise NotImplementedError
@@ -394,11 +406,13 @@ class RenderBackend:
 class RealRenderBackend(RenderBackend):
     """Backend that actually renders pixels (for small resolutions).
 
-    ``render_mode`` selects the execution strategy of the solver body:
-    ``"scalar"`` renders one pixel at a time (the correctness oracle),
-    ``"packet"`` renders each section as one vectorized NumPy ray packet
-    (see :mod:`repro.raytracer.packet`); both produce the same image to
-    within ``atol=1e-9``.
+    ``render_mode`` selects the execution strategy of the solver body
+    (``None`` = the default, see
+    :func:`~repro.raytracer.tracer.check_render_mode`): ``"fused"`` renders
+    each section as vectorized NumPy ray packets over the flat BVH (see
+    :mod:`repro.raytracer.packet`), ``"scalar"`` one pixel at a time (the
+    correctness oracle); both produce the same image to within
+    ``atol=1e-9``.
 
     ``copy_on_merge`` controls the merge box: ``False`` (the default)
     mutates the single live accumulator in place — O(chunk) per merge —
@@ -412,7 +426,7 @@ class RealRenderBackend(RenderBackend):
         self,
         scene: Scene,
         camera: Camera,
-        render_mode: str = "scalar",
+        render_mode: Optional[str] = None,
         copy_on_merge: bool = False,
     ):
         super().__init__(scene, camera)
@@ -434,6 +448,13 @@ class RealRenderBackend(RenderBackend):
             section.index,
             mode=self.render_mode,
             touch=capture,
+        )
+
+    def join_chunks(self, chunks: Sequence[ImageChunk]) -> ImageChunk:
+        return ImageChunk(
+            y_start=chunks[0].y_start,
+            pixels=np.concatenate([chunk.pixels for chunk in chunks]),
+            section_id=chunks[0].section_id,
         )
 
     def init_picture(self, chunk: ImageChunk) -> np.ndarray:
@@ -481,7 +502,7 @@ class SharedFrameRenderBackend(RealRenderBackend):
         self,
         scene: Scene,
         camera: Camera,
-        render_mode: str = "scalar",
+        render_mode: Optional[str] = None,
     ):
         super().__init__(scene, camera, render_mode=render_mode)
         self.frame = SharedFrameBuffer(camera.width, camera.height)
@@ -496,6 +517,15 @@ class SharedFrameRenderBackend(RealRenderBackend):
             section_id=section.index,
             rays_cast=chunk.rays_cast,
             summary=chunk.summary,
+        )
+
+    def join_chunks(self, chunks: Sequence[FrameChunkRef]) -> FrameChunkRef:
+        # the reused rows are still in the frame from the cached job
+        return FrameChunkRef(
+            y_start=chunks[0].y_start,
+            rows=sum(chunk.rows for chunk in chunks),
+            width=chunks[0].width,
+            section_id=chunks[0].section_id,
         )
 
     def init_picture(self, chunk: FrameChunkRef) -> SharedFramePicture:

@@ -48,7 +48,7 @@ class RayTracingBoxes:
         scheduling with as many sections as there are ``<tasks>``.
     render_mode:
         Optional override of the backend's rendering strategy
-        (``"scalar"`` | ``"packet"``); ``None`` leaves the backend's own
+        (``"fused"`` | ``"scalar"``); ``None`` leaves the backend's own
         mode untouched.  Backends without a mode knob (the model backend)
         ignore the override.
     """
@@ -78,34 +78,50 @@ class RayTracingBoxes:
         (:meth:`~repro.apps.backends.RenderBackend.plan_job`): sections
         provably unaffected by the scene edits since the cached frame are
         emitted as ready ``(chunk, <tasks>)`` records that short-circuit
-        straight past the solvers to the merger; the rest are emitted as the
-        usual ``(scene, sect, <tasks>)`` records, with the journal entries a
-        stale fork worker needs riding along inside an
+        straight past the solvers to the merger, each run of row-adjacent
+        ones joined into a single chunk
+        (:meth:`~repro.apps.backends.RenderBackend.join_chunks`); the rest
+        are emitted as the usual ``(scene, sect, <tasks>)`` records, with
+        the journal entries a stale fork worker needs riding along inside an
         :class:`~repro.scheduling.base.EditedSection`.  The caller adds its
         variant-specific placement tags to the renderable records.
 
-        Record ``index 0`` carries ``<fst>`` either way, and ``<tasks>``
-        counts *all* sections, so the merger's completion arithmetic is
-        untouched by reuse.
+        The first record carries ``<fst>`` and ``<tasks>`` counts the
+        records, i.e. the chunks the merger will see, so its completion
+        arithmetic holds with or without reuse.
         """
         backend = self.backend
         reuse = backend.plan_job(scene, sections)
         edits = backend.edits_to_ship(scene)
-        total = len(sections)
         records: List[dict] = []
+        run: List = []  # cached chunks of the current row-adjacent run
+        run_end = None
+
+        def close_run() -> None:
+            if run:
+                chunk = run[0] if len(run) == 1 else backend.join_chunks(run)
+                records.append({"chunk": chunk})
+                run.clear()
+
         for section in sections:
             cached = reuse.get(section.index)
             if cached is not None:
-                entries = {"chunk": cached, "<tasks>": total}
-            else:
-                if edits:
-                    section = EditedSection(
-                        section.index, section.y_start, section.y_end, edits=edits
-                    )
-                entries = {"scene": scene, "sect": section, "<tasks>": total}
-            if section.index == 0:
-                entries["<fst>"] = 1
-            records.append(entries)
+                if section.y_start != run_end:
+                    close_run()
+                run.append(cached)
+                run_end = section.y_end
+                continue
+            close_run()
+            run_end = None
+            if edits:
+                section = EditedSection(
+                    section.index, section.y_start, section.y_end, edits=edits
+                )
+            records.append({"scene": scene, "sect": section})
+        close_run()
+        for entries in records:
+            entries["<tasks>"] = len(records)
+        records[0]["<fst>"] = 1
         return records
 
     # -- splitter variants ---------------------------------------------------

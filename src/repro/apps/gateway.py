@@ -169,6 +169,21 @@ class TokenBucket:
         return False, retry
 
 
+#: longest request line the gateway reads (asyncio's default stream limit);
+#: a longer line is refused with ``bad_request`` and skipped
+_LINE_LIMIT = 2 ** 16
+
+
+async def _skip_line(reader: asyncio.StreamReader) -> None:
+    """Discard the stream up to and including the next newline."""
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)
+
+
 def decode_image(response: Dict[str, Any]) -> np.ndarray:
     """Decode the ``image_b64`` payload of a ``return_image`` response."""
     if "image_b64" not in response:
@@ -291,7 +306,9 @@ class RenderGateway:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
         try:
-            server = await asyncio.start_server(self._handle, self.host, self.port)
+            server = await asyncio.start_server(
+                self._handle, self.host, self.port, limit=_LINE_LIMIT
+            )
         except BaseException as exc:
             self._startup_error = exc
             started.set()
@@ -317,7 +334,20 @@ class RenderGateway:
         request_tasks: "set[asyncio.Task]" = set()
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    line = exc.partial  # EOF: a last unterminated line, or b""
+                except asyncio.LimitOverrunError:
+                    # a line longer than the stream buffer: refuse it, skip
+                    # the rest of it and keep serving the connection
+                    await self._reply(
+                        writer, write_lock,
+                        {"status": "error", "error": "bad_request",
+                         "message": f"request line exceeds {_LINE_LIMIT} bytes"},
+                    )
+                    await _skip_line(reader)
+                    continue
                 if not line:
                     break
                 if not line.strip():

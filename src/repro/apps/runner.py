@@ -92,6 +92,8 @@ DATA_PLANES = ("auto", "shared", "records")
 class FarmRun:
     """Outcome of one farm execution.
 
+    ``render_mode`` is the solver's resolved render mode (``None`` for a
+    backend that renders no pixels, such as the cost-model backend).
     ``rays_cast`` is the total number of rays the solver boxes traced,
     aggregated from the per-chunk counters by the merger side (so the count
     is correct even when the solvers executed in forked pool workers).
@@ -113,7 +115,7 @@ class FarmRun:
     outputs: List[Record]
     seconds: float
     backend: RenderBackend = field(repr=False)
-    render_mode: str = "scalar"
+    render_mode: Optional[str] = None
     rays_cast: int = 0
     data_plane: str = "records"
     bytes_pickled: int = 0
@@ -200,7 +202,7 @@ def build_farm_backend(
     backend = backend_cls(
         scene,
         Camera(width=width, height=height),
-        render_mode=render_mode or "scalar",
+        render_mode=render_mode,
     )
     backend.incremental = bool(incremental)
     return backend
@@ -360,9 +362,10 @@ def run_raytracing_farm(
     Parameters mirror the paper's experiment knobs: ``nodes`` compute nodes,
     ``tasks`` image sections, and (dynamic variant only) ``tokens`` initial
     node tokens, defaulting to ``nodes``.  ``render_mode`` selects the solver
-    execution strategy (``"scalar"`` per-pixel oracle or the vectorized
-    ``"packet"`` path); ``None`` keeps the backend's own mode (``"scalar"``
-    for a freshly created backend).  ``data_plane`` selects how pixels reach
+    execution strategy (the vectorized ``"fused"`` path or the ``"scalar"``
+    per-pixel oracle); ``None`` keeps the backend's own mode (the default
+    of :func:`~repro.raytracer.tracer.check_render_mode` for a freshly
+    created backend).  ``data_plane`` selects how pixels reach
     the merger (see module docstring); on the process backend it also gates
     the runtime's fork-shared scene broadcast (``zero_copy``), unless
     ``runtime_options`` pins that explicitly.
@@ -372,7 +375,7 @@ def run_raytracing_farm(
     wall-clock ``seconds`` and the run's instrumentation counters.
 
     >>> run = run_raytracing_farm("static", width=16, height=16, nodes=2,
-    ...                           tasks=2, num_spheres=4, render_mode="packet")
+    ...                           tasks=2, num_spheres=4)
     >>> run.image.shape, run.data_plane, run.rays_cast > 0
     ((16, 16, 3), 'records', True)
 
@@ -433,7 +436,7 @@ def run_raytracing_farm(
         outputs=outputs,
         seconds=seconds,
         backend=backend,
-        render_mode=getattr(backend, "render_mode", "scalar"),
+        render_mode=getattr(backend, "render_mode", None),
         rays_cast=getattr(backend, "rays_cast", 0),
         data_plane=plane,
         bytes_pickled=getattr(runtime_obj, "bytes_pickled", 0),

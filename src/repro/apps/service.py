@@ -59,7 +59,7 @@ Example
 
 >>> from repro.raytracer.scene import random_scene
 >>> scene = random_scene(num_spheres=3)
->>> with RenderService(width=16, height=16, render_mode="packet") as service:
+>>> with RenderService(width=16, height=16) as service:
 ...     first = service.submit(RenderJob(scene, nodes=2, tasks=2)).result(60)
 ...     second = service.submit(RenderJob(scene, nodes=2, tasks=2)).result(60)
 >>> first.image.shape, first.warm, second.warm
@@ -89,6 +89,7 @@ from repro.apps.warm_pool import WarmPoolManager, WarmSlot
 from repro.apps.workloads import extract_image
 from repro.raytracer.mutation import scene_content_key
 from repro.raytracer.scene import Scene
+from repro.raytracer.tracer import check_render_mode
 from repro.scheduling.base import Scheduler
 from repro.snet.records import Record
 from repro.snet.runtime import run_on
@@ -527,7 +528,7 @@ class RenderService:
         self.runtime_name = runtime
         self.width = width
         self.height = height
-        self.render_mode = render_mode
+        self.render_mode = check_render_mode(render_mode)
         self.scheduler = scheduler
         self.runtime_options = dict(runtime_options or {})
         # static network validation mode for every warm runtime the service

@@ -4,9 +4,10 @@ This is the example application of the paper (Section II): a recursive ray
 tracer rendering a 2-D image of a 3-D scene, accelerated by a
 Goldsmith–Salmon insertion-built BVH.  The tracer is used in two ways:
 
-* **really** — the threaded S-Net runtime and the examples render small
-  images pixel-by-pixel through the public API (:func:`render`,
-  :func:`render_section`);
+* **really** — the S-Net runtimes and the examples render real images
+  through the public API (:func:`render`, :func:`render_section`), by
+  default with vectorized ray packets over a flat BVH (:mod:`packet`,
+  :mod:`flatbvh`) and pixel-by-pixel in the ``scalar`` oracle mode;
 * **as a cost model** — the performance experiments (Figs. 5 and 6) need the
   *time* a 3000x3000 render would take on the paper's hardware, not the
   pixels; :mod:`repro.raytracer.cost` estimates per-section work in reference
@@ -14,8 +15,8 @@ Goldsmith–Salmon insertion-built BVH.  The tracer is used in two ways:
   what drives load (im)balance.
 
 Modules: :mod:`vec`, :mod:`ray`, :mod:`camera`, :mod:`materials`,
-:mod:`geometry`, :mod:`bvh`, :mod:`shading`, :mod:`tracer`, :mod:`scene`,
-:mod:`image`, :mod:`cost`.
+:mod:`geometry`, :mod:`bvh`, :mod:`flatbvh`, :mod:`packet`, :mod:`shading`,
+:mod:`tracer`, :mod:`scene`, :mod:`image`, :mod:`cost`.
 """
 
 from repro.raytracer.vec import normalize, reflect, refract, vec3

@@ -15,9 +15,12 @@ estimation based on the surface area" [Goldsmith & Salmon 1987].
 * leaves hold a single primitive; inserting into a leaf splits it into an
   internal node with two children.
 
-A :class:`BruteForceIndex` with the same query interface serves as the
-correctness oracle in tests and as the "no acceleration structure" baseline
-for the ablation benchmark.
+The node tree answers the scalar queries of the ``scalar`` render mode;
+the ``fused`` mode traverses its flat compilation
+(:class:`~repro.raytracer.flatbvh.FlatBVH`).  A :class:`BruteForceIndex`
+with the same query interface serves as the correctness oracle in tests
+and as the "no acceleration structure" baseline for the ablation
+benchmark.
 """
 
 from __future__ import annotations
@@ -100,19 +103,17 @@ class BVH:
         self.size = 0
         self.stats = TraversalStats()
         self._packet_primitives: Optional[List[Primitive]] = None
-        self._packet_index: Dict[int, int] = {}
         self._leaf_by_prim: Optional[Dict[int, BVHNode]] = None
         for primitive in primitives:
             self.insert(primitive)
 
     # -- pickling ----------------------------------------------------------
     def __getstate__(self):
-        # the packet/refit lookups are keyed by id(primitive); those ids do
-        # not survive pickling, so ship the tree without them and let the
-        # unpickled copy rebuild lazily
+        # the refit lookup is keyed by id(primitive); those ids do not
+        # survive pickling, so ship the tree without the derived caches and
+        # let the unpickled copy rebuild them lazily
         state = self.__dict__.copy()
         state["_packet_primitives"] = None
-        state["_packet_index"] = {}
         state["_leaf_by_prim"] = None
         return state
 
@@ -127,7 +128,7 @@ class BVH:
         leaf_box = primitive.bounding_box()
         new_leaf = BVHNode(leaf_box, primitive=primitive)
         self.size += 1
-        self._packet_primitives = None  # invalidate the packet leaf index
+        self._packet_primitives = None  # invalidate the leaf-order list
         self._leaf_by_prim = None
         if self.root is None:
             self.root = new_leaf
@@ -197,7 +198,7 @@ class BVH:
         changed (a sphere moved, a triangle vertex shifted).  The tree
         *topology* is untouched: every leaf keeps its slot, so
         :attr:`packet_primitives` order — and with it the exact-``t``
-        tie-break of the packet/flat traversals — is preserved.  Boxes are
+        tie-break of the flat traversal — is preserved.  Boxes are
         updated in two phases (all leaf boxes first, then each leaf's
         root path re-unioned bottom-up), which leaves every ancestor equal
         to the union of its final children regardless of how moved leaves
@@ -277,103 +278,18 @@ class BVH:
                 stack.append(node.right)
         return False
 
-    # -- packet queries -----------------------------------------------------
     @property
     def packet_primitives(self) -> List[Primitive]:
-        """Leaf primitives in traversal order; packet hit indices refer here."""
-        self._ensure_packet_index()
-        assert self._packet_primitives is not None
+        """Leaf primitives in traversal order (the flat BVH's leaf slots).
+
+        :class:`~repro.raytracer.flatbvh.FlatBVH` compiles its leaves in
+        this order, so packet hit indices refer to these rows.  The list
+        object is replaced on every :meth:`insert`; the packet caches use
+        its identity to detect in-place index growth.
+        """
+        if self._packet_primitives is None:
+            self._packet_primitives = [leaf.primitive for leaf in self.leaves()]
         return self._packet_primitives
-
-    def _ensure_packet_index(self) -> None:
-        if self._packet_primitives is not None:
-            return
-        primitives = [leaf.primitive for leaf in self.leaves()]
-        self._packet_primitives = primitives  # type: ignore[assignment]
-        self._packet_index = {id(p): i for i, p in enumerate(primitives)}
-
-    def intersect_packet(
-        self, origins: np.ndarray, directions: np.ndarray, t_min: float = 1e-6
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Closest hit for a whole ray packet (masked active-ray traversal).
-
-        Returns ``(indices, t)``: per ray, the index of the hit primitive in
-        :attr:`packet_primitives` (``-1`` for a miss) and the hit parameter
-        (``np.inf`` for a miss).  Traversal carries the set of still-active
-        ray indices per node; the box test and the leaf intersection are
-        vectorized over that set (primitives without a NumPy kernel fall
-        back to the scalar loop of ``Primitive.intersect_block``).
-        """
-        n = origins.shape[0]
-        best_t = np.full(n, np.inf)
-        best_index = np.full(n, -1, dtype=np.int64)
-        if self.root is None or n == 0:
-            return best_index, best_t
-        self._ensure_packet_index()
-        stack: List[Tuple[BVHNode, np.ndarray]] = [(self.root, np.arange(n))]
-        while stack:
-            node, active = stack.pop()
-            self.stats.node_visits += int(active.size)
-            mask = node.box.intersects_ray_block(
-                origins[active], directions[active], t_min, best_t[active]
-            )
-            active = active[mask]
-            if active.size == 0:
-                continue
-            if node.is_leaf:
-                self.stats.primitive_tests += int(active.size)
-                t = node.primitive.intersect_block(  # type: ignore[union-attr]
-                    origins[active], directions[active], t_min, best_t[active]
-                )
-                closer = t < best_t[active]
-                hits = active[closer]
-                best_t[hits] = t[closer]
-                best_index[hits] = self._packet_index[id(node.primitive)]
-                continue
-            if node.left is not None:
-                stack.append((node.left, active))
-            if node.right is not None:
-                stack.append((node.right, active))
-        return best_index, best_t
-
-    def any_hit_packet(
-        self, origins: np.ndarray, directions: np.ndarray, t_min: float = 1e-6, t_max=np.inf
-    ) -> np.ndarray:
-        """Vectorized occlusion query; ``t_max`` may be per-ray (shadow rays).
-
-        Returns an ``(n,)`` boolean mask; rays already known to be occluded
-        are dropped from the active set before each node is tested.
-        """
-        n = origins.shape[0]
-        occluded = np.zeros(n, dtype=bool)
-        if self.root is None or n == 0:
-            return occluded
-        tmax = broadcast_tmax(t_max, n)
-        stack: List[Tuple[BVHNode, np.ndarray]] = [(self.root, np.arange(n))]
-        while stack:
-            node, active = stack.pop()
-            active = active[~occluded[active]]
-            if active.size == 0:
-                continue
-            self.stats.node_visits += int(active.size)
-            mask = node.box.intersects_ray_block(
-                origins[active], directions[active], t_min, tmax[active]
-            )
-            active = active[mask]
-            if active.size == 0:
-                continue
-            if node.is_leaf:
-                self.stats.primitive_tests += int(active.size)
-                t = node.primitive.intersect_block(  # type: ignore[union-attr]
-                    origins[active], directions[active], t_min, tmax[active]
-                )
-                occluded[active[np.isfinite(t)]] = True
-                continue
-            if node.left is not None:
-                stack.append((node.left, active))
-            if node.right is not None:
-                stack.append((node.right, active))
-        return occluded
 
     # -- invariants (used by property-based tests) -------------------------------
     def leaves(self) -> List[BVHNode]:

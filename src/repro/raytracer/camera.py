@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -69,35 +69,6 @@ class Camera:
         )
         return Ray(self.position, direction, depth=0)
 
-    def primary_ray_block(self, y_start: int, y_end: int) -> Tuple[np.ndarray, np.ndarray]:
-        """All primary rays of rows ``[y_start, y_end)`` as arrays.
-
-        Returns ``(origins, directions)``, both of shape ``(rows * width, 3)``
-        in row-major pixel order — ray ``i`` corresponds to the pixel
-        ``(px, py) = (i % width, y_start + i // width)`` and matches
-        :meth:`primary_ray` for that pixel (same half-pixel centring, same
-        normalization).  This is the entry point of the packet rendering
-        path: one array pair per image section instead of one :class:`Ray`
-        object per pixel.
-        """
-        if not 0 <= y_start <= y_end <= self.height:
-            raise ValueError(
-                f"row range [{y_start}, {y_end}) outside image of height {self.height}"
-            )
-        px = np.arange(self.width, dtype=np.float64)
-        py = np.arange(y_start, y_end, dtype=np.float64)
-        u = (px + 0.5) / self.width * 2.0 - 1.0
-        v = 1.0 - (py + 0.5) / self.height * 2.0
-        directions = (
-            self._forward
-            + (u * self._half_width)[None, :, None] * self._right
-            + (v * self._half_height)[:, None, None] * self._true_up
-        ).reshape(-1, 3)
-        norms = np.sqrt(np.einsum("ij,ij->i", directions, directions))
-        directions = directions / norms[:, None]
-        origins = np.broadcast_to(self.position, directions.shape)
-        return origins, directions
-
     def primary_ray_block_into(
         self,
         y_start: int,
@@ -105,15 +76,18 @@ class Camera:
         out_directions: np.ndarray,
         out_norms: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`primary_ray_block` into caller-owned scratch arrays.
+        """All primary rays of rows ``[y_start, y_end)`` as arrays.
 
-        ``out_directions`` must be ``(rows * width, 3)`` and ``out_norms``
-        ``(rows * width,)``; both are overwritten.  The fused tile renderer
-        reuses one scratch pair across frames instead of allocating fresh
-        ``(n, 3)`` intermediates per tile.  The arithmetic is performed in
-        the same order as the allocating version (the first addend merely
-        commutes, which is exact for float addition), so the produced rays
-        are bit-identical.
+        Returns ``(origins, directions)``, both of shape ``(rows * width, 3)``
+        in row-major pixel order — ray ``i`` corresponds to the pixel
+        ``(px, py) = (i % width, y_start + i // width)`` and matches
+        :meth:`primary_ray` for that pixel (same half-pixel centring, same
+        normalization).  The directions are written into caller-owned
+        scratch arrays: ``out_directions`` must hold at least
+        ``rows * width`` rows of 3 and ``out_norms`` ``rows * width``
+        values; both are overwritten.  The fused tile renderer reuses one
+        scratch pair across frames instead of allocating fresh ``(n, 3)``
+        intermediates per tile.
         """
         if not 0 <= y_start <= y_end <= self.height:
             raise ValueError(
@@ -152,6 +126,22 @@ class Camera:
         x = float(np.dot(offset, self._right)) / (depth * self._half_width)
         y = float(np.dot(offset, self._true_up)) / (depth * self._half_height)
         return x, y, depth
+
+    def rows_of_points(self, points: np.ndarray) -> Optional[np.ndarray]:
+        """Pixel rows of ``(n, 3)`` world points, or ``None`` if any is unprojectable.
+
+        The batched form of :meth:`ndc_of_point` followed by
+        :meth:`row_of_ndc_y` (same depth cut-off, same half-to-even
+        rounding and clamping); ``None`` means some point lies at or behind
+        the eye plane, where the projection is unbounded.
+        """
+        offset = np.asarray(points, dtype=np.float64) - self.position
+        depth = offset @ self._forward
+        if np.any(depth <= 1e-9):
+            return None
+        y_ndc = (offset @ self._true_up) / (depth * self._half_height)
+        rows = np.rint((1.0 - y_ndc) / 2.0 * self.height - 0.5)
+        return np.clip(rows, 0, self.height - 1).astype(np.int64)
 
     def row_of_ndc_y(self, y_ndc: float) -> int:
         """Convert an NDC y coordinate into a clamped pixel row index."""

@@ -79,11 +79,15 @@ class TileTouch:
 
     The packet and scalar tracing paths call :meth:`note_packet` /
     :meth:`note_scalar` as they find hits; :meth:`summary` freezes the
-    result.  Capture cost is a set-update and two ``ufunc.at`` calls per
-    packet — negligible next to traversal and shading.
+    result.  Capture cost is a set-update and a handful of array
+    reductions per packet: under the interpreter lock it competes with
+    the other solver threads, so it stays free of per-hit Python work.
     """
 
-    __slots__ = ("width", "ids", "secondary", "current_px", "bucket_min", "bucket_max")
+    __slots__ = (
+        "width", "ids", "secondary", "current_px", "bucket_min", "bucket_max",
+        "_bucket_starts", "_bucket_keys",
+    )
 
     def __init__(self, width: int):
         self.width = max(1, int(width))
@@ -92,6 +96,10 @@ class TileTouch:
         self.current_px = 0  # scalar path: set by render_rows before trace()
         self.bucket_min = np.full((BUCKETS, 3), np.inf)
         self.bucket_max = np.full((BUCKETS, 3), -np.inf)
+        # the first column of every bucket that has columns, and its bucket
+        column_bucket = np.arange(self.width) * BUCKETS // self.width
+        self._bucket_starts = np.flatnonzero(np.diff(column_bucket, prepend=-1))
+        self._bucket_keys = column_bucket[self._bucket_starts]
 
     def note_packet(
         self,
@@ -104,15 +112,25 @@ class TileTouch:
         depth: int,
     ) -> None:
         """Record one packet's hits (``hits`` = ray indices with a hit)."""
-        for row in np.unique(indices[hits]):
-            self.ids.add(data.primitives[row].primitive_id)
+        self.ids.update(data.primitive_id[indices[hits]].tolist())
         if depth > 0 or hits.size == 0:
             return
-        # primary packets are full-row blocks, so column = ray index % width
+        # primary packets are full-row blocks, so column = ray index % width:
+        # reduce the hit points per column, then each bucket's column range
         points = origins[hits] + t[hits, None] * directions[hits]
-        buckets = (hits % self.width) * BUCKETS // self.width
-        np.minimum.at(self.bucket_min, buckets, points)
-        np.maximum.at(self.bucket_max, buckets, points)
+        grid = np.full((origins.shape[0], 3), np.inf)  # misses never win
+        grid[hits] = points
+        low = self._bucket_min(grid)
+        grid[hits] = -points
+        high = -self._bucket_min(grid)
+        keys = self._bucket_keys
+        self.bucket_min[keys] = np.minimum(self.bucket_min[keys], low)
+        self.bucket_max[keys] = np.maximum(self.bucket_max[keys], high)
+
+    def _bucket_min(self, grid: np.ndarray) -> np.ndarray:
+        """Per-bucket minimum of a full-row ``(rays, 3)`` block."""
+        columns = grid.reshape(-1, self.width, 3).min(axis=0)
+        return np.minimum.reduceat(columns, self._bucket_starts)
 
     def note_scalar(self, primitive: Any, point: np.ndarray, depth: int) -> None:
         """Record one scalar hit (``current_px`` holds the pixel column)."""
@@ -136,29 +154,28 @@ class TileTouch:
 # -- the planner --------------------------------------------------------------
 
 
-def _inflate(box: Tuple[Tuple[float, ...], Tuple[float, ...]]) -> Tuple[np.ndarray, np.ndarray]:
-    minimum = np.asarray(box[0], dtype=np.float64) - BOX_EPSILON
-    maximum = np.asarray(box[1], dtype=np.float64) + BOX_EPSILON
-    return minimum, maximum
+#: (8, 3) selector of the box corners: True picks the maximum on that axis
+_CORNERS = np.array(list(product((False, True), repeat=3)))
 
 
-def _box_rows(camera: Any, minimum: np.ndarray, maximum: np.ndarray) -> Optional[Tuple[int, int]]:
-    """Row range the box's projection can cover, or ``None`` for "all rows".
+def _box_rows(
+    camera: Any, minimum: np.ndarray, maximum: np.ndarray
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Row ranges the ``(B, 3)`` boxes' projections can cover, or ``None``.
 
-    Projects the 8 corners; any corner at/behind the eye plane makes the
-    image extent unbounded (``None``).  The returned range carries ±1 row of
-    margin for pixel-centre rounding.
+    Projects the 8 corners of every box in one batch; any corner at/behind
+    the eye plane makes that image extent unbounded (``None``: all rows).
+    The returned ``(lo, hi)`` arrays carry ±1 row of margin for pixel-centre
+    rounding.
     """
-    lo = camera.height
-    hi = -1
-    for corner in product(*zip(minimum, maximum)):
-        _, y_ndc, depth = camera.ndc_of_point(np.asarray(corner))
-        if depth <= 1e-9:
-            return None
-        row = camera.row_of_ndc_y(y_ndc)
-        lo = min(lo, row)
-        hi = max(hi, row)
-    return max(0, lo - 1), min(camera.height - 1, hi + 1)
+    corners = np.where(_CORNERS, maximum[:, None, :], minimum[:, None, :])
+    rows = camera.rows_of_points(corners.reshape(-1, 3))
+    if rows is None:
+        return None
+    rows = rows.reshape(-1, len(_CORNERS))
+    lo = np.maximum(0, rows.min(axis=1) - 1)
+    hi = np.minimum(camera.height - 1, rows.max(axis=1) + 1)
+    return lo, hi
 
 
 def _cones_overlap(
@@ -250,7 +267,7 @@ def plan_tiles(
     if not ops:
         return set()
     changed_ids: Set[int] = set()
-    boxes: List[Tuple[np.ndarray, np.ndarray]] = []
+    boxes: List[Tuple[Tuple[float, ...], Tuple[float, ...]]] = []
     for op in ops:
         if op.kind in GLOBAL_KINDS or op.kind in STRUCTURAL_KINDS:
             return None
@@ -260,22 +277,21 @@ def plan_tiles(
         if op.geometry:
             if op.unbounded or op.old_box is None or op.new_box is None:
                 return None
-            boxes.append(_inflate(op.old_box))
-            boxes.append(_inflate(op.new_box))
+            boxes.append(op.old_box)
+            boxes.append(op.new_box)
 
-    # precompute each box's projected row range (rule c)
-    box_rows: List[Optional[Tuple[int, int]]] = []
-    for minimum, maximum in boxes:
-        rows = _box_rows(camera, minimum, maximum)
-        if rows is None:
-            return None  # box reaches the eye plane: projection unbounded
-        box_rows.append(rows)
-    light_positions = [np.asarray(light.position, dtype=np.float64) for light in lights]
     if boxes:
-        box_centers = np.array([0.5 * (mn + mx) for mn, mx in boxes])
-        box_radii = np.array(
-            [0.5 * float(np.linalg.norm(mx - mn)) for mn, mx in boxes]
-        )
+        # inflated (B, 3) corner arrays and each box's projected row range
+        # (rule c), all boxes at once
+        box_min = np.array([box[0] for box in boxes], dtype=np.float64) - BOX_EPSILON
+        box_max = np.array([box[1] for box in boxes], dtype=np.float64) + BOX_EPSILON
+        box_rows = _box_rows(camera, box_min, box_max)
+        if box_rows is None:
+            return None  # a box reaches the eye plane: projection unbounded
+        rows_lo, rows_hi = box_rows
+        box_centers = 0.5 * (box_min + box_max)
+        box_radii = 0.5 * np.linalg.norm(box_max - box_min, axis=1)
+    light_positions = [np.asarray(light.position, dtype=np.float64) for light in lights]
 
     dirty: Set[int] = set()
     for section in sections:
@@ -293,7 +309,7 @@ def plan_tiles(
             dirty.add(index)
             continue
         y_lo, y_hi = section.y_start, section.y_end - 1
-        if any(lo <= y_hi and hi >= y_lo for lo, hi in box_rows):  # rule (c)
+        if np.any((rows_lo <= y_hi) & (rows_hi >= y_lo)):  # rule (c)
             dirty.add(index)
             continue
         used = np.isfinite(summary.bucket_min[:, 0])

@@ -109,46 +109,6 @@ class AABB:
                 return False
         return True
 
-    def intersects_ray_block(
-        self,
-        origins: np.ndarray,
-        directions: np.ndarray,
-        t_min: float = 1e-6,
-        t_max=np.inf,
-    ) -> np.ndarray:
-        """Vectorized :meth:`intersects_ray` over an ``(n, 3)`` ray packet.
-
-        ``t_max`` may be a scalar or an ``(n,)`` array of per-ray upper
-        bounds (the packet BVH traversal passes each ray's current best hit).
-        Returns an ``(n,)`` boolean mask.
-        """
-        n = origins.shape[0]
-        if self.is_empty():
-            return np.zeros(n, dtype=bool)
-        lo = np.full(n, t_min, dtype=np.float64)
-        hi = np.broadcast_to(np.asarray(t_max, dtype=np.float64), (n,)).astype(
-            np.float64, copy=True
-        )
-        alive = np.ones(n, dtype=bool)
-        for axis in range(3):
-            d = directions[:, axis]
-            o = origins[:, axis]
-            degenerate = np.abs(d) < 1e-15
-            # a ray parallel to the slab misses unless its origin lies inside
-            alive &= ~(
-                degenerate & ((o < self.minimum[axis]) | (o > self.maximum[axis]))
-            )
-            with np.errstate(divide="ignore", invalid="ignore"):
-                inv = 1.0 / d
-                t0 = (self.minimum[axis] - o) * inv
-                t1 = (self.maximum[axis] - o) * inv
-            near = np.where(t0 > t1, t1, t0)
-            far = np.where(t0 > t1, t0, t1)
-            # parallel-and-inside rays leave the interval unconstrained
-            lo = np.maximum(lo, np.where(degenerate, -np.inf, near))
-            hi = np.minimum(hi, np.where(degenerate, np.inf, far))
-        return alive & (lo <= hi)
-
     def __repr__(self) -> str:
         if self.is_empty():
             return "AABB(empty)"

@@ -18,9 +18,10 @@ This module makes mutation explicit instead of forbidden:
   - refits the BVH for moved bounded primitives (leaf order preserved — see
     :meth:`BVH.refit <repro.raytracer.bvh.BVH.refit>` — so packet/flat
     traversal tie-breaks cannot flip),
-  - drops exactly the derived caches the edit invalidates (flat-BVH on
-    geometry, packet material arrays on material, the whole index on
-    add/remove),
+  - refits the compiled flat BVH alongside (O(k · depth) for k moved
+    primitives, see :func:`~repro.raytracer.flatbvh.refit_flat_index`) and
+    drops exactly the derived caches the edit invalidates otherwise (packet
+    material arrays on material, the whole index on add/remove),
   - updates the memoised :func:`scene_content_key` in **O(changed objects)**
     — per-object digests are cached, only touched objects are re-hashed —
   - bumps ``scene.edit_epoch`` and records an :class:`EditEntry` in the
@@ -66,6 +67,7 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.raytracer.bvh import BVH
+from repro.raytracer.flatbvh import refit_flat_index
 from repro.raytracer.geometry.primitives import Plane, Primitive, Sphere, Triangle
 from repro.raytracer.materials import Material
 from repro.raytracer.vec import cross, normalize
@@ -401,8 +403,9 @@ def _invalidate_caches(scene: Any, flags: Dict[str, bool], ops: Sequence[EditOp]
                     digests.pop(op.target, None)
     if flags["geometry"]:
         # moved bounded primitives refit in place (leaf order preserved);
-        # the compiled flat BVH holds SoA geometry copies, so it must go
-        scene._flat_index = None
+        # the compiled flat BVH holds SoA geometry copies, so it is refit
+        # alongside (or dropped when it cannot be)
+        moved: List[Primitive] = []
         if not flags["structural"] and isinstance(scene._index, BVH):
             prims = _prims_by_id(scene)
             moved = [
@@ -410,8 +413,11 @@ def _invalidate_caches(scene: Any, flags: Dict[str, bool], ops: Sequence[EditOp]
                 for op in ops
                 if op.kind == "update" and op.geometry and not op.unbounded
             ]
-            if moved:
-                scene._index.refit(moved)
+        if moved:
+            scene._index.refit(moved)
+            refit_flat_index(scene, moved)
+        else:
+            scene._flat_index = None
     if flags["material"]:
         scene._packet_data = None  # packet material arrays are stale
     if flags["geometry"] or flags["material"]:

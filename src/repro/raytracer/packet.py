@@ -6,17 +6,23 @@ process, simulated — interpreter-bound rather than coordination-bound.  This
 module renders whole image sections as *packets*:
 
 * the camera emits all primary rays of a section as ``(n, 3)`` arrays
-  (:meth:`~repro.raytracer.camera.Camera.primary_ray_block`);
-* the BVH is traversed once per packet with masked active-ray index sets
-  (:meth:`~repro.raytracer.bvh.BVH.intersect_packet`), testing whole ray
-  subsets against each node box and leaf primitive with NumPy kernels
-  (scalar fallback per leaf for primitives without a vectorized kernel);
+  (:meth:`~repro.raytracer.camera.Camera.primary_ray_block_into`);
+* the scene's compiled flat BVH is traversed once per packet with masked
+  active-ray index sets
+  (:meth:`~repro.raytracer.flatbvh.FlatBVH.intersect_packet`), testing
+  whole ray subsets against each node box and batches of leaf primitives
+  with NumPy kernels (scalar fallback for primitives without a vectorized
+  kernel);
 * direct lighting is shaded for the whole packet at once
   (:func:`repro.raytracer.shading.shade_block`);
 * secondary rays (reflection, refraction) are gathered into smaller packets
   and traced recursively, so the whole image is rendered without a single
   per-pixel Python loop.
 
+The traversal ``index`` is always
+:func:`~repro.raytracer.flatbvh.scene_flat_index` of the scene (a
+brute-force-indexed scene's index is already array-batched and stands in
+unchanged); the renderer looks it up once per section and passes it down.
 Every kernel reproduces the scalar arithmetic operation-for-operation, so
 the packet image matches the scalar image to ``atol=1e-9`` (the conformance
 tests pin this); the scalar path remains the correctness oracle.
@@ -62,6 +68,8 @@ class ScenePacketData:
     indexed: List[Primitive]
     num_indexed: int
     primitives: List[Primitive]
+    #: ``Primitive.primitive_id`` per row (tile touch capture)
+    primitive_id: np.ndarray
     color: np.ndarray
     ambient: np.ndarray
     diffuse: np.ndarray
@@ -105,6 +113,7 @@ def scene_packet_data(scene: "Scene") -> ScenePacketData:
         indexed=indexed,
         num_indexed=len(indexed),
         primitives=primitives,
+        primitive_id=np.array([p.primitive_id for p in primitives], dtype=np.int64),
         color=np.array([m.color for m in materials], dtype=np.float64).reshape(
             len(materials), 3
         ),
@@ -121,20 +130,15 @@ def scene_packet_data(scene: "Scene") -> ScenePacketData:
 
 
 def cast_packet(
-    scene: "Scene", origins: np.ndarray, directions: np.ndarray, index: Any = None
+    scene: "Scene", index: Any, origins: np.ndarray, directions: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Closest hit of every ray in the packet (the packet ``Cast`` step).
 
     Returns ``(indices, t)`` with indices into
     :attr:`ScenePacketData.primitives` (``-1``/``np.inf`` for misses).
-    Mirrors :meth:`RayTracer.cast`: BVH first, then the unbounded primitives
-    bounded by each ray's current best hit.  ``index`` selects the traversal
-    structure (default: ``scene.index``); the fused render path passes the
-    scene's compiled :class:`~repro.raytracer.flatbvh.FlatBVH`, whose hit
-    indices refer to the same leaf-ordered primitive rows.
+    Mirrors :meth:`RayTracer.cast`: the traversal ``index`` first, then the
+    unbounded primitives bounded by each ray's current best hit.
     """
-    if index is None:
-        index = scene.index
     indices, t = index.intersect_packet(origins, directions, t_min=1e-6)
     base = len(index.packet_primitives)
     for offset, obj in enumerate(scene.unbounded_objects):
@@ -147,14 +151,12 @@ def cast_packet(
 
 def occluded_packet(
     scene: "Scene",
+    index: Any,
     origins: np.ndarray,
     directions: np.ndarray,
     max_distance: np.ndarray,
-    index: Any = None,
 ) -> np.ndarray:
     """Vectorized :meth:`RayTracer.occluded` for a packet of shadow rays."""
-    if index is None:
-        index = scene.index
     occluded = index.any_hit_packet(origins, directions, 1e-6, max_distance)
     tmax = np.broadcast_to(
         np.asarray(max_distance, dtype=np.float64), (origins.shape[0],)
@@ -169,12 +171,17 @@ def occluded_packet(
 
 
 def trace_packet(
-    tracer: "RayTracer", origins: np.ndarray, directions: np.ndarray, depth: int = 0
+    tracer: "RayTracer",
+    index: Any,
+    origins: np.ndarray,
+    directions: np.ndarray,
+    depth: int = 0,
 ) -> np.ndarray:
     """Vectorized :meth:`RayTracer.trace`: colours for a whole ray packet.
 
-    ``directions`` must be normalized (as :meth:`Camera.primary_ray_block`
-    and the secondary-ray spawning in ``shade_block`` guarantee).
+    ``directions`` must be normalized (as
+    :meth:`Camera.primary_ray_block_into` and the secondary-ray spawning in
+    ``shade_block`` guarantee).
     """
     scene = tracer.scene
     n = origins.shape[0]
@@ -190,9 +197,7 @@ def trace_packet(
         # geometry edit can change what they hit (set even when all miss)
         touch.secondary = True
     data = scene_packet_data(scene)
-    indices, t = cast_packet(
-        scene, origins, directions, index=getattr(tracer, "_traversal_index", None)
-    )
+    indices, t = cast_packet(scene, index, origins, directions)
     hits = (indices >= 0).nonzero()[0]
     if touch is not None and hits.size:
         touch.note_packet(data, indices, t, origins, directions, hits, depth)
@@ -201,6 +206,13 @@ def trace_packet(
     from repro.raytracer.shading import shade_block
 
     colors[hits] = shade_block(
-        tracer, data, origins[hits], directions[hits], indices[hits], t[hits], depth
+        tracer,
+        data,
+        index,
+        origins[hits],
+        directions[hits],
+        indices[hits],
+        t[hits],
+        depth,
     )
     return colors

@@ -12,7 +12,7 @@ the closest hit it computes the pixel colour from
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -88,6 +88,7 @@ def shade(tracer: "RayTracer", hit: "Hit", ray: Ray) -> Vector:
 def shade_block(
     tracer: "RayTracer",
     data: "ScenePacketData",
+    index: Any,
     origins: np.ndarray,
     directions: np.ndarray,
     indices: np.ndarray,
@@ -102,8 +103,10 @@ def shade_block(
     terms (ambient, Phong diffuse/specular, shadow attenuation) are computed
     for the whole packet at once; reflection and refraction gather the rays
     that spawn secondary rays into smaller packets and recurse through
-    :func:`~repro.raytracer.packet.trace_packet`.  The arithmetic follows the
-    scalar path operation-for-operation so both produce the same pixels.
+    :func:`~repro.raytracer.packet.trace_packet`; shadow and secondary
+    packets traverse the same ``index`` as the primary packet.  The
+    arithmetic follows the scalar path operation-for-operation so both
+    produce the same pixels.
     """
     from repro.raytracer.packet import occluded_packet, trace_packet
 
@@ -134,11 +137,7 @@ def shade_block(
         )
         # shadow packet: the scalar path re-normalizes inside Ray.__init__
         lit = ~occluded_packet(
-            scene,
-            surface,
-            normalize_rows(light_dir),
-            distance,
-            index=getattr(tracer, "_traversal_index", None),
+            scene, index, surface, normalize_rows(light_dir), distance
         )
         lambert = np.maximum(0.0, row_dot(oriented, light_dir))
         contribution = (data.diffuse[indices] * lambert * light.intensity)[
@@ -160,7 +159,11 @@ def shade_block(
         n = oriented[reflecting]
         reflected_dir = d - 2.0 * row_dot(d, n)[:, None] * n
         reflected = trace_packet(
-            tracer, surface[reflecting], normalize_rows(reflected_dir), depth + 1
+            tracer,
+            index,
+            surface[reflecting],
+            normalize_rows(reflected_dir),
+            depth + 1,
         )
         color[reflecting] += reflectivity[reflecting][:, None] * reflected
 
@@ -186,7 +189,7 @@ def shade_block(
             points[transmitting] - n * EPSILON,
         )
         contribution = trace_packet(
-            tracer, secondary_origin, normalize_rows(secondary_dir), depth + 1
+            tracer, index, secondary_origin, normalize_rows(secondary_dir), depth + 1
         )
         color[transmitting] += transparency[transmitting][:, None] * contribution
 

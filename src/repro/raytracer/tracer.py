@@ -10,6 +10,10 @@ This module mirrors Algorithms 1 and 2 of the paper:
   the image plane casting one primary ray per pixel (Algorithm 1).  Sections
   are horizontal bands because that is how the paper's splitter divides the
   3000x3000 scene along the y axis.
+
+These per-ray methods are the ``scalar`` render mode, kept as the oracle
+for tests.  The default ``fused`` mode (:meth:`RayTracer.render_rows_fused`)
+renders the same pixels with whole ray packets.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.raytracer.camera import Camera
+from repro.raytracer.flatbvh import scene_flat_index
 from repro.raytracer.geometry.primitives import Primitive
 from repro.raytracer.image import ImageChunk
 from repro.raytracer.packet import trace_packet
@@ -33,6 +38,7 @@ __all__ = [
     "Hit",
     "RayTracer",
     "RENDER_MODES",
+    "DEFAULT_RENDER_MODE",
     "check_render_mode",
     "render",
     "render_section",
@@ -40,30 +46,29 @@ __all__ = [
     "reset_scratch_stats",
 ]
 
-#: the three rendering strategies: ``scalar`` is the per-pixel correctness
-#: oracle (Algorithms 1/2 verbatim), ``packet`` the vectorized NumPy path
-#: over the node-based BVH, ``fused`` the flat-BVH fast path with reusable
-#: per-tile scratch buffers (same pixels as both, ``atol=1e-9``)
-RENDER_MODES = ("scalar", "packet", "fused")
+#: the two rendering strategies: ``fused`` is the production path (flat-BVH
+#: packet traversal over reusable per-tile scratch buffers), ``scalar`` the
+#: per-pixel correctness oracle (Algorithms 1/2 verbatim, kept for tests);
+#: both produce the same pixels to ``atol=1e-9``
+RENDER_MODES = ("fused", "scalar")
+
+#: the render mode every layer uses when none is named
+DEFAULT_RENDER_MODE = "fused"
 
 
-def check_render_mode(mode: str) -> str:
-    """Validate a render-mode name; the single gate used by every knob."""
+def check_render_mode(mode: Optional[str] = None) -> str:
+    """Validate a render-mode name (``None`` = the default); the single gate.
+
+    Every layer that takes a ``render_mode`` resolves it here, so the
+    default is decided in exactly one place.
+    """
+    if mode is None:
+        return DEFAULT_RENDER_MODE
     if mode not in RENDER_MODES:
         raise ValueError(
             f"unknown render mode {mode!r}; available: " + ", ".join(RENDER_MODES)
         )
     return mode
-
-
-class _TileScratch:
-    """Preallocated per-tile buffers for the fused render path."""
-
-    __slots__ = ("directions", "norms")
-
-    def __init__(self, n: int):
-        self.directions = np.empty((n, 3), dtype=np.float64)
-        self.norms = np.empty(n, dtype=np.float64)
 
 
 #: scratch buffers are thread-local (concurrent solver threads must not
@@ -72,17 +77,20 @@ class _TileScratch:
 _scratch_pool = threading.local()
 
 #: process-wide scratch telemetry: how many tile renders allocated fresh
-#: buffers vs. reused warm ones (read by the fused-path benchmark)
+#: buffers vs. reused warm ones
 _scratch_counters = {"allocations": 0, "reuses": 0}
 
 
-def _tile_scratch(n: int) -> _TileScratch:
-    pool: Dict[int, _TileScratch] = getattr(_scratch_pool, "buffers", None)
+def _tile_scratch(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """This thread's ``(directions, norms)`` buffers for an ``n``-ray tile."""
+    pool: Dict[int, Tuple[np.ndarray, np.ndarray]] = getattr(
+        _scratch_pool, "buffers", None
+    )
     if pool is None:
         pool = _scratch_pool.buffers = {}
     scratch = pool.get(n)
     if scratch is None:
-        scratch = pool[n] = _TileScratch(n)
+        scratch = pool[n] = (np.empty((n, 3)), np.empty(n))
         _scratch_counters["allocations"] += 1
     else:
         _scratch_counters["reuses"] += 1
@@ -121,9 +129,6 @@ class RayTracer:
         self.scene = scene
         self.camera = camera
         self.rays_cast = 0
-        #: traversal structure used by the packet kernels instead of
-        #: ``scene.index`` when set (the fused path installs the flat BVH)
-        self._traversal_index = None
         #: optional :class:`~repro.raytracer.coherence.TileTouch` capture
         #: sink; when set, every tracing path records the primitive ids it
         #: hits (plus primary hit regions and a spawned-secondary-rays flag)
@@ -169,13 +174,16 @@ class RayTracer:
         return shade(self, hit, ray)
 
     # -- Algorithm 1 ------------------------------------------------------------
-    def render_rows(self, y_start: int, y_end: int) -> np.ndarray:
-        """Render image rows ``[y_start, y_end)``; returns (rows, width, 3)."""
+    def _check_rows(self, y_start: int, y_end: int) -> None:
         if not 0 <= y_start <= y_end <= self.camera.height:
             raise ValueError(
                 f"row range [{y_start}, {y_end}) outside image of height "
                 f"{self.camera.height}"
             )
+
+    def render_rows(self, y_start: int, y_end: int) -> np.ndarray:
+        """Render image rows ``[y_start, y_end)``; returns (rows, width, 3)."""
+        self._check_rows(y_start, y_end)
         rows = y_end - y_start
         pixels = np.zeros((rows, self.camera.width, 3), dtype=np.float64)
         touch = self.touch
@@ -193,96 +201,36 @@ class RayTracer:
     #: scratch arrays reach gigabytes
     MAX_PACKET_RAYS = 65536
 
-    # -- Algorithm 1, vectorized --------------------------------------------
-    def render_rows_packet(self, y_start: int, y_end: int) -> np.ndarray:
-        """Packet version of :meth:`render_rows`: NumPy packets per section.
+    # -- Algorithm 1, vectorized (the fused fast path) -----------------------
+    def render_rows_fused(self, y_start: int, y_end: int) -> np.ndarray:
+        """Vectorized :meth:`render_rows`: the production render path.
 
-        The section's primary rays are generated as arrays (in row tiles of
-        at most :attr:`MAX_PACKET_RAYS` rays), intersected against the scene
-        with the masked packet BVH traversal and shaded vectorized (see
+        The section is rendered in row tiles of at most
+        :attr:`MAX_PACKET_RAYS` rays.  Per tile, three stages run
+        back-to-back: primary-ray generation into preallocated scratch
+        buffers (a thread-local pool keyed by tile size, so warm
+        :class:`~repro.apps.service.RenderService` jobs reuse them across
+        frames), packet traversal of the scene's compiled flat BVH
+        (:func:`~repro.raytracer.flatbvh.scene_flat_index`, looked up once
+        per section) and vectorized shading (see
         :mod:`repro.raytracer.packet`).  Rays are independent, so tiling
         does not change any pixel: the result matches :meth:`render_rows`
         to within ``atol=1e-9``.
         """
-        if not 0 <= y_start <= y_end <= self.camera.height:
-            raise ValueError(
-                f"row range [{y_start}, {y_end}) outside image of height "
-                f"{self.camera.height}"
-            )
-        rows = y_end - y_start
+        self._check_rows(y_start, y_end)
         width = self.camera.width
-        pixels = np.empty((rows, width, 3), dtype=np.float64)
+        pixels = np.empty((y_end - y_start, width, 3), dtype=np.float64)
+        index = scene_flat_index(self.scene)
         tile_rows = max(1, self.MAX_PACKET_RAYS // max(1, width))
         for tile_start in range(y_start, y_end, tile_rows):
             tile_end = min(y_end, tile_start + tile_rows)
-            origins, directions = self.camera.primary_ray_block(tile_start, tile_end)
-            colors = trace_packet(self, origins, directions, depth=0)
+            origins, directions = self.camera.primary_ray_block_into(
+                tile_start, tile_end, *_tile_scratch((tile_end - tile_start) * width)
+            )
+            colors = trace_packet(self, index, origins, directions)
             pixels[tile_start - y_start : tile_end - y_start] = colors.reshape(
                 -1, width, 3
             )
-        return pixels
-
-    # -- Algorithm 1, fused fast path ----------------------------------------
-    def render_tile_fused(
-        self, y_start: int, y_end: int, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """One tile of the fused path: ray gen → flat traversal → shading.
-
-        The three stages run back-to-back on the same preallocated scratch
-        buffers (primary-ray directions and their norms are written into a
-        thread-local pool keyed by tile size, so warm
-        :class:`~repro.apps.service.RenderService` jobs reuse them across
-        frames) and traversal goes through the scene's compiled
-        :class:`~repro.raytracer.flatbvh.FlatBVH` instead of the node graph.
-        The caller must have installed the flat index on
-        ``self._traversal_index`` (see :meth:`render_rows_fused`); pixels are
-        written into ``out`` when given.
-        """
-        rows = y_end - y_start
-        width = self.camera.width
-        n = rows * width
-        scratch = _tile_scratch(n)
-        origins, directions = self.camera.primary_ray_block_into(
-            y_start, y_end, scratch.directions, scratch.norms
-        )
-        colors = trace_packet(self, origins, directions, depth=0)
-        tile = colors.reshape(rows, width, 3)
-        if out is not None:
-            out[:] = tile
-            return out
-        return tile
-
-    def render_rows_fused(self, y_start: int, y_end: int) -> np.ndarray:
-        """Fused version of :meth:`render_rows_packet` (flat-BVH fast path).
-
-        Identical tiling and pixel values (``atol=1e-9`` against the scalar
-        oracle, exact against the packet path); the difference is purely
-        mechanical: the flat SoA traversal replaces the per-node Python
-        object walk and each tile reuses warm scratch buffers instead of
-        allocating fresh ``(n, 3)`` intermediates.
-        """
-        if not 0 <= y_start <= y_end <= self.camera.height:
-            raise ValueError(
-                f"row range [{y_start}, {y_end}) outside image of height "
-                f"{self.camera.height}"
-            )
-        from repro.raytracer.flatbvh import scene_flat_index
-
-        rows = y_end - y_start
-        width = self.camera.width
-        pixels = np.empty((rows, width, 3), dtype=np.float64)
-        self._traversal_index = scene_flat_index(self.scene)
-        try:
-            tile_rows = max(1, self.MAX_PACKET_RAYS // max(1, width))
-            for tile_start in range(y_start, y_end, tile_rows):
-                tile_end = min(y_end, tile_start + tile_rows)
-                self.render_tile_fused(
-                    tile_start,
-                    tile_end,
-                    out=pixels[tile_start - y_start : tile_end - y_start],
-                )
-        finally:
-            self._traversal_index = None
         return pixels
 
     def render_pixel(self, px: int, py: int) -> Vector:
@@ -290,15 +238,9 @@ class RayTracer:
         return self.trace(self.camera.primary_ray(px, py))
 
 
-def render(scene: Scene, camera: Camera, mode: str = "scalar") -> np.ndarray:
-    """Render the whole image sequentially (the reference implementation)."""
-    check_render_mode(mode)
-    tracer = RayTracer(scene, camera)
-    if mode == "packet":
-        return tracer.render_rows_packet(0, camera.height)
-    if mode == "fused":
-        return tracer.render_rows_fused(0, camera.height)
-    return tracer.render_rows(0, camera.height)
+def render(scene: Scene, camera: Camera, mode: Optional[str] = None) -> np.ndarray:
+    """Render the whole image sequentially in one process."""
+    return render_section(scene, camera, 0, camera.height, mode=mode).pixels
 
 
 def render_section(
@@ -307,7 +249,7 @@ def render_section(
     y_start: int,
     y_end: int,
     section_id: int = 0,
-    mode: str = "scalar",
+    mode: Optional[str] = None,
     touch: bool = False,
 ) -> ImageChunk:
     """Render one horizontal section and wrap it as an :class:`ImageChunk`.
@@ -323,18 +265,16 @@ def render_section(
     :class:`~repro.raytracer.coherence.TileSummary` on ``chunk.summary`` —
     the input of the next frame's dirty-tile planner.
     """
-    check_render_mode(mode)
+    mode = check_render_mode(mode)
     tracer = RayTracer(scene, camera)
     if touch:
         from repro.raytracer.coherence import TileTouch
 
         tracer.touch = TileTouch(camera.width)
-    if mode == "packet":
-        pixels = tracer.render_rows_packet(y_start, y_end)
-    elif mode == "fused":
-        pixels = tracer.render_rows_fused(y_start, y_end)
-    else:
+    if mode == "scalar":
         pixels = tracer.render_rows(y_start, y_end)
+    else:
+        pixels = tracer.render_rows_fused(y_start, y_end)
     return ImageChunk(
         y_start=y_start,
         pixels=pixels,

@@ -32,6 +32,10 @@ class GuardExpr:
     def evaluate(self, rec: Record) -> int:
         raise NotImplementedError
 
+    def __deepcopy__(self, memo: Dict[int, Any]) -> "GuardExpr":
+        # the AST nodes are frozen: entity copies (Entity.copy) may share them
+        return self
+
     # Operator sugar so guards can be written naturally in Python:
     # TagRef("tasks") == TagRef("cnt"), TagRef("cnt") + 1, ...
     def _bin(self, other: Union["GuardExpr", int], op: str) -> "BinOp":

@@ -49,6 +49,10 @@ class Label:
     def kind(self) -> str:
         return type(self).KIND
 
+    def __deepcopy__(self, memo: Dict[int, Any]) -> "Label":
+        # frozen: entity copies (Entity.copy) may share it
+        return self
+
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return self.pretty()
 

@@ -567,6 +567,7 @@ class EngineCore:
         self, entity: PrimitiveEntity, in_stream: Stream, out_writer: StreamWriter
     ) -> None:
         tracer = self.tracer
+        traced = getattr(tracer, "enabled", True)
 
         def worker() -> None:
             with worker_scope(in_stream, lambda: (out_writer,)):
@@ -574,12 +575,15 @@ class EngineCore:
                     rec = in_stream.get()
                     if rec is None:
                         break
-                    tracer.record(entity.name, "consume", record=repr(rec))
+                    if traced:
+                        tracer.record(entity.name, "consume", record=repr(rec))
                     for produced in entity.process(rec):
-                        tracer.record(entity.name, "produce", record=repr(produced))
+                        if traced:
+                            tracer.record(entity.name, "produce", record=repr(produced))
                         out_writer.put(produced)
                 for produced in entity.flush():
-                    tracer.record(entity.name, "produce", record=repr(produced))
+                    if traced:
+                        tracer.record(entity.name, "produce", record=repr(produced))
                     out_writer.put(produced)
 
         self._spawn(worker, f"worker-{entity.name}-{entity.entity_id}")

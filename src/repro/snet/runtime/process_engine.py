@@ -420,6 +420,7 @@ class PoolTransport(Transport):
         pool = self._pool
         runtime = self.runtime
         tracer = runtime.tracer
+        traced = getattr(tracer, "enabled", True)
         transport = self
         batcher = BatchAutotuner(
             runtime.workers,
@@ -457,7 +458,8 @@ class PoolTransport(Transport):
 
         def emit(batch_result: List[Record]) -> None:
             for produced in batch_result:
-                tracer.record(entity.name, "produce", record=repr(produced))
+                if traced:
+                    tracer.record(entity.name, "produce", record=repr(produced))
                 out_writer.put(produced)
 
         def pump() -> None:
@@ -489,8 +491,9 @@ class PoolTransport(Transport):
                         if extra is None:
                             break
                         batch.append(extra)
-                    for item in batch:
-                        tracer.record(entity.name, "consume", record=repr(item))
+                    if traced:
+                        for item in batch:
+                            tracer.record(entity.name, "consume", record=repr(item))
                     inflight.append((submit(batch), len(batch)))
                 while inflight:
                     emit(collect(*inflight.popleft()))

@@ -36,6 +36,10 @@ class TraceEvent:
 class Tracer:
     """Thread-safe in-memory event collector."""
 
+    #: whether :meth:`record` keeps events; hot loops check it before
+    #: formatting an expensive detail such as ``repr(record)``
+    enabled = True
+
     def __init__(self, clock: Optional[Callable[[], float]] = None):
         self._events: List[TraceEvent] = []
         self._lock = threading.Lock()
@@ -81,6 +85,8 @@ class Tracer:
 
 class NullTracer(Tracer):
     """A tracer that drops everything (default when tracing is disabled)."""
+
+    enabled = False
 
     def record(self, entity: str, kind: str, **detail: Any) -> None:  # noqa: D401
         return None

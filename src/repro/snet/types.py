@@ -23,7 +23,7 @@ broken non-deterministically by the runtime).
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.snet.errors import TypeError_
 from repro.snet.records import BTag, Field, Label, LabelLike, Record, Tag, as_label
@@ -69,6 +69,10 @@ class Variant:
         if not isinstance(other, Variant):
             return NotImplemented
         return self._labels == other._labels
+
+    def __deepcopy__(self, memo: Dict[int, Any]) -> "Variant":
+        # immutable: entity copies (Entity.copy) may share it
+        return self
 
     def __hash__(self) -> int:
         return hash(self._labels)
@@ -161,6 +165,10 @@ class RecordType:
         if not isinstance(other, RecordType):
             return NotImplemented
         return set(self._variants) == set(other._variants)
+
+    def __deepcopy__(self, memo: Dict[int, Any]) -> "RecordType":
+        # immutable: entity copies (Entity.copy) may share it
+        return self
 
     def __hash__(self) -> int:
         return hash(frozenset(self._variants))
@@ -267,6 +275,10 @@ class TypeSignature:
         if not isinstance(other, TypeSignature):
             return NotImplemented
         return self._input == other._input and self._output == other._output
+
+    def __deepcopy__(self, memo: Dict[int, Any]) -> "TypeSignature":
+        # immutable: entity copies (Entity.copy) may share it
+        return self
 
     def __hash__(self) -> int:
         return hash((self._input, self._output))

@@ -119,6 +119,27 @@ class TestWireProtocol:
             reply = json.loads(sock.makefile("rb").readline())
         assert reply["status"] == "error" and reply["error"] == "bad_request"
 
+    @pytest.mark.parametrize("split", [False, True], ids=["whole", "split"])
+    def test_oversized_line_gets_structured_error(self, gateway, caplog, split):
+        # a line past the 64 KiB stream limit used to escape the connection
+        # handler as an unhandled ValueError: no reply, socket dropped.
+        # "split" trips the limit before the line's newline has arrived.
+        line = json.dumps({"op": "ping", "pad": "x" * 100_000}).encode() + b"\n"
+        cut = 80_000 if split else len(line)
+        with socket.create_connection((gateway.host, gateway.port)) as sock:
+            sock.settimeout(30.0)
+            replies = sock.makefile("rb")
+            sock.sendall(line[:cut])
+            reply = json.loads(replies.readline())
+            assert reply["status"] == "error" and reply["error"] == "bad_request"
+            assert "exceeds" in reply["message"]
+            # the rest of the long line is skipped; the connection still serves
+            sock.sendall(line[cut:] + b'{"op": "ping", "id": 7}\n')
+            assert json.loads(replies.readline()) == {
+                "status": "ok", "pong": True, "id": 7,
+            }
+        assert "Unhandled exception" not in caplog.text
+
     def test_bad_scene_spec(self, client):
         reply = client.render({"kind": "cubist"}, tenant="paid")
         assert reply["status"] == "error" and reply["error"] == "bad_request"

@@ -49,7 +49,7 @@ def oracles():
     for tenant, spec in (("vfx", VFX_SPEC), ("archviz", ARCHVIZ_SPEC)):
         run = run_raytracing_farm(
             "static", width=SIZE, height=SIZE, nodes=2, tasks=TASKS,
-            scene=scene_from_spec(spec), render_mode="packet",
+            scene=scene_from_spec(spec), render_mode="fused",
         )
         frames[tenant] = run.image
     return frames
@@ -60,7 +60,7 @@ def test_node_death_mid_frame_is_invisible_to_both_tenants(oracles):
         runtime="distributed",
         width=SIZE,
         height=SIZE,
-        render_mode="packet",
+        render_mode="fused",
         runtime_options={"nodes": 2},
         max_scenes=2,
         max_queue=16,

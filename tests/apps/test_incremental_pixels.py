@@ -25,6 +25,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.apps.backends import RealRenderBackend, SharedFrameRenderBackend
+from repro.apps.boxes import RayTracingBoxes
 from repro.apps.runner import run_raytracing_farm
 from repro.apps.service import RenderJob, RenderService
 from repro.raytracer.camera import Camera
@@ -56,7 +58,7 @@ def cold_oracle(scene):
     snapshot = pickle.loads(pickle.dumps(scene))
     run = run_raytracing_farm(
         "static", width=SIZE, height=SIZE, nodes=2, tasks=TASKS,
-        scene=snapshot, render_mode="packet", incremental=False,
+        scene=snapshot, render_mode="fused", incremental=False,
     )
     return run.image
 
@@ -94,7 +96,7 @@ def random_edit(data, scene):
 def test_random_mutations_render_pixel_identical_threaded(data):
     scene = journaled_scene(seed=data.draw(st.integers(0, 5)))
     with RenderService(
-        width=SIZE, height=SIZE, render_mode="packet"
+        width=SIZE, height=SIZE, render_mode="fused"
     ) as service:
         for _ in range(3):
             random_edit(data, scene)
@@ -113,7 +115,7 @@ def test_mutations_render_pixel_identical_process_backend():
     scene = journaled_scene(num_spheres=8, seed=2)
     moved = [o for o in scene.bounded_objects if isinstance(o, Sphere)][0]
     with RenderService(
-        "process", width=SIZE, height=SIZE, render_mode="packet",
+        "process", width=SIZE, height=SIZE, render_mode="fused",
         runtime_options={"workers": 2},
     ) as service:
         for step in range(4):
@@ -136,7 +138,7 @@ def test_mutations_render_pixel_identical_process_backend():
 def test_camera_edit_dirties_everything():
     scene = journaled_scene()
     scene.camera = Camera(width=SIZE, height=SIZE)
-    with RenderService(width=SIZE, height=SIZE, render_mode="packet") as service:
+    with RenderService(width=SIZE, height=SIZE, render_mode="fused") as service:
         first = service.render(RenderJob(scene, nodes=2, tasks=TASKS), timeout=60.0)
         edit = scene.begin_edit()
         edit.set_camera(
@@ -155,7 +157,7 @@ def test_camera_edit_dirties_everything():
 # -- honest accounting --------------------------------------------------------
 def test_counters_report_saved_work_separately():
     scene = journaled_scene()
-    with RenderService(width=SIZE, height=SIZE, render_mode="packet") as service:
+    with RenderService(width=SIZE, height=SIZE, render_mode="fused") as service:
         first = service.render(RenderJob(scene, nodes=2, tasks=TASKS), timeout=60.0)
         assert first.rays_cast > 0
         assert (first.tiles_reused, first.rays_saved) == (0, 0)
@@ -176,10 +178,47 @@ def test_counters_report_saved_work_separately():
         }
 
 
+@pytest.mark.parametrize("backend_cls", [RealRenderBackend, SharedFrameRenderBackend])
+def test_reused_tiles_reach_the_merger_as_one_chunk(backend_cls):
+    # the merger unrolls one star level per chunk: a run of adjacent reused
+    # tiles travels as one chunk, and the tiles stay cached for the next job
+    scene = journaled_scene()
+    backend = backend_cls(scene, Camera(width=SIZE, height=SIZE), render_mode="fused")
+    boxes = RayTracingBoxes(backend)
+    sections = boxes._sections(TASKS)
+    try:
+        images = []
+        for job in range(3):
+            backend.begin_job()
+            records = boxes._split_records(scene, sections)
+            chunks = [
+                rec["chunk"] if "chunk" in rec else backend.render_section(rec["sect"])
+                for rec in records
+            ]
+            assert [rec["<tasks>"] for rec in records] == [len(records)] * len(records)
+            assert [rec.get("<fst>") for rec in records] == [1] + [None] * (len(records) - 1)
+            picture = backend.init_picture(chunks[0])
+            for chunk in chunks[1:]:
+                picture = backend.merge(picture, chunk)
+            backend.write_image(picture)
+            backend.finish_job()
+            images.append(backend.saved_images[-1])
+            if job == 0:
+                assert len(records) == TASKS and backend.tiles_reused == 0
+            else:
+                (chunk,) = chunks
+                assert (chunk.y_start, chunk.rows, chunk.rays_cast) == (0, SIZE, 0)
+                assert backend.tiles_reused == job * TASKS
+        np.testing.assert_array_equal(images[1], images[0])
+        np.testing.assert_array_equal(images[2], images[0])
+    finally:
+        getattr(backend, "release", lambda: None)()
+
+
 def test_incremental_off_renders_everything():
     scene = journaled_scene()
     with RenderService(
-        width=SIZE, height=SIZE, render_mode="packet", incremental=False
+        width=SIZE, height=SIZE, render_mode="fused", incremental=False
     ) as service:
         first = service.render(RenderJob(scene, nodes=2, tasks=TASKS), timeout=60.0)
         second = service.render(RenderJob(scene, nodes=2, tasks=TASKS), timeout=60.0)

@@ -23,7 +23,7 @@ class TestMPIBaseline:
     def test_real_render_matches_sequential(self):
         scene = random_scene(num_spheres=10, seed=4)
         camera = Camera(width=16, height=16)
-        reference = render(scene, camera)
+        reference = render(scene, camera, mode="scalar")
         cluster = paper_cluster(num_nodes=4)
         backend = RealRenderBackend(scene, camera)
         result = run_mpi_raytracer(cluster, backend, processes_per_node=1, real_render=True)

@@ -36,7 +36,7 @@ def scene():
 
 @pytest.fixture
 def service():
-    svc = RenderService(width=SIZE, height=SIZE, render_mode="packet")
+    svc = RenderService(width=SIZE, height=SIZE, render_mode="fused")
     yield svc
     svc.close(cancel_pending=True, timeout=30.0)
 
@@ -66,7 +66,7 @@ def test_second_job_is_warm_and_pixel_identical(service, scene):
     assert (first.warm, second.warm) == (False, True)
     oneshot = run_raytracing_farm(
         "static", width=SIZE, height=SIZE, nodes=2, tasks=4,
-        scene=random_scene(num_spheres=8, seed=5), render_mode="packet",
+        scene=random_scene(num_spheres=8, seed=5), render_mode="fused",
     )
     np.testing.assert_allclose(first.image, oneshot.image, atol=1e-9)
     np.testing.assert_allclose(second.image, oneshot.image, atol=1e-9)
@@ -103,7 +103,7 @@ def test_animation_loop_replays_warm(service):
 
 def test_lru_eviction_bounds_the_cache(scene):
     svc = RenderService(
-        width=SIZE, height=SIZE, render_mode="packet", max_scenes=1
+        width=SIZE, height=SIZE, render_mode="fused", max_scenes=1
     )
     try:
         other = random_scene(num_spheres=4, seed=1)
@@ -133,6 +133,14 @@ def test_submit_validates_eagerly(service, scene):
         service.submit(RenderJob(scene="not a scene"))
 
 
+def test_render_mode_resolved_and_validated_at_construction():
+    # an unknown mode fails fast, before any job or worker exists
+    with pytest.raises(ValueError, match="render mode"):
+        RenderService(width=SIZE, height=SIZE, render_mode="packet")
+    with RenderService(width=SIZE, height=SIZE) as svc:
+        assert svc.render_mode == "fused"
+
+
 # -- scheduling and backpressure ---------------------------------------------
 def test_higher_priority_jobs_run_first(service, scene):
     gate, entered = gate_first_execution(service)
@@ -157,7 +165,7 @@ def test_higher_priority_jobs_run_first(service, scene):
 
 def test_reject_policy_raises_when_queue_full(scene):
     svc = RenderService(
-        width=SIZE, height=SIZE, render_mode="packet",
+        width=SIZE, height=SIZE, render_mode="fused",
         max_queue=1, overflow="reject",
     )
     try:
@@ -176,7 +184,7 @@ def test_reject_policy_raises_when_queue_full(scene):
 
 def test_block_policy_waits_for_space(scene):
     svc = RenderService(
-        width=SIZE, height=SIZE, render_mode="packet",
+        width=SIZE, height=SIZE, render_mode="fused",
         max_queue=1, overflow="block",
     )
     try:
@@ -214,7 +222,7 @@ def test_idle_queue_is_not_end_of_stream(service, scene):
 
 def test_close_drains_accepted_jobs_before_stopping(scene):
     """EOS is get() -> None: writer closed AND queue drained — never early."""
-    svc = RenderService(width=SIZE, height=SIZE, render_mode="packet")
+    svc = RenderService(width=SIZE, height=SIZE, render_mode="fused")
     gate, entered = gate_first_execution(svc)
     first = svc.submit(RenderJob(scene, tasks=2))
     assert entered.wait(30.0)
@@ -235,7 +243,7 @@ def test_close_drains_accepted_jobs_before_stopping(scene):
 
 
 def test_close_cancel_pending_cancels_queued_jobs(scene):
-    svc = RenderService(width=SIZE, height=SIZE, render_mode="packet")
+    svc = RenderService(width=SIZE, height=SIZE, render_mode="fused")
     gate, entered = gate_first_execution(svc)
     first = svc.submit(RenderJob(scene, tasks=2))
     assert entered.wait(30.0)
@@ -262,7 +270,7 @@ def test_close_cancel_pending_cancels_queued_jobs(scene):
 def test_process_service_warm_jobs_metadata_only(scene):
     segments_before = set(glob.glob("/dev/shm/psm_*"))
     svc = RenderService(
-        "process", width=SIZE, height=SIZE, render_mode="packet",
+        "process", width=SIZE, height=SIZE, render_mode="fused",
         runtime_options={"workers": 2},
     )
     try:
@@ -274,7 +282,7 @@ def test_process_service_warm_jobs_metadata_only(scene):
         assert 0 < second.bytes_pickled < 64_000
         oneshot = run_raytracing_farm(
             "static", width=SIZE, height=SIZE, nodes=2, tasks=4,
-            scene=random_scene(num_spheres=8, seed=5), render_mode="packet",
+            scene=random_scene(num_spheres=8, seed=5), render_mode="fused",
         )
         np.testing.assert_allclose(first.image, oneshot.image, atol=1e-9)
         np.testing.assert_allclose(second.image, oneshot.image, atol=1e-9)
@@ -285,7 +293,7 @@ def test_process_service_warm_jobs_metadata_only(scene):
 
 # -- observability ------------------------------------------------------------
 def test_metrics_snapshot_has_latency_percentiles_and_tenant_depths(scene):
-    with RenderService(width=SIZE, height=SIZE, render_mode="packet") as svc:
+    with RenderService(width=SIZE, height=SIZE, render_mode="fused") as svc:
         for i in range(4):
             svc.render(RenderJob(scene, tasks=4, tenant="a"), timeout=60.0)
         svc.render(RenderJob(scene, tasks=4, tenant="b"), timeout=60.0)
@@ -305,7 +313,7 @@ def test_metrics_snapshot_has_latency_percentiles_and_tenant_depths(scene):
 
 def test_metrics_count_evicted_slots(scene):
     with RenderService(
-        width=SIZE, height=SIZE, render_mode="packet", max_scenes=1
+        width=SIZE, height=SIZE, render_mode="fused", max_scenes=1
     ) as svc:
         svc.render(RenderJob(scene, tasks=4), timeout=60.0)
         svc.render(RenderJob(random_scene(num_spheres=4, seed=9), tasks=4),
@@ -317,7 +325,7 @@ def test_metrics_count_evicted_slots(scene):
 
 def test_slot_ttl_evicts_idle_scenes(scene):
     with RenderService(
-        width=SIZE, height=SIZE, render_mode="packet", slot_ttl=0.15
+        width=SIZE, height=SIZE, render_mode="fused", slot_ttl=0.15
     ) as svc:
         first = svc.render(RenderJob(scene, tasks=4), timeout=60.0)
         assert not first.warm

@@ -38,7 +38,7 @@ def oracle(scene):
     """One-shot reference frame: same farm, no chaos."""
     run = run_raytracing_farm(
         "static", width=SIZE, height=SIZE, nodes=2, tasks=TASKS,
-        scene=scene, render_mode="packet",
+        scene=scene, render_mode="fused",
     )
     return run.image
 
@@ -48,7 +48,7 @@ def _distributed_service():
         "distributed",
         width=SIZE,
         height=SIZE,
-        render_mode="packet",
+        render_mode="fused",
         runtime_options={"nodes": 2},
     )
 

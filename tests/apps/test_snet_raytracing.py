@@ -24,6 +24,7 @@ from repro.apps import (
     dynamic_input_records,
     extract_image,
     initial_record,
+    run_raytracing_farm,
 )
 from repro.raytracer import Camera, paper_scene, random_scene, render
 from repro.raytracer.image import image_rms_difference
@@ -39,7 +40,7 @@ from repro.snet.runtime import run_threaded
 def small_setup():
     scene = random_scene(num_spheres=12, clustering=0.5, seed=21)
     camera = Camera(width=24, height=24)
-    reference = render(scene, camera)
+    reference = render(scene, camera, mode="scalar")
     return scene, camera, reference
 
 
@@ -193,6 +194,18 @@ class TestDynamicNetwork:
             dynamic_input_records(scene, nodes=2, tasks=4, tokens=5)
         with pytest.raises(ValueError):
             dynamic_input_records(scene, nodes=2, tasks=4, tokens=0)
+
+
+class TestRenderModeDefault:
+    def test_backend_and_farm_default_to_fused(self, small_setup):
+        scene, camera, reference = small_setup
+        assert RealRenderBackend(scene, camera).render_mode == "fused"
+        run = run_raytracing_farm(
+            "static", width=camera.width, height=camera.height, nodes=2,
+            tasks=4, scene=scene,
+        )
+        assert run.render_mode == "fused"
+        np.testing.assert_allclose(run.image, reference, atol=1e-9)
 
 
 class TestModelBackend:

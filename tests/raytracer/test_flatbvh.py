@@ -1,4 +1,4 @@
-"""The flat SoA BVH: exact equivalence with the node BVH and the fused path."""
+"""The flat SoA BVH and the fused render path against their oracles."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,9 @@ import pytest
 from repro.raytracer.bvh import BVH, BruteForceIndex
 from repro.raytracer.camera import Camera
 from repro.raytracer.flatbvh import FlatBVH, scene_flat_index
-from repro.raytracer.geometry import Plane, Sphere, Triangle
+from repro.raytracer.geometry import AABB, Plane, Sphere, Triangle
 from repro.raytracer.materials import Material
+from repro.raytracer.ray import Ray
 from repro.raytracer.scene import Scene, random_scene
 from repro.raytracer.tracer import (
     RayTracer,
@@ -72,17 +73,7 @@ class TestFlatCompilation:
 
 
 class TestExactEquivalence:
-    """The flat traversal must be *bit-identical* to the node traversal."""
-
-    def test_intersect_packet_matches_node_bvh(self):
-        scene = _mixed_scene(num_spheres=150)
-        bvh = scene.index
-        flat = FlatBVH.from_bvh(bvh)
-        origins, directions = _ray_batch(400)
-        ni, nt = bvh.intersect_packet(origins, directions)
-        fi, ft = flat.intersect_packet(origins, directions)
-        assert np.array_equal(ni, fi)
-        assert np.array_equal(nt, ft)
+    """The flat traversal must find exactly the oracle's hits."""
 
     def test_matches_brute_force_by_primitive(self):
         scene = _mixed_scene(num_spheres=80)
@@ -102,8 +93,9 @@ class TestExactEquivalence:
                 assert flat.packet_primitives[fi[ray]] is brute.primitives[bi[ray]]
 
     def test_degenerate_axis_rays(self):
-        # axis-aligned rays have zero direction components: the slab test
-        # must reproduce AABB.intersects_ray_block's parallel-ray rule exactly
+        # axis-aligned rays have zero direction components: the flat slab
+        # test must reproduce the scalar AABB.intersects_ray parallel-ray
+        # rule exactly, node by node and ray by ray
         bvh = BVH(
             [
                 Sphere(vec3(float(i), 0.0, -4.0), 0.45, Material.matte(0.5, 0.5, 0.5))
@@ -111,22 +103,38 @@ class TestExactEquivalence:
             ]
         )
         flat = FlatBVH.from_bvh(bvh)
-        origins = np.array([[float(i), 0.0, 0.0] for i in range(10)])
-        directions = np.tile(np.array([0.0, 0.0, -1.0]), (10, 1))
-        ni, nt = bvh.intersect_packet(origins, directions)
+        # origins inside, on the boundary of and outside the slabs
+        origins = np.array(
+            [[i / 2.0, y, 0.0] for i in range(-2, 22) for y in (0.0, 0.45, 1.0)]
+        )
+        directions = np.tile(np.array([0.0, 0.0, -1.0]), (origins.shape[0], 1))
+        inv, deg = flat._packet_inverse(directions)
+        hi = np.full(origins.shape[0], np.inf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(flat.box_min.shape[0]):
+                mask = flat._box_mask(i, origins, inv, deg, 1e-6, hi)
+                box = AABB(flat.box_min[i], flat.box_max[i])
+                for r in range(origins.shape[0]):
+                    assert mask[r] == box.intersects_ray(
+                        Ray(origins[r], directions[r]), 1e-6, np.inf
+                    ), (i, r)
         fi, ft = flat.intersect_packet(origins, directions)
-        assert np.array_equal(ni, fi)
-        assert np.array_equal(nt, ft)
+        for r in range(origins.shape[0]):
+            prim, t = bvh.intersect(Ray(origins[r], directions[r]))
+            if prim is None:
+                assert fi[r] == -1 and np.isinf(ft[r])
+            else:
+                assert flat.packet_primitives[fi[r]] is prim and ft[r] == t
 
-    def test_any_hit_matches_node_bvh_with_per_ray_tmax(self):
+    def test_any_hit_matches_brute_force_with_per_ray_tmax(self):
         scene = _mixed_scene(num_spheres=100, seed=9)
-        bvh = scene.index
-        flat = FlatBVH.from_bvh(bvh)
+        flat = FlatBVH.from_bvh(scene.index)
+        brute = BruteForceIndex(scene.bounded_objects)
         origins, directions = _ray_batch(250, seed=13)
         rng = np.random.default_rng(17)
         tmax = rng.uniform(0.5, 20.0, origins.shape[0])
         assert np.array_equal(
-            bvh.any_hit_packet(origins, directions, t_max=tmax),
+            brute.any_hit_packet(origins, directions, t_max=tmax),
             flat.any_hit_packet(origins, directions, t_max=tmax),
         )
 
@@ -193,14 +201,75 @@ class TestSceneFlatCache:
         np.testing.assert_allclose(after_packet, after_scalar, atol=1e-9)
 
 
-class TestFusedRenderPath:
-    def test_fused_matches_packet_exactly(self):
-        scene = _mixed_scene(num_spheres=40, seed=31)
-        camera = Camera(width=32, height=24)
-        packet = render(scene, camera, mode="packet")
-        fused = render(scene, camera, mode="fused")
-        assert np.array_equal(packet, fused)
+def _flat_arrays(flat):
+    return {k: v for k, v in vars(flat).items() if isinstance(v, np.ndarray)}
 
+
+def _edit_geometry(scene, seed=3):
+    """Move/resize a few spheres and move one triangle vertex, in one commit."""
+    rng = np.random.default_rng(seed)
+    prims = scene.index.packet_primitives
+    spheres = [p for p in prims if type(p) is Sphere]
+    triangle = next(p for p in prims if type(p) is Triangle)
+    edit = scene.begin_edit()
+    for sphere in spheres[:: max(1, len(spheres) // 6)]:
+        edit.update(
+            sphere,
+            center=sphere.center + rng.uniform(-0.5, 0.5, 3),
+            radius=sphere.radius * 1.2,
+        )
+    edit.update(triangle, v1=triangle.v1 + rng.uniform(-0.3, 0.3, 3))
+    edit.commit()
+
+
+class TestFlatRefit:
+    def test_commit_refits_bit_identical_to_recompile(self):
+        scene = _mixed_scene(num_spheres=80)
+        before = scene_flat_index(scene)
+        snapshot = {k: v.copy() for k, v in _flat_arrays(before).items()}
+        for seed in range(3):
+            _edit_geometry(scene, seed=seed)
+            refit = scene._flat_index
+            assert refit is not None and refit.source is scene.index
+            assert scene_flat_index(scene) is refit  # no recompile
+            reference = _flat_arrays(FlatBVH.from_bvh(scene.index))
+            for name, array in _flat_arrays(refit).items():
+                assert np.array_equal(array, reference[name]), name
+        # the index a render may still hold is never mutated
+        for name, array in _flat_arrays(before).items():
+            assert np.array_equal(array, snapshot[name]), name
+
+    def test_refit_index_renders_like_scalar_oracle(self):
+        scene = _mixed_scene(num_spheres=40)
+        camera = Camera(width=24, height=16)
+        render(scene, camera, mode="fused")  # compile the flat index
+        _edit_geometry(scene)
+        np.testing.assert_allclose(
+            render(scene, camera, mode="fused"),
+            render(scene, camera, mode="scalar"),
+            atol=1e-9,
+        )
+
+    def test_unpickled_scene_refits_without_stale_ids(self):
+        import pickle
+
+        scene = _mixed_scene(num_spheres=30)
+        scene_flat_index(scene)
+        _edit_geometry(scene, seed=1)  # builds the id-keyed slot map
+        copy = pickle.loads(pickle.dumps(scene))
+        assert copy._flat_index._slot_by_prim is None
+        _edit_geometry(copy, seed=2)
+        reference = _flat_arrays(FlatBVH.from_bvh(copy.index))
+        for name, array in _flat_arrays(scene_flat_index(copy)).items():
+            assert np.array_equal(array, reference[name]), name
+
+    def test_refit_rejects_foreign_primitive(self):
+        flat = FlatBVH.from_bvh(_mixed_scene(num_spheres=10).index)
+        with pytest.raises(KeyError):
+            flat.refitted([Sphere(vec3(0, 0, -3), 0.5, Material.matte(1, 1, 1))])
+
+
+class TestFusedRenderPath:
     def test_fused_matches_scalar_oracle(self):
         scene = _mixed_scene(num_spheres=25, seed=33)
         camera = Camera(width=24, height=24)
@@ -220,21 +289,29 @@ class TestFusedRenderPath:
         assert second["reuses"] > first["reuses"]
         assert second["allocations"] == first["allocations"]
 
-    def test_traversal_index_restored_after_render(self):
-        scene = _mixed_scene(num_spheres=10, seed=37)
-        camera = Camera(width=8, height=8)
+    def test_scratch_buffers_are_warm_across_sections(self):
+        # two sections of the same tile size: the second reuses the first's
+        # buffers (warm service jobs render the same section geometry)
+        scene = _mixed_scene(num_spheres=15, seed=35)
+        camera = Camera(width=16, height=32)
         tracer = RayTracer(scene, camera)
-        tracer.render_rows_fused(0, 8)
-        assert tracer._traversal_index is None
+        reset_scratch_stats()
+        tracer.render_rows_fused(0, 16)
+        after_first = scratch_stats()
+        tracer.render_rows_fused(16, 32)
+        after_second = scratch_stats()
+        assert after_second["allocations"] == after_first["allocations"]
+        assert after_second["reuses"] > after_first["reuses"]
 
-    def test_rays_cast_matches_packet_path(self):
+    def test_rays_cast_matches_scalar_path(self):
         scene = _mixed_scene(num_spheres=30, seed=39)
         camera = Camera(width=16, height=16)
-        t1 = RayTracer(scene, camera)
-        t1.render_rows_packet(0, camera.height)
-        t2 = RayTracer(scene, camera)
-        t2.render_rows_fused(0, camera.height)
-        assert t1.rays_cast == t2.rays_cast
+        scalar = RayTracer(scene, camera)
+        scalar_img = scalar.render_rows(0, camera.height)
+        fused = RayTracer(scene, camera)
+        fused_img = fused.render_rows_fused(0, camera.height)
+        assert scalar.rays_cast == fused.rays_cast > camera.width * camera.height
+        np.testing.assert_allclose(fused_img, scalar_img, atol=1e-9)
 
     def test_unbounded_primitives_still_hit(self):
         scene = Scene(

@@ -195,6 +195,13 @@ class TestCamera:
         _, _, depth = cam.ndc_of_point(vec3(0, 0, 10))
         assert depth <= 0
 
+    def test_rows_of_points_matches_scalar_projection(self):
+        cam = Camera(position=vec3(0.3, 1.0, 5.0), look_at=vec3(0, 0, -8), width=50, height=40)
+        points = np.random.default_rng(5).uniform([-6, -5, -14], [6, 5, -1], (200, 3))
+        expected = [cam.row_of_ndc_y(cam.ndc_of_point(p)[1]) for p in points]
+        assert cam.rows_of_points(points).tolist() == expected
+        assert cam.rows_of_points(np.vstack([points, vec3(0, 0, 10)])) is None
+
     def test_with_resolution(self):
         cam = Camera(width=3000, height=3000)
         small = cam.with_resolution(64, 64)

@@ -6,7 +6,7 @@ The three invariants PR 10 rides on:
   updated at commit time) always equals the **from-scratch** key of the
   same scene state — pinned for arbitrary random edit sequences;
 * ``BVH.refit`` preserves tree topology and leaf order while keeping every
-  node box a superset of its children, so packet/flat traversal tie-breaks
+  node box a superset of its children, so flat traversal tie-breaks
   cannot flip and intersections match a freshly built tree;
 * journal replay (:func:`apply_edits`) is idempotent and lands a stale
   fork-copy of the scene on byte-identical state.

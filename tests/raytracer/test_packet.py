@@ -1,9 +1,9 @@
-"""Tests for the NumPy ray-packet rendering path.
+"""Tests for the NumPy ray-packet kernels of the fused render path.
 
 The scalar per-pixel path is the correctness oracle: every packet kernel
-(camera ray blocks, primitive intersection, AABB slab test, masked BVH
-traversal, vectorized shading) must agree with its scalar counterpart, and a
-whole packet render must match the scalar image to ``atol=1e-9``.
+(camera ray blocks, primitive intersection, flat-BVH traversal, vectorized
+shading) must agree with its scalar counterpart, and a whole fused render
+must match the scalar image to ``atol=1e-9``.
 """
 
 import numpy as np
@@ -11,7 +11,6 @@ import pytest
 
 from repro.raytracer import (
     BVH,
-    BruteForceIndex,
     Camera,
     Material,
     RayTracer,
@@ -20,7 +19,8 @@ from repro.raytracer import (
     render,
     render_section,
 )
-from repro.raytracer.geometry import AABB, Plane, Triangle
+from repro.raytracer.flatbvh import FlatBVH, scene_flat_index
+from repro.raytracer.geometry import Plane, Triangle
 from repro.raytracer.packet import (
     cast_packet,
     occluded_packet,
@@ -28,6 +28,7 @@ from repro.raytracer.packet import (
     trace_packet,
 )
 from repro.raytracer.ray import Ray
+from repro.raytracer.tracer import check_render_mode
 from repro.raytracer.vec import vec3
 
 
@@ -46,10 +47,17 @@ def random_rays(count=256, seed=5):
     return origins, directions
 
 
+def primary_rays(camera, y_start, y_end):
+    n = (y_end - y_start) * camera.width
+    return camera.primary_ray_block_into(
+        y_start, y_end, np.empty((n, 3)), np.empty(n)
+    )
+
+
 class TestCameraBlocks:
     def test_primary_ray_block_matches_primary_ray(self):
         camera = Camera(width=9, height=7)
-        origins, directions = camera.primary_ray_block(2, 6)
+        origins, directions = primary_rays(camera, 2, 6)
         assert origins.shape == directions.shape == (4 * 9, 3)
         i = 0
         for py in range(2, 6):
@@ -62,7 +70,7 @@ class TestCameraBlocks:
     def test_block_bounds_checked(self):
         camera = Camera(width=8, height=8)
         with pytest.raises(ValueError):
-            camera.primary_ray_block(4, 20)
+            primary_rays(camera, 4, 20)
 
 
 class TestPrimitiveKernels:
@@ -117,22 +125,6 @@ class TestPrimitiveKernels:
         )
 
 
-class TestAABBBlock:
-    def test_slab_block_matches_scalar(self):
-        box = AABB(vec3(-1, -0.5, -2), vec3(1, 0.8, 0.5))
-        origins, directions = random_rays(200, seed=11)
-        # include axis-parallel rays to hit the degenerate-direction branch
-        origins = np.vstack([origins, [[0, 0, 5], [0, 3, 5]]])
-        directions = np.vstack([directions, [[0, 0, -1], [0, 0, -1]]])
-        mask = box.intersects_ray_block(origins, directions, 1e-6, np.inf)
-        for i in range(origins.shape[0]):
-            assert mask[i] == box.intersects_ray(Ray(origins[i], directions[i])), i
-
-    def test_empty_box_misses_everything(self):
-        origins, directions = random_rays(8)
-        assert not AABB.empty().intersects_ray_block(origins, directions).any()
-
-
 class TestIndexPackets:
     def make_spheres(self, count=25, seed=3):
         rng = np.random.default_rng(seed)
@@ -141,41 +133,12 @@ class TestIndexPackets:
             for _ in range(count)
         ]
 
-    def test_bvh_packet_matches_scalar_traversal(self):
-        spheres = self.make_spheres()
-        bvh = BVH(spheres)
-        origins, directions = random_rays(300, seed=17)
-        indices, t = bvh.intersect_packet(origins, directions)
-        primitives = bvh.packet_primitives
-        for i in range(origins.shape[0]):
-            prim, t_scalar = bvh.intersect(Ray(origins[i], directions[i]))
-            if prim is None:
-                assert indices[i] == -1 and np.isinf(t[i])
-            else:
-                assert primitives[indices[i]] is prim
-                assert t[i] == pytest.approx(t_scalar, abs=1e-12)
-
-    def test_bvh_and_brute_force_packets_agree(self):
-        spheres = self.make_spheres()
-        bvh = BVH(spheres)
-        brute = BruteForceIndex(spheres)
-        origins, directions = random_rays(300, seed=23)
-        bvh_idx, bvh_t = bvh.intersect_packet(origins, directions)
-        brute_idx, brute_t = brute.intersect_packet(origins, directions)
-        np.testing.assert_allclose(bvh_t, brute_t, atol=1e-12)
-        for i in range(origins.shape[0]):
-            if bvh_idx[i] >= 0:
-                assert (
-                    bvh.packet_primitives[bvh_idx[i]]
-                    is brute.packet_primitives[brute_idx[i]]
-                )
-
     def test_any_hit_packet_matches_scalar(self):
         spheres = self.make_spheres(12, seed=29)
         bvh = BVH(spheres)
         origins, directions = random_rays(200, seed=31)
         t_max = np.full(200, 6.0)
-        mask = bvh.any_hit_packet(origins, directions, 1e-6, t_max)
+        mask = FlatBVH.from_bvh(bvh).any_hit_packet(origins, directions, 1e-6, t_max)
         for i in range(origins.shape[0]):
             assert mask[i] == bvh.any_hit(Ray(origins[i], directions[i]), 1e-6, 6.0)
 
@@ -192,9 +155,9 @@ class TestPacketTracing:
         scene = standard_scene(num_spheres=12)
         camera = Camera(width=16, height=16)
         tracer = RayTracer(scene, camera)
-        origins, directions = camera.primary_ray_block(0, 16)
+        origins, directions = primary_rays(camera, 0, 16)
         data = scene_packet_data(scene)
-        indices, t = cast_packet(scene, origins, directions)
+        indices, t = cast_packet(scene, scene_flat_index(scene), origins, directions)
         for i in range(0, origins.shape[0], 7):
             hit = tracer.cast(Ray(origins[i], directions[i]))
             if hit is None:
@@ -208,43 +171,49 @@ class TestPacketTracing:
         tracer = RayTracer(scene, Camera(width=8, height=8))
         origins, directions = random_rays(120, seed=37)
         distances = np.full(120, 8.0)
-        mask = occluded_packet(scene, origins, directions, distances)
+        mask = occluded_packet(
+            scene, scene_flat_index(scene), origins, directions, distances
+        )
         for i in range(origins.shape[0]):
             assert mask[i] == tracer.occluded(Ray(origins[i], directions[i]), 8.0)
 
-    def test_packet_image_matches_scalar_image(self):
+    def test_fused_image_matches_scalar_image(self):
         """The acceptance bar: pixel-identical (atol 1e-9) on the standard
         random scene, identical ray accounting included."""
         scene = standard_scene()
         camera = Camera(width=48, height=48)
         scalar_tracer = RayTracer(scene, camera)
         scalar = scalar_tracer.render_rows(0, 48)
-        packet_tracer = RayTracer(scene, camera)
-        packet = packet_tracer.render_rows_packet(0, 48)
-        np.testing.assert_allclose(packet, scalar, atol=1e-9)
-        assert packet_tracer.rays_cast == scalar_tracer.rays_cast > 48 * 48
+        fused_tracer = RayTracer(scene, camera)
+        fused = fused_tracer.render_rows_fused(0, 48)
+        np.testing.assert_allclose(fused, scalar, atol=1e-9)
+        assert fused_tracer.rays_cast == scalar_tracer.rays_cast > 48 * 48
 
-    def test_packet_without_bvh_matches_scalar(self):
+    def test_fused_without_bvh_matches_scalar(self):
         camera = Camera(width=16, height=16)
-        scalar = render(standard_scene(num_spheres=8, use_bvh=False), camera)
-        packet = render(
-            standard_scene(num_spheres=8, use_bvh=False), camera, mode="packet"
+        scalar = render(
+            standard_scene(num_spheres=8, use_bvh=False), camera, mode="scalar"
         )
-        np.testing.assert_allclose(packet, scalar, atol=1e-9)
+        fused = render(
+            standard_scene(num_spheres=8, use_bvh=False), camera, mode="fused"
+        )
+        np.testing.assert_allclose(fused, scalar, atol=1e-9)
 
     def test_max_ray_depth_zero_returns_background(self):
         scene = standard_scene(num_spheres=4)
         scene.max_ray_depth = 0
         camera = Camera(width=4, height=4)
         tracer = RayTracer(scene, camera)
-        image = tracer.render_rows_packet(0, 4)
+        image = tracer.render_rows_fused(0, 4)
         np.testing.assert_allclose(image, np.broadcast_to(scene.background, (4, 4, 3)))
         assert tracer.rays_cast == 0
 
     def test_empty_packet(self):
         scene = standard_scene(num_spheres=2)
         tracer = RayTracer(scene, Camera(width=4, height=4))
-        colors = trace_packet(tracer, np.zeros((0, 3)), np.zeros((0, 3)))
+        colors = trace_packet(
+            tracer, scene_flat_index(scene), np.zeros((0, 3)), np.zeros((0, 3))
+        )
         assert colors.shape == (0, 3)
 
     def test_glass_and_mirror_recursion_matches(self):
@@ -259,18 +228,28 @@ class TestPacketTracing:
         scene.add_light(Light(vec3(3, 5, 2)))
         camera = Camera(position=vec3(0, 0.4, 2), look_at=vec3(0, 0, -3), width=24, height=24)
         scalar = RayTracer(scene, camera).render_rows(0, 24)
-        packet = RayTracer(scene, camera).render_rows_packet(0, 24)
-        np.testing.assert_allclose(packet, scalar, atol=1e-9)
+        fused = RayTracer(scene, camera).render_rows_fused(0, 24)
+        np.testing.assert_allclose(fused, scalar, atol=1e-9)
 
 
 class TestRenderModeKnob:
-    def test_render_section_packet_mode(self):
+    def test_render_section_fused_mode(self):
         scene = standard_scene(num_spheres=6)
         camera = Camera(width=16, height=16)
-        chunk_scalar = render_section(scene, camera, 4, 12, section_id=1)
-        chunk_packet = render_section(scene, camera, 4, 12, section_id=1, mode="packet")
-        np.testing.assert_allclose(chunk_packet.pixels, chunk_scalar.pixels, atol=1e-9)
-        assert chunk_packet.rays_cast == chunk_scalar.rays_cast > 0
+        chunk_scalar = render_section(scene, camera, 4, 12, section_id=1, mode="scalar")
+        chunk_fused = render_section(scene, camera, 4, 12, section_id=1, mode="fused")
+        np.testing.assert_allclose(chunk_fused.pixels, chunk_scalar.pixels, atol=1e-9)
+        assert chunk_fused.rays_cast == chunk_scalar.rays_cast > 0
+
+    def test_default_mode_is_fused(self):
+        scene = standard_scene(num_spheres=6)
+        camera = Camera(width=8, height=8)
+        assert check_render_mode() == check_render_mode(None) == "fused"
+        assert np.array_equal(render(scene, camera), render(scene, camera, "fused"))
+
+    def test_packet_mode_is_gone(self):
+        with pytest.raises(ValueError, match="render mode"):
+            check_render_mode("packet")
 
     def test_unknown_mode_rejected(self):
         scene = standard_scene(num_spheres=2)
@@ -305,16 +284,16 @@ class TestRenderModeKnob:
         # a render right after the in-place insert must not crash or mix
         # materials: the new sphere's hit rows must resolve to its colour
         camera = Camera(position=vec3(0, 0, 2), look_at=vec3(0, 0, -4), width=16, height=16)
-        packet = RayTracer(scene, camera).render_rows_packet(0, 16)
+        fused = RayTracer(scene, camera).render_rows_fused(0, 16)
         scalar = RayTracer(scene, camera).render_rows(0, 16)
-        np.testing.assert_allclose(packet, scalar, atol=1e-9)
+        np.testing.assert_allclose(fused, scalar, atol=1e-9)
 
     def test_tiled_packets_match_single_packet(self):
         """Row tiling (MAX_PACKET_RAYS) must not change any pixel."""
         scene = standard_scene(num_spheres=10)
         camera = Camera(width=16, height=16)
-        whole = RayTracer(scene, camera).render_rows_packet(0, 16)
+        whole = RayTracer(scene, camera).render_rows_fused(0, 16)
         tiny_tiles = RayTracer(scene, camera)
         tiny_tiles.MAX_PACKET_RAYS = 40  # forces 2-row tiles mid-band
-        tiled = tiny_tiles.render_rows_packet(0, 16)
+        tiled = tiny_tiles.render_rows_fused(0, 16)
         np.testing.assert_allclose(tiled, whole, atol=0.0)

@@ -112,15 +112,18 @@ class TestTracing:
         matte_scene = simple_scene()
         mirror_scene = simple_scene()
         mirror_scene.objects[0].material = Material.mirror()
-        matte_image = render(matte_scene, camera)
-        mirror_image = render(mirror_scene, camera)
+        matte_image = render(matte_scene, camera, mode="scalar")
+        mirror_image = render(mirror_scene, camera, mode="scalar")
         assert image_rms_difference(matte_image, mirror_image) > 0.01
 
     def test_bvh_and_brute_force_render_identically(self):
         camera = Camera(position=vec3(0, 0.5, 4), look_at=vec3(0, 0, -2), width=24, height=24)
         scene_bvh = random_scene(num_spheres=25, seed=11, use_bvh=True)
         scene_brute = random_scene(num_spheres=25, seed=11, use_bvh=False)
-        diff = image_rms_difference(render(scene_bvh, camera), render(scene_brute, camera))
+        diff = image_rms_difference(
+            render(scene_bvh, camera, mode="scalar"),
+            render(scene_brute, camera, mode="scalar"),
+        )
         assert diff < 1e-12
 
     def test_occluded_respects_distance(self):
@@ -136,9 +139,9 @@ class TestSectionsAndImages:
     def test_render_section_matches_full_render(self):
         scene = simple_scene()
         camera = Camera(position=vec3(0, 0, 2), look_at=vec3(0, 0, -4), width=24, height=24)
-        full = render(scene, camera)
-        top = render_section(scene, camera, 0, 12)
-        bottom = render_section(scene, camera, 12, 24)
+        full = render(scene, camera, mode="scalar")
+        top = render_section(scene, camera, 0, 12, mode="scalar")
+        bottom = render_section(scene, camera, 12, 24, mode="scalar")
         assembled = assemble_chunks([top, bottom], 24, 24)
         assert image_rms_difference(full, assembled) < 1e-12
 

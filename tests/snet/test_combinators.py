@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.snet.boxes import box
+from repro.snet.boxes import Box, box
 from repro.snet.combinators import IndexSplit, Parallel, Serial, Star, parallel, serial, split, star
 from repro.snet.errors import NetworkError, RouteError
 from repro.snet.filters import Filter
@@ -216,6 +216,17 @@ class TestCopySemantics:
         original_ids = {e.entity_id for e in net.iter_entities()}
         clone_ids = {e.entity_id for e in clone.iter_entities()}
         assert original_ids.isdisjoint(clone_ids)
+
+    def test_copy_shares_immutable_type_objects(self):
+        exit_pattern = Pattern(["<n>"], Guard(TagRef("n") == 3))
+        net = Star(Serial(make_inc(), SyncroCell([["a"], ["b"]])), exit_pattern)
+        clone = net.copy()
+        for original, copied in zip(net.iter_entities(), clone.iter_entities()):
+            assert copied is not original
+        (box_a,) = [e for e in net.iter_entities() if isinstance(e, Box)]
+        (box_b,) = [e for e in clone.iter_entities() if isinstance(e, Box)]
+        assert box_b.signature is box_a.signature
+        assert clone.exit_pattern.guard.expr is exit_pattern.guard.expr
 
     def test_run_network_fresh_does_not_mutate_original(self):
         net = Star(make_inc("a", "a"), Pattern(["stop"]), max_depth=50)

@@ -545,11 +545,11 @@ class TestRayTracingFarmConformance:
 
     Parametrised over the solver's render mode as well: the farm must
     produce exactly the sequential image of the *same* mode on every
-    backend, and the packet image must match the scalar one to ``1e-9``.
+    backend, and the fused image must match the scalar one to ``1e-9``.
     """
 
     @pytest.mark.parametrize("variant", ["static", "dynamic"])
-    @pytest.mark.parametrize("render_mode", ["scalar", "packet"])
+    @pytest.mark.parametrize("render_mode", ["scalar", "fused"])
     def test_farm_image_identical_across_backends(self, backend, variant, render_mode):
         import numpy as np
 
@@ -558,7 +558,7 @@ class TestRayTracingFarmConformance:
         from repro.raytracer.image import image_rms_difference
 
         scene = random_scene(num_spheres=6, clustering=0.5, seed=3)
-        scalar_reference = render(scene, Camera(width=24, height=24))
+        scalar_reference = render(scene, Camera(width=24, height=24), mode="scalar")
         reference = render(scene, Camera(width=24, height=24), mode=render_mode)
         options = {"workers": 2} if backend == "process" else {}
         run = run_raytracing_farm(

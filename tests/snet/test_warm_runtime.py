@@ -30,13 +30,13 @@ fork_only = pytest.mark.skipif(
 def farm():
     scene = random_scene(num_spheres=10, seed=3)
     camera = Camera(width=24, height=24)
-    reference = render(scene, camera, mode="packet")
+    reference = render(scene, camera, mode="fused")
     return scene, camera, reference
 
 
 def test_threaded_runtime_instance_is_reusable(farm):
     scene, camera, reference = farm
-    backend = RealRenderBackend(scene, camera, render_mode="packet")
+    backend = RealRenderBackend(scene, camera, render_mode="fused")
     network = build_static_network(backend)
     runtime = ThreadedRuntime()
     for _ in range(3):
@@ -78,7 +78,7 @@ def test_threaded_lifecycle_tracks_warm_state_without_resources():
 @fork_only
 def test_warm_process_runtime_serves_repeated_runs(farm):
     scene, camera, reference = farm
-    backend = SharedFrameRenderBackend(scene, camera, render_mode="packet")
+    backend = SharedFrameRenderBackend(scene, camera, render_mode="fused")
     network = build_static_network(backend)
     runtime = ProcessRuntime(workers=2)
     try:
@@ -104,7 +104,7 @@ def test_warm_process_runtime_serves_repeated_runs(farm):
 @fork_only
 def test_setup_twice_rejected_and_teardown_cleans_registries(farm):
     scene, camera, _ = farm
-    backend = SharedFrameRenderBackend(scene, camera, render_mode="packet")
+    backend = SharedFrameRenderBackend(scene, camera, render_mode="fused")
     network = build_static_network(backend)
     boxes_before = dict(process_engine._BOX_REGISTRY)
     shared_before = dict(process_engine._SHARED_OBJECTS)
@@ -130,7 +130,7 @@ def test_warm_distributed_runtime_serves_repeated_runs(farm):
     bytes stay in metadata territory) and the node workers not re-forked.
     """
     scene, camera, reference = farm
-    backend = RealRenderBackend(scene, camera, render_mode="packet")
+    backend = RealRenderBackend(scene, camera, render_mode="fused")
     network = build_static_network(backend)
     runtime = DistributedRuntime(nodes=2)
     try:
@@ -158,7 +158,7 @@ def test_warm_distributed_runtime_serves_repeated_runs(farm):
 def test_setup_degrades_with_warning_without_fork(farm, monkeypatch):
     scene, camera, reference = farm
     monkeypatch.setattr(ProcessRuntime, "fork_available", staticmethod(lambda: False))
-    backend = RealRenderBackend(scene, camera, render_mode="packet")
+    backend = RealRenderBackend(scene, camera, render_mode="fused")
     network = build_static_network(backend)
     runtime = ProcessRuntime(workers=2)
     with pytest.warns(RuntimeWarning, match="fork"):

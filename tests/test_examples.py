@@ -20,7 +20,7 @@ EXAMPLES_DIR = REPO_ROOT / "examples"
 EXAMPLE_ARGS = {
     "quickstart.py": [],
     "cluster_experiment.py": [],
-    "raytracing_static.py": ["24", "24", "threaded", "packet"],
+    "raytracing_static.py": ["24", "24", "threaded", "fused"],
     "raytracing_dynamic.py": ["threaded", "24", "24"],
     "render_service.py": ["24", "24", "threaded", "2", "2"],
     "gateway_demo.py": ["24", "24", "3"],
