@@ -1,8 +1,9 @@
 """Axis-aligned bounding boxes.
 
-The BVH insertion algorithm of Goldsmith & Salmon drives its branch-and-bound
-search with the *surface area* of candidate bounding volumes, so the AABB
-exposes :meth:`surface_area` alongside union/intersection tests.
+Surface area is the cost metric of the BVH builder's split heuristic (which
+prices boxes in bulk on arrays); :func:`slab_hit` is the scalar ray/box
+test, shared by :meth:`AABB.intersects_ray` and the flat BVH's scalar
+traversal.
 """
 
 from __future__ import annotations
@@ -15,7 +16,36 @@ import numpy as np
 from repro.raytracer.ray import Ray
 from repro.raytracer.vec import Vector
 
-__all__ = ["AABB"]
+__all__ = ["AABB", "slab_hit"]
+
+
+def slab_hit(
+    minimum: Vector, maximum: Vector, ray: Ray, t_min: float, t_max: float
+) -> bool:
+    """Slab test of the box ``[minimum, maximum]`` within ``[t_min, t_max]``.
+
+    A direction component below ``1e-15`` counts as parallel to its slab:
+    the ray is rejected when its origin lies outside that slab and the
+    axis leaves the interval unconstrained otherwise.
+    """
+    origin = ray.origin
+    direction = ray.direction
+    for axis in range(3):
+        d = direction[axis]
+        if abs(d) < 1e-15:
+            if origin[axis] < minimum[axis] or origin[axis] > maximum[axis]:
+                return False
+            continue
+        inv = 1.0 / d
+        t0 = (minimum[axis] - origin[axis]) * inv
+        t1 = (maximum[axis] - origin[axis]) * inv
+        if t0 > t1:
+            t0, t1 = t1, t0
+        t_min = max(t_min, t0)
+        t_max = min(t_max, t1)
+        if t_min > t_max:
+            return False
+    return True
 
 
 @dataclass
@@ -35,13 +65,6 @@ class AABB:
         """The empty box (union identity)."""
         return cls(np.full(3, np.inf), np.full(3, -np.inf))
 
-    @classmethod
-    def around(cls, *boxes: "AABB") -> "AABB":
-        result = cls.empty()
-        for box in boxes:
-            result = result.union(box)
-        return result
-
     # -- queries ------------------------------------------------------------
     @property
     def extent(self) -> Vector:
@@ -55,17 +78,11 @@ class AABB:
         return bool(np.any(self.maximum < self.minimum))
 
     def surface_area(self) -> float:
-        """Total surface area (the Goldsmith–Salmon cost metric)."""
+        """Total surface area (the cost metric of the BVH's split heuristic)."""
         if self.is_empty():
             return 0.0
         ext = self.extent
         return float(2.0 * (ext[0] * ext[1] + ext[1] * ext[2] + ext[0] * ext[2]))
-
-    def volume(self) -> float:
-        if self.is_empty():
-            return 0.0
-        ext = self.extent
-        return float(ext[0] * ext[1] * ext[2])
 
     def union(self, other: "AABB") -> "AABB":
         return AABB(
@@ -90,24 +107,7 @@ class AABB:
         """Slab test: does the ray hit the box within ``[t_min, t_max]``?"""
         if self.is_empty():
             return False
-        origin = ray.origin
-        direction = ray.direction
-        for axis in range(3):
-            d = direction[axis]
-            if abs(d) < 1e-15:
-                if origin[axis] < self.minimum[axis] or origin[axis] > self.maximum[axis]:
-                    return False
-                continue
-            inv = 1.0 / d
-            t0 = (self.minimum[axis] - origin[axis]) * inv
-            t1 = (self.maximum[axis] - origin[axis]) * inv
-            if t0 > t1:
-                t0, t1 = t1, t0
-            t_min = max(t_min, t0)
-            t_max = min(t_max, t1)
-            if t_min > t_max:
-                return False
-        return True
+        return slab_hit(self.minimum, self.maximum, ray, t_min, t_max)
 
     def __repr__(self) -> str:
         if self.is_empty():

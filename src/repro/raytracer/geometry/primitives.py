@@ -6,7 +6,11 @@ Every primitive answers three questions needed by the tracer and the BVH:
   ray hits the primitive within the interval, or ``None``;
 * ``normal_at(point)`` — the outward surface normal;
 * ``bounding_box()`` — an :class:`~repro.raytracer.geometry.aabb.AABB`
-  enclosing the primitive (planes are unbounded and return a huge box; the
+  enclosing the primitive with a relative ``1e-9`` margin, so that rounding
+  in ``intersect`` cannot accept a point the BVH's box test rejects (a ray
+  grazing a triangle edge or a sphere's silhouette parallel to an axis
+  would otherwise hit under a linear scan and miss in the BVH); planes are
+  unbounded and return a huge box (the
   scene generators therefore never put planes inside the BVH, they are kept
   on a separate "unbounded" list).
 """
@@ -30,6 +34,10 @@ _ids = itertools.count(1)
 
 #: half-extent of the box used for unbounded primitives
 _HUGE = 1e9
+
+#: margin of a bounded primitive's box, relative to its largest coordinate
+#: magnitude (see the module notes)
+_BOX_MARGIN = 1e-9
 
 
 class Primitive:
@@ -75,10 +83,6 @@ class Primitive:
     @property
     def is_bounded(self) -> bool:
         return True
-
-    @property
-    def centroid(self) -> Vector:
-        return self.bounding_box().centroid
 
 
 class Sphere(Primitive):
@@ -135,7 +139,9 @@ class Sphere(Primitive):
         return offsets / np.where(norms == 0.0, 1.0, norms)[:, None]
 
     def bounding_box(self) -> AABB:
-        r = vec3(self.radius, self.radius, self.radius)
+        r = self.radius + _BOX_MARGIN * (
+            1.0 + self.radius + max(map(abs, self.center.tolist()))
+        )
         return AABB(self.center - r, self.center + r)
 
     def __repr__(self) -> str:
@@ -268,7 +274,8 @@ class Triangle(Primitive):
 
     def bounding_box(self) -> AABB:
         stacked = np.stack([self.v0, self.v1, self.v2])
-        return AABB(stacked.min(axis=0), stacked.max(axis=0))
+        pad = _BOX_MARGIN * (1.0 + max(map(abs, stacked.ravel().tolist())))
+        return AABB(stacked.min(axis=0) - pad, stacked.max(axis=0) + pad)
 
     def __repr__(self) -> str:
         return f"Triangle({self.v0.tolist()}, {self.v1.tolist()}, {self.v2.tolist()})"

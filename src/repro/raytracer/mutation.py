@@ -15,13 +15,12 @@ This module makes mutation explicit instead of forbidden:
 
   - mutates the scene in place (with per-primitive attribute whitelists and
     the same dtype conversions the constructors perform),
-  - refits the BVH for moved bounded primitives (leaf order preserved — see
-    :meth:`BVH.refit <repro.raytracer.bvh.BVH.refit>` — so packet/flat
-    traversal tie-breaks cannot flip),
-  - refits the compiled flat BVH alongside (O(k · depth) for k moved
-    primitives, see :func:`~repro.raytracer.flatbvh.refit_flat_index`) and
-    drops exactly the derived caches the edit invalidates otherwise (packet
-    material arrays on material, the whole index on add/remove),
+  - replaces the scene's flat BVH by its refit for moved bounded
+    primitives (O(k · depth) for k of them; topology and leaf order are
+    kept, so exact-``t`` tie-breaks cannot flip — see
+    :meth:`FlatBVH.refitted <repro.raytracer.flatbvh.FlatBVH.refitted>`)
+    and drops exactly the derived caches the edit invalidates otherwise
+    (packet material arrays on material, the whole index on add/remove),
   - updates the memoised :func:`scene_content_key` in **O(changed objects)**
     — per-object digests are cached, only touched objects are re-hashed —
   - bumps ``scene.edit_epoch`` and records an :class:`EditEntry` in the
@@ -66,8 +65,7 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.raytracer.bvh import BVH
-from repro.raytracer.flatbvh import refit_flat_index
+from repro.raytracer.flatbvh import FlatBVH
 from repro.raytracer.geometry.primitives import Plane, Primitive, Sphere, Triangle
 from repro.raytracer.materials import Material
 from repro.raytracer.vec import cross, normalize
@@ -393,7 +391,6 @@ def _invalidate_caches(scene: Any, flags: Dict[str, bool], ops: Sequence[EditOp]
     if flags["structural"]:
         scene._index = None  # full rebuild (leaf order may change)
         scene._packet_data = None
-        scene._flat_index = None
         digests = getattr(scene, _DIGEST_ATTR, None)
         if digests is not None:
             for op in ops:
@@ -401,23 +398,22 @@ def _invalidate_caches(scene: Any, flags: Dict[str, bool], ops: Sequence[EditOp]
                     digests[op.payload.primitive_id] = _object_digest(op.payload)
                 elif op.kind == "remove":
                     digests.pop(op.target, None)
-    if flags["geometry"]:
-        # moved bounded primitives refit in place (leaf order preserved);
-        # the compiled flat BVH holds SoA geometry copies, so it is refit
-        # alongside (or dropped when it cannot be)
-        moved: List[Primitive] = []
-        if not flags["structural"] and isinstance(scene._index, BVH):
-            prims = _prims_by_id(scene)
-            moved = [
-                prims[op.target]
-                for op in ops
-                if op.kind == "update" and op.geometry and not op.unbounded
-            ]
+    elif flags["geometry"] and isinstance(scene._index, FlatBVH):
+        # moved bounded primitives: the flat BVH holds SoA geometry copies,
+        # so it is replaced by its refit (leaf order preserved), and the
+        # packet rows — aligned with the unchanged leaf slots — follow it
+        prims = _prims_by_id(scene)
+        moved = [
+            prims[op.target]
+            for op in ops
+            if op.kind == "update" and op.geometry and not op.unbounded
+        ]
         if moved:
-            scene._index.refit(moved)
-            refit_flat_index(scene, moved)
-        else:
-            scene._flat_index = None
+            index = scene._index
+            scene._index = index.refitted(moved)
+            data = getattr(scene, "_packet_data", None)
+            if data is not None and data.index is index:
+                scene._packet_data = replace(data, index=scene._index)
     if flags["material"]:
         scene._packet_data = None  # packet material arrays are stale
     if flags["geometry"] or flags["material"]:

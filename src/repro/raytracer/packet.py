@@ -7,7 +7,7 @@ module renders whole image sections as *packets*:
 
 * the camera emits all primary rays of a section as ``(n, 3)`` arrays
   (:meth:`~repro.raytracer.camera.Camera.primary_ray_block_into`);
-* the scene's compiled flat BVH is traversed once per packet with masked
+* the scene's flat BVH is traversed once per packet with masked
   active-ray index sets
   (:meth:`~repro.raytracer.flatbvh.FlatBVH.intersect_packet`), testing
   whole ray subsets against each node box and batches of leaf primitives
@@ -56,17 +56,12 @@ class ScenePacketData:
 
     Rows are aligned with the hit indices produced by :func:`cast_packet`:
     the first ``len(index.packet_primitives)`` rows are the indexed (bounded)
-    primitives in BVH leaf order, followed by the scene's unbounded
+    primitives in leaf-slot order, followed by the scene's unbounded
     primitives.  Cached on the scene and rebuilt whenever the acceleration
     index is (object identity ties the two together).
     """
 
     index: Any
-    #: the index's packet_primitives list object at build time plus its
-    #: length — together they detect in-place index mutation (BVH.insert
-    #: swaps the list object, BruteForceIndex.insert grows it in place)
-    indexed: List[Primitive]
-    num_indexed: int
     primitives: List[Primitive]
     #: ``Primitive.primitive_id`` per row (tile touch capture)
     primitive_id: np.ndarray
@@ -81,37 +76,23 @@ class ScenePacketData:
 
 
 def scene_packet_data(scene: "Scene") -> ScenePacketData:
-    """The (cached) packet arrays of ``scene``; rebuilds after index changes.
+    """The (cached) packet arrays of ``scene``; rebuilt when the index is.
 
-    Staleness is detected three ways: a rebuilt index object
-    (``Scene.add``), a re-derived leaf list on the same BVH (in-place
-    ``BVH.insert``), or a grown primitive list on the same brute-force index
-    (in-place ``BruteForceIndex.insert``).
-
-    **Invalidation contract**: these rules only observe *structural* changes
-    to the index.  Mutating a primitive's :class:`Material` in place (or a
-    primitive's geometry) is invisible to them — the cached material arrays
-    (and the flat-BVH parameter arrays, which share the same staleness
-    rules) would keep serving stale values.  Call
-    :meth:`Scene.invalidate_packet_cache` after any in-place mutation to
-    drop both caches explicitly.
+    The cache is valid while ``scene.index`` is the index object it was
+    built for.  A committed edit keeps it in step (a geometry refit carries
+    it over to the refit index, a material edit drops it); a primitive or
+    :class:`Material` mutated in place outside the journal needs
+    :meth:`Scene.invalidate_packet_cache`.
     """
     index = scene.index  # building the index also populates the unbounded list
     cached = getattr(scene, "_packet_data", None)
-    if (
-        cached is not None
-        and cached.index is index
-        and cached.indexed is index.packet_primitives
-        and cached.num_indexed == len(cached.indexed)
-    ):
+    if cached is not None and cached.index is index:
         return cached
     indexed = index.packet_primitives
     primitives = list(indexed) + list(scene.unbounded_objects)
     materials = [p.material for p in primitives]
     data = ScenePacketData(
         index=index,
-        indexed=indexed,
-        num_indexed=len(indexed),
         primitives=primitives,
         primitive_id=np.array([p.primitive_id for p in primitives], dtype=np.int64),
         color=np.array([m.color for m in materials], dtype=np.float64).reshape(

@@ -17,8 +17,9 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.raytracer.bvh import BVH, BruteForceIndex
+from repro.raytracer.bvh import BruteForceIndex
 from repro.raytracer.camera import Camera
+from repro.raytracer.flatbvh import FlatBVH
 from repro.raytracer.geometry.primitives import Plane, Primitive, Sphere
 from repro.raytracer.materials import Material
 from repro.raytracer.vec import Vector, vec3
@@ -72,7 +73,7 @@ class Scene:
         #: the bounded :class:`~repro.raytracer.mutation.MutationJournal`
         #: created on the first committed edit (``None`` until then).
         self.journal = None
-        self._index: Optional[Union[BVH, BruteForceIndex]] = None
+        self._index: Optional[Union[FlatBVH, BruteForceIndex]] = None
         self._unbounded: List[Primitive] = []
 
     # -- construction ------------------------------------------------------
@@ -82,21 +83,18 @@ class Scene:
         self.__dict__.pop("_repro_content_key", None)  # content-key memo
 
     def invalidate_packet_cache(self) -> None:
-        """Drop the cached packet material arrays and the compiled flat BVH.
+        """Drop the acceleration index and the packet material arrays.
 
-        The packet caches (:func:`~repro.raytracer.packet.scene_packet_data`
-        and :func:`~repro.raytracer.flatbvh.scene_flat_index`) detect
-        *structural* index changes automatically — a rebuilt index, an
-        in-place ``BVH.insert``, a grown brute-force list.  What they cannot
-        see is an **in-place mutation** of an already-indexed primitive:
-        changing a ``Material`` field (or a sphere's centre/radius) leaves
-        every identity the staleness checks compare untouched, so the packet
-        path would keep rendering with stale material/geometry arrays while
-        the scalar path picks the change up immediately.  Call this after
-        any such mutation; the caches rebuild lazily on the next packet.
+        Edits committed through :meth:`begin_edit` keep both current.  What
+        no cache can see is an **in-place mutation** of an already-indexed
+        primitive outside the journal: changing a ``Material`` field (or a
+        sphere's centre/radius) leaves the index object untouched, so the
+        render paths would keep using stale material rows, leaf boxes and
+        kernel parameters.  Call this after any such mutation; both are
+        rebuilt lazily on the next query.
         """
+        self._index = None
         self._packet_data = None
-        self._flat_index = None
 
     def add_light(self, light: Light) -> None:
         self.lights.append(light)
@@ -117,18 +115,23 @@ class Scene:
 
         return SceneEditor(self)
 
-    def build_index(self) -> Union[BVH, BruteForceIndex]:
-        """(Re)build the acceleration structure; called lazily by the tracer."""
+    def build_index(self) -> Union[FlatBVH, BruteForceIndex]:
+        """(Re)build the acceleration structure; called lazily by the tracer.
+
+        A :class:`~repro.raytracer.flatbvh.FlatBVH` over the bounded
+        objects, or a :class:`~repro.raytracer.bvh.BruteForceIndex` for
+        ``use_bvh=False``; unbounded objects are kept on a separate list.
+        """
         bounded = [obj for obj in self.objects if obj.is_bounded]
         self._unbounded = [obj for obj in self.objects if not obj.is_bounded]
         if self.use_bvh:
-            self._index = BVH(bounded)
+            self._index = FlatBVH.build(bounded)
         else:
             self._index = BruteForceIndex(bounded)
         return self._index
 
     @property
-    def index(self) -> Union[BVH, BruteForceIndex]:
+    def index(self) -> Union[FlatBVH, BruteForceIndex]:
         if self._index is None:
             self.build_index()
         assert self._index is not None

@@ -210,7 +210,7 @@ class RayTracer:
         back-to-back: primary-ray generation into preallocated scratch
         buffers (a thread-local pool keyed by tile size, so warm
         :class:`~repro.apps.service.RenderService` jobs reuse them across
-        frames), packet traversal of the scene's compiled flat BVH
+        frames), packet traversal of the scene's flat BVH
         (:func:`~repro.raytracer.flatbvh.scene_flat_index`, looked up once
         per section) and vectorized shading (see
         :mod:`repro.raytracer.packet`).  Rays are independent, so tiling

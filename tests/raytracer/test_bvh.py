@@ -1,12 +1,20 @@
-"""Tests for the Goldsmith-Salmon BVH, including the brute-force oracle check."""
+"""Builder invariants of the flat SAH BVH, and its scalar queries against
+the brute-force oracle."""
+
+import math
+import pickle
 
 import numpy as np
 import pytest
 
-from repro.raytracer.bvh import BVH, BruteForceIndex
-from repro.raytracer.geometry import Plane, Sphere
+from repro.raytracer.bvh import BruteForceIndex
+from repro.raytracer.camera import Camera
+from repro.raytracer.flatbvh import FlatBVH
+from repro.raytracer.geometry import Plane, Sphere, Triangle
+from repro.raytracer.materials import Material
 from repro.raytracer.ray import Ray
 from repro.raytracer.scene import random_scene
+from repro.raytracer.tracer import render_section
 from repro.raytracer.vec import vec3
 
 
@@ -18,83 +26,181 @@ def grid_spheres(n=4, spacing=2.0, radius=0.4):
     return spheres
 
 
+def node_depths(flat):
+    """Depth of every node (root = 1); parents precede their children."""
+    depth = np.ones(flat.box_min.shape[0], dtype=np.int64)
+    for i in range(1, depth.size):
+        depth[i] = depth[flat.parent[i]] + 1
+    return depth
+
+
+def assert_tree_invariants(flat, primitives):
+    """Everything the traversals and the refit rely on, checked exactly."""
+    n = len(primitives)
+    m = flat.box_min.shape[0]
+    assert m == max(0, 2 * n - 1)
+    assert flat.size == n
+    assert sorted(map(id, flat.packet_primitives)) == sorted(map(id, primitives))
+    if n == 0:
+        return
+    internal = np.flatnonzero(flat.left >= 0)
+    leaves = np.flatnonzero(flat.left < 0)
+    assert internal.size == n - 1 and leaves.size == n
+    # pre-order, right child first: subtree of i is [i, skip[i])
+    assert flat.skip[0] == m
+    assert np.array_equal(flat.right[internal], internal + 1)
+    assert np.array_equal(flat.left[internal], flat.skip[internal + 1])
+    assert np.array_equal(flat.skip[flat.left[internal]], flat.skip[internal])
+    assert np.array_equal(flat.skip[leaves], leaves + 1)
+    # leaf ranges nest the same way; one primitive per leaf
+    assert np.array_equal(flat.first_leaf[flat.right[internal]], flat.first_leaf[internal])
+    assert np.array_equal(flat.leaf_end[flat.right[internal]], flat.first_leaf[flat.left[internal]])
+    assert np.array_equal(flat.leaf_end[flat.left[internal]], flat.leaf_end[internal])
+    assert np.array_equal(flat.leaf_end[leaves] - flat.first_leaf[leaves], np.ones(n))
+    assert np.array_equal(flat.leaf_node[flat.first_leaf[leaves]], leaves)
+    assert flat.parent[0] == -1
+    assert np.array_equal(flat.parent[flat.left[internal]], internal)
+    assert np.array_equal(flat.parent[flat.right[internal]], internal)
+    # every internal box is the exact union of its children
+    left, right = flat.left[internal], flat.right[internal]
+    assert np.array_equal(
+        flat.box_min[internal], np.minimum(flat.box_min[left], flat.box_min[right])
+    )
+    assert np.array_equal(
+        flat.box_max[internal], np.maximum(flat.box_max[left], flat.box_max[right])
+    )
+    # every leaf box is its primitive's box
+    for slot, prim in enumerate(flat.packet_primitives):
+        box = prim.bounding_box()
+        node = flat.leaf_node[slot]
+        assert np.array_equal(flat.box_min[node], box.minimum)
+        assert np.array_equal(flat.box_max[node], box.maximum)
+
+
 class TestConstruction:
     def test_empty_bvh(self):
-        bvh = BVH()
-        assert bvh.size == 0
-        assert bvh.depth() == 0
-        assert bvh.intersect(Ray(vec3(0, 0, 0), vec3(0, 0, -1))) == (None, None)
-        assert bvh.check_invariants()
+        flat = FlatBVH.build([])
+        assert flat.size == 0
+        assert flat.intersect(Ray(vec3(0, 0, 0), vec3(0, 0, -1))) == (None, None)
+        assert not flat.any_hit(Ray(vec3(0, 0, 0), vec3(0, 0, -1)))
+        assert_tree_invariants(flat, [])
 
     def test_single_primitive(self):
-        bvh = BVH([Sphere(vec3(0, 0, -5), 1.0)])
-        assert bvh.size == 1
-        assert bvh.depth() == 1
-        assert bvh.check_invariants()
+        sphere = Sphere(vec3(0, 0, -5), 1.0)
+        flat = FlatBVH.build([sphere])
+        assert flat.box_min.shape[0] == 1
+        assert flat.intersect(Ray(vec3(0, 0, 0), vec3(0, 0, -1)))[0] is sphere
+        assert_tree_invariants(flat, [sphere])
 
-    def test_incremental_insertion_keeps_invariants(self):
-        bvh = BVH()
-        for sphere in grid_spheres():
-            bvh.insert(sphere)
-            assert bvh.check_invariants()
-        assert bvh.size == 16
-        assert len(bvh.leaves()) == 16
+    def test_invariants_on_mixed_primitives(self):
+        scene = random_scene(num_spheres=50, seed=4)
+        rng = np.random.default_rng(4)
+        prims = scene.bounded_objects + [
+            Triangle(*(rng.uniform(-3, 3, 3) for _ in range(3))) for _ in range(6)
+        ]
+        assert_tree_invariants(FlatBVH.build(prims), prims)
+
+    def test_unbounded_primitive_rejected(self):
+        with pytest.raises(ValueError):
+            FlatBVH.build([Sphere(vec3(0, 0, -5), 1.0), Plane(vec3(0, 0, 0), vec3(0, 1, 0))])
+
+    def test_tree_is_reasonably_balanced_on_grid(self):
+        spheres = grid_spheres(n=6)  # 36 primitives
+        flat = FlatBVH.build(spheres)
+        assert_tree_invariants(flat, spheres)
+        assert node_depths(flat).max() <= 2 * math.ceil(math.log2(len(spheres)))
 
     def test_root_box_contains_all_primitives(self):
         spheres = grid_spheres()
-        bvh = BVH(spheres)
-        for sphere in spheres:
-            assert bvh.root.box.contains_box(sphere.bounding_box())
+        flat = FlatBVH.build(spheres)
+        boxes = [sphere.bounding_box() for sphere in spheres]
+        assert np.array_equal(flat.box_min[0], np.min([b.minimum for b in boxes], axis=0))
+        assert np.array_equal(flat.box_max[0], np.max([b.maximum for b in boxes], axis=0))
 
-    def test_unbounded_primitive_rejected(self):
-        bvh = BVH()
-        with pytest.raises(ValueError):
-            bvh.insert(Plane(vec3(0, 0, 0), vec3(0, 1, 0)))
+    def test_root_split_separates_two_clusters(self):
+        # the surface-area heuristic must cut the empty gap between two
+        # well-separated clusters, whatever the input order
+        near = [Sphere(vec3(x, 0.0, -5.0), 0.3) for x in np.linspace(0, 2, 7)]
+        far = [Sphere(vec3(x, 0.0, -5.0), 0.3) for x in np.linspace(50, 52, 9)]
+        mixed = [p for pair in zip(near, far) for p in pair] + far[len(near):]
+        flat = FlatBVH.build(mixed)
+        children = (flat.right[0], flat.left[0])
+        groups = [
+            {id(p) for p in flat.packet_primitives[flat.first_leaf[c]:flat.leaf_end[c]]}
+            for c in children
+        ]
+        assert sorted(map(len, groups)) == [len(near), len(far)]
+        assert {id(p) for p in near} in groups
 
-    def test_tree_is_reasonably_balanced_on_grid(self):
-        # Goldsmith-Salmon insertion on a regular grid should stay close to
-        # logarithmic depth, far below the degenerate linear chain.
-        spheres = grid_spheres(n=6)  # 36 primitives
-        bvh = BVH(spheres)
-        assert bvh.depth() <= 16
+    def test_collinear_spheres_build_shallow(self):
+        # 2 000 collinear spheres: an insertion-built tree degenerates into a
+        # spine here; the top-down split stays logarithmic
+        n = 2000
+        spheres = [
+            Sphere(vec3(float(i) * 2.0, 0.0, 0.0), 0.5, Material.matte(0.5, 0.5, 0.5))
+            for i in range(n)
+        ]
+        flat = FlatBVH.build(spheres)
+        assert_tree_invariants(flat, spheres)
+        assert node_depths(flat).max() <= 2 * math.ceil(math.log2(n))
 
-    def test_surface_area_cost_beats_chain_insertion(self):
-        # the branch-and-bound insertion should produce a tree whose total
-        # internal surface area is no worse than inserting along a chain
-        spheres = grid_spheres(n=5)
-        bvh = BVH(spheres)
-        chain_area = sum(
-            Sphere(vec3(0, 0, -5), 1.0).bounding_box().surface_area()
-            for _ in spheres
-        )
-        assert bvh.total_surface_area() > 0
-        assert bvh.depth() < len(spheres)
+
+class TestDeterminism:
+    def test_two_builds_and_a_pickle_round_trip_are_identical(self):
+        prims = random_scene(num_spheres=300, seed=12).bounded_objects
+        first = FlatBVH.build(prims)
+        second = FlatBVH.build(prims)
+        copy = pickle.loads(pickle.dumps(first))
+        for name, array in vars(first).items():
+            if isinstance(array, np.ndarray):
+                assert np.array_equal(array, vars(second)[name]), name
+                assert np.array_equal(array, vars(copy)[name]), name
+        assert [id(p) for p in first.packet_primitives] == [
+            id(p) for p in second.packet_primitives
+        ]
+
+    #: measured 37.4 (seed 1), 39.5 (2), 34.5 (3), 36.8 (4) node visits per
+    #: ray on these 32x32 frames (the insertion-built tree this builder
+    #: replaced read 51.6, 66.1, 58.4, 49.3); the bound leaves ~4 % over
+    #: the worst seed for platform differences in the last bits of a slab
+    #: test, not for a worse tree
+    NODE_VISITS_PER_RAY = 41.0
+
+    def test_tree_quality_is_pinned(self):
+        camera = Camera(width=32, height=32)
+        for seed in (1, 2, 3, 4):
+            scene = random_scene(num_spheres=1000, seed=seed)
+            index = scene.index
+            index.stats.reset()
+            chunk = render_section(scene, camera, 0, camera.height, mode="fused")
+            per_ray = index.stats.node_visits / chunk.rays_cast
+            assert per_ray <= self.NODE_VISITS_PER_RAY, (seed, per_ray)
 
 
 class TestQueries:
     def test_intersect_finds_closest(self):
         near = Sphere(vec3(0, 0, -3), 0.5)
         far = Sphere(vec3(0, 0, -8), 0.5)
-        bvh = BVH([far, near])
-        primitive, t = bvh.intersect(Ray(vec3(0, 0, 0), vec3(0, 0, -1)))
+        flat = FlatBVH.build([far, near])
+        primitive, t = flat.intersect(Ray(vec3(0, 0, 0), vec3(0, 0, -1)))
         assert primitive is near
         assert t == pytest.approx(2.5)
 
     def test_any_hit(self):
-        bvh = BVH([Sphere(vec3(0, 0, -3), 0.5)])
-        assert bvh.any_hit(Ray(vec3(0, 0, 0), vec3(0, 0, -1)))
-        assert not bvh.any_hit(Ray(vec3(0, 0, 0), vec3(0, 1, 0)))
+        flat = FlatBVH.build([Sphere(vec3(0, 0, -3), 0.5)])
+        assert flat.any_hit(Ray(vec3(0, 0, 0), vec3(0, 0, -1)))
+        assert not flat.any_hit(Ray(vec3(0, 0, 0), vec3(0, 1, 0)))
 
     def test_any_hit_respects_max_distance(self):
-        bvh = BVH([Sphere(vec3(0, 0, -10), 0.5)])
+        flat = FlatBVH.build([Sphere(vec3(0, 0, -10), 0.5)])
         ray = Ray(vec3(0, 0, 0), vec3(0, 0, -1))
-        assert not bvh.any_hit(ray, t_max=5.0)
-        assert bvh.any_hit(ray, t_max=20.0)
+        assert not flat.any_hit(ray, t_max=5.0)
+        assert flat.any_hit(ray, t_max=20.0)
 
     def test_matches_brute_force_oracle(self):
         scene = random_scene(num_spheres=40, clustering=0.3, seed=7)
         spheres = scene.bounded_objects
-        bvh = BVH(spheres)
+        flat = FlatBVH.build(spheres)
         brute = BruteForceIndex(spheres)
         rng = np.random.default_rng(0)
         for _ in range(200):
@@ -103,17 +209,25 @@ class TestQueries:
             if np.allclose(direction, 0):
                 continue
             ray = Ray(origin, direction)
-            bvh_prim, bvh_t = bvh.intersect(ray)
+            flat_prim, flat_t = flat.intersect(ray)
             brute_prim, brute_t = brute.intersect(ray)
-            if brute_prim is None:
-                assert bvh_prim is None
-            else:
-                assert bvh_prim is brute_prim
-                assert bvh_t == pytest.approx(brute_t)
+            assert flat_prim is brute_prim
+            assert flat_t == brute_t
+            assert flat.any_hit(ray, t_max=5.0) == brute.any_hit(ray, t_max=5.0)
+
+    def test_exact_tie_resolves_to_lower_leaf_slot(self):
+        # two coincident spheres: scalar and packet queries both report the
+        # one in the lower leaf slot
+        twins = [Sphere(vec3(0, 0, -5), 1.0), Sphere(vec3(0, 0, -5), 1.0)]
+        flat = FlatBVH.build(twins)
+        ray = Ray(vec3(0, 0, 0), vec3(0, 0, -1))
+        indices, _ = flat.intersect_packet(ray.origin[None, :], ray.direction[None, :])
+        assert indices[0] == 0
+        assert flat.intersect(ray)[0] is flat.packet_primitives[0]
 
     def test_bvh_visits_fewer_primitives_than_brute_force(self):
         spheres = grid_spheres(n=6)
-        bvh = BVH(spheres)
+        flat = FlatBVH.build(spheres)
         brute = BruteForceIndex(spheres)
         rays = [
             Ray(vec3(x, y, 0), vec3(0, 0, -1))
@@ -121,56 +235,16 @@ class TestQueries:
             for y in np.linspace(-1, 11, 10)
         ]
         for ray in rays:
-            bvh.intersect(ray)
+            flat.intersect(ray)
             brute.intersect(ray)
-        assert bvh.stats.primitive_tests < brute.stats.primitive_tests
+        assert 0 < flat.stats.primitive_tests < brute.stats.primitive_tests
+        assert flat.stats.node_visits > 0
 
 
 class TestBruteForce:
-    def test_insert_and_size(self):
-        brute = BruteForceIndex()
-        brute.insert(Sphere(vec3(0, 0, -5), 1.0))
-        assert brute.size == 1
+    def test_size(self):
+        assert BruteForceIndex([Sphere(vec3(0, 0, -5), 1.0)]).size == 1
 
     def test_miss_returns_none(self):
         brute = BruteForceIndex([Sphere(vec3(0, 0, -5), 1.0)])
         assert brute.intersect(Ray(vec3(0, 0, 0), vec3(0, 1, 0))) == (None, None)
-
-
-class TestDeepDegenerateTrees:
-    """depth() must survive the pathological trees collinear input produces."""
-
-    def test_collinear_insertion_degenerates_and_depth_is_exact(self):
-        # collinear spheres make Goldsmith–Salmon build a near-linear spine:
-        # every insertion lands in the same subtree.  The incremental build
-        # is quadratic, so the insertion-built case stays small; the 5000-
-        # leaf shape it produces is covered by the manual-spine test below.
-        from repro.raytracer.materials import Material
-
-        n = 400
-        bvh = BVH(
-            Sphere(vec3(float(i) * 2.0, 0.0, 0.0), 0.5, Material.matte(0.5, 0.5, 0.5))
-            for i in range(n)
-        )
-        assert bvh.check_invariants()
-        depth = bvh.depth()
-        assert depth == n // 2 + 1  # the spine the collinear input produces
-        assert len(bvh.leaves()) == n
-
-    def test_depth_is_iterative_on_a_5000_leaf_spine(self):
-        # the exact degenerate shape 5000 collinear spheres build, chained
-        # directly so the test does not pay the quadratic insertion cost; a
-        # recursive depth() would exceed the interpreter recursion limit
-        import sys
-
-        from repro.raytracer.bvh import BVHNode
-        from repro.raytracer.geometry.aabb import AABB
-
-        n = 5000
-        assert n > sys.getrecursionlimit()
-        box = AABB(vec3(0, 0, 0), vec3(1, 1, 1))
-        node = BVHNode(box, primitive=Sphere(vec3(0.5, 0.5, 0.5), 0.1))
-        for i in range(1, n):
-            leaf = BVHNode(box, primitive=Sphere(vec3(0.5, 0.5, 0.5), 0.1))
-            node = BVHNode(box, left=node, right=leaf)
-        assert node.depth() == n

@@ -1,9 +1,11 @@
 """The flat SoA BVH and the fused render path against their oracles."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.raytracer.bvh import BVH, BruteForceIndex
+from repro.raytracer.bvh import BruteForceIndex
 from repro.raytracer.camera import Camera
 from repro.raytracer.flatbvh import FlatBVH, scene_flat_index
 from repro.raytracer.geometry import AABB, Plane, Sphere, Triangle
@@ -49,22 +51,29 @@ def _ray_batch(n, seed=11, spread=1.0):
 
 class TestFlatCompilation:
     def test_layout_matches_leaf_order(self):
+        # the scene's index is the flat BVH itself; its leaf slots are the
+        # packet_primitives rows, each a permutation of the bounded objects
         scene = _mixed_scene()
-        bvh = scene.index
-        flat = FlatBVH.from_bvh(bvh)
-        assert flat.size == bvh.size
-        assert flat.packet_primitives is bvh.packet_primitives
+        flat = scene.index
+        assert isinstance(flat, FlatBVH)
+        assert flat.size == len(scene.bounded_objects)
+        assert sorted(map(id, flat.packet_primitives)) == sorted(
+            map(id, scene.bounded_objects)
+        )
+        for slot, prim in enumerate(flat.packet_primitives):
+            node = flat.leaf_node[slot]
+            assert flat.left[node] == -1 and flat.first_leaf[node] == slot
+            assert np.array_equal(flat.box_min[node], prim.bounding_box().minimum)
 
     def test_empty_bvh(self):
-        flat = FlatBVH.from_bvh(BVH())
+        flat = FlatBVH.build([])
         origins, directions = _ray_batch(4)
         indices, t = flat.intersect_packet(origins, directions)
         assert (indices == -1).all() and np.isinf(t).all()
         assert not flat.any_hit_packet(origins, directions).any()
 
     def test_single_primitive(self):
-        bvh = BVH([Sphere(vec3(0, 0, -5), 1.0, Material.matte(1, 0, 0))])
-        flat = FlatBVH.from_bvh(bvh)
+        flat = FlatBVH.build([Sphere(vec3(0, 0, -5), 1.0, Material.matte(1, 0, 0))])
         origins = np.array([[0.0, 0.0, 0.0], [5.0, 5.0, 0.0]])
         directions = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, -1.0]])
         indices, t = flat.intersect_packet(origins, directions)
@@ -77,8 +86,7 @@ class TestExactEquivalence:
 
     def test_matches_brute_force_by_primitive(self):
         scene = _mixed_scene(num_spheres=80)
-        bvh = scene.index
-        flat = FlatBVH.from_bvh(bvh)
+        flat = scene.index
         brute = BruteForceIndex(scene.bounded_objects)
         origins, directions = _ray_batch(300, seed=5)
         fi, ft = flat.intersect_packet(origins, directions)
@@ -96,13 +104,12 @@ class TestExactEquivalence:
         # axis-aligned rays have zero direction components: the flat slab
         # test must reproduce the scalar AABB.intersects_ray parallel-ray
         # rule exactly, node by node and ray by ray
-        bvh = BVH(
-            [
-                Sphere(vec3(float(i), 0.0, -4.0), 0.45, Material.matte(0.5, 0.5, 0.5))
-                for i in range(10)
-            ]
-        )
-        flat = FlatBVH.from_bvh(bvh)
+        spheres = [
+            Sphere(vec3(float(i), 0.0, -4.0), 0.45, Material.matte(0.5, 0.5, 0.5))
+            for i in range(10)
+        ]
+        flat = FlatBVH.build(spheres)
+        brute = BruteForceIndex(spheres)
         # origins inside, on the boundary of and outside the slabs
         origins = np.array(
             [[i / 2.0, y, 0.0] for i in range(-2, 22) for y in (0.0, 0.45, 1.0)]
@@ -120,15 +127,34 @@ class TestExactEquivalence:
                     ), (i, r)
         fi, ft = flat.intersect_packet(origins, directions)
         for r in range(origins.shape[0]):
-            prim, t = bvh.intersect(Ray(origins[r], directions[r]))
+            ray = Ray(origins[r], directions[r])
+            prim, t = brute.intersect(ray)
+            assert flat.intersect(ray) == (prim, t)
             if prim is None:
                 assert fi[r] == -1 and np.isinf(ft[r])
             else:
                 assert flat.packet_primitives[fi[r]] is prim and ft[r] == t
 
+    def test_grazing_hit_on_a_degenerate_axis(self):
+        # the ray runs along z in the plane y = 0 and meets the triangle at a
+        # vertex whose y is 1.8e-130: Moller-Trumbore accepts the hit after
+        # rounding, while the exact box [1.8e-130, 1] in y would reject the
+        # parallel ray.  Primitive boxes carry a relative margin, so the BVH
+        # finds the hit a linear scan finds (a hypothesis-found case).
+        prims = [
+            Sphere(vec3(0.0, 0.0, -1.0), 1.0),
+            Triangle(vec3(1.0, 1.0, 0.0), vec3(0.0, 1.819812741600498e-130, 1.0), vec3(0.0, 1.0, 0.0)),
+        ]
+        flat, brute = FlatBVH.build(prims), BruteForceIndex(prims)
+        ray = Ray(vec3(0.0, 0.0, 0.0), vec3(0.0, 0.0, 1.0))
+        assert brute.intersect(ray) == (prims[1], 1.0)
+        assert flat.intersect(ray) == brute.intersect(ray)
+        indices, t = flat.intersect_packet(ray.origin[None, :], ray.direction[None, :])
+        assert flat.packet_primitives[indices[0]] is prims[1] and t[0] == 1.0
+
     def test_any_hit_matches_brute_force_with_per_ray_tmax(self):
         scene = _mixed_scene(num_spheres=100, seed=9)
-        flat = FlatBVH.from_bvh(scene.index)
+        flat = scene.index
         brute = BruteForceIndex(scene.bounded_objects)
         origins, directions = _ray_batch(250, seed=13)
         rng = np.random.default_rng(17)
@@ -141,10 +167,10 @@ class TestExactEquivalence:
     def test_small_batch_budget_still_exact(self):
         # force the per-leaf scalar fallback by shrinking the batch budget
         scene = _mixed_scene(num_spheres=60, seed=21)
-        flat = FlatBVH.from_bvh(scene.index)
+        flat = scene.index
         origins, directions = _ray_batch(120, seed=23)
         ref_i, ref_t = flat.intersect_packet(origins, directions)
-        tiny = FlatBVH.from_bvh(scene.index)
+        tiny = FlatBVH.build(scene.bounded_objects)
         tiny.BATCH_WORK = 1
         ti, tt = tiny.intersect_packet(origins, directions)
         assert np.array_equal(ref_i, ti)
@@ -155,19 +181,12 @@ class TestSceneFlatCache:
     def test_cached_and_invalidated_on_insert(self):
         scene = _mixed_scene(num_spheres=20)
         first = scene_flat_index(scene)
+        assert first is scene.index
         assert scene_flat_index(scene) is first
         scene.add(Sphere(vec3(0, 0, -3), 0.3, Material.matte(1, 1, 1)))
         rebuilt = scene_flat_index(scene)
         assert rebuilt is not first
         assert rebuilt.size == scene.index.size
-
-    def test_incremental_insert_detected(self):
-        # inserting directly into the BVH grows packet_primitives in place;
-        # the staleness check must notice the length change
-        scene = _mixed_scene(num_spheres=20)
-        first = scene_flat_index(scene)
-        scene.index.insert(Sphere(vec3(1, 1, -4), 0.2, Material.matte(1, 0, 0)))
-        assert scene_flat_index(scene) is not first
 
     def test_brute_force_scene_returns_index_itself(self):
         scene = random_scene(num_spheres=5, use_bvh=False)
@@ -177,8 +196,25 @@ class TestSceneFlatCache:
         scene = _mixed_scene(num_spheres=10)
         first = scene_flat_index(scene)
         scene.invalidate_packet_cache()
-        assert scene._flat_index is None
-        assert scene_flat_index(scene) is not first
+        rebuilt = scene_flat_index(scene)
+        assert rebuilt is not first
+        for name, array in _flat_arrays(first).items():
+            assert np.array_equal(array, _flat_arrays(rebuilt)[name]), name
+
+    def test_geometry_mutation_needs_explicit_invalidation(self):
+        # moving a sphere in place, outside the edit journal, leaves its leaf
+        # box and kernel row stale until invalidate_packet_cache
+        scene = _mixed_scene(num_spheres=20)
+        camera = Camera(width=16, height=16)
+        render(scene, camera, mode="fused")
+        sphere = next(p for p in scene.index.packet_primitives if type(p) is Sphere)
+        sphere.center = sphere.center + np.array([0.4, -0.3, 0.2])
+        scene.invalidate_packet_cache()
+        np.testing.assert_allclose(
+            render(scene, camera, mode="fused"),
+            render(Scene(scene.objects, scene.lights), camera, mode="scalar"),
+            atol=1e-9,
+        )
 
     def test_material_mutation_needs_explicit_invalidation(self):
         # the documented contract: in-place Material mutation is invisible
@@ -222,19 +258,45 @@ def _edit_geometry(scene, seed=3):
     edit.commit()
 
 
+def _assert_exact_union(flat):
+    internal = np.flatnonzero(flat.left >= 0)
+    left, right = flat.left[internal], flat.right[internal]
+    assert np.array_equal(
+        flat.box_min[internal], np.minimum(flat.box_min[left], flat.box_min[right])
+    )
+    assert np.array_equal(
+        flat.box_max[internal], np.maximum(flat.box_max[left], flat.box_max[right])
+    )
+    for slot, prim in enumerate(flat.packet_primitives):
+        box = prim.bounding_box()
+        assert np.array_equal(flat.box_min[flat.leaf_node[slot]], box.minimum)
+        assert np.array_equal(flat.box_max[flat.leaf_node[slot]], box.maximum)
+
+
 class TestFlatRefit:
     def test_commit_refits_bit_identical_to_recompile(self):
         scene = _mixed_scene(num_spheres=80)
+        camera = Camera(width=16, height=12)
         before = scene_flat_index(scene)
         snapshot = {k: v.copy() for k, v in _flat_arrays(before).items()}
         for seed in range(3):
+            previous = scene.index
             _edit_geometry(scene, seed=seed)
-            refit = scene._flat_index
-            assert refit is not None and refit.source is scene.index
-            assert scene_flat_index(scene) is refit  # no recompile
-            reference = _flat_arrays(FlatBVH.from_bvh(scene.index))
+            refit = scene.index
+            assert refit is not previous  # one structure, replaced by its refit
+            assert refit.packet_primitives == previous.packet_primitives  # same slots
+            _assert_exact_union(refit)
+            # refitting *every* leaf of a pickled copy of the pre-edit index
+            # lands on the same arrays as the commit's refit of the moved ones
+            stale = pickle.loads(pickle.dumps(previous))
+            reference = _flat_arrays(stale.refitted(stale.packet_primitives))
             for name, array in _flat_arrays(refit).items():
                 assert np.array_equal(array, reference[name]), name
+            np.testing.assert_allclose(
+                render(scene, camera, mode="fused"),
+                render(scene, camera, mode="scalar"),
+                atol=1e-9,
+            )
         # the index a render may still hold is never mutated
         for name, array in _flat_arrays(before).items():
             assert np.array_equal(array, snapshot[name]), name
@@ -257,14 +319,16 @@ class TestFlatRefit:
         scene_flat_index(scene)
         _edit_geometry(scene, seed=1)  # builds the id-keyed slot map
         copy = pickle.loads(pickle.dumps(scene))
-        assert copy._flat_index._slot_by_prim is None
+        assert copy.index._slot_by_prim is None
         _edit_geometry(copy, seed=2)
-        reference = _flat_arrays(FlatBVH.from_bvh(copy.index))
-        for name, array in _flat_arrays(scene_flat_index(copy)).items():
+        _edit_geometry(scene, seed=2)
+        reference = _flat_arrays(scene.index)
+        for name, array in _flat_arrays(copy.index).items():
             assert np.array_equal(array, reference[name]), name
+        _assert_exact_union(copy.index)
 
     def test_refit_rejects_foreign_primitive(self):
-        flat = FlatBVH.from_bvh(_mixed_scene(num_spheres=10).index)
+        flat = _mixed_scene(num_spheres=10).index
         with pytest.raises(KeyError):
             flat.refitted([Sphere(vec3(0, 0, -3), 0.5, Material.matte(1, 1, 1))])
 

@@ -5,9 +5,10 @@ The three invariants PR 10 rides on:
 * the **incrementally maintained** content key (per-object digest cache
   updated at commit time) always equals the **from-scratch** key of the
   same scene state — pinned for arbitrary random edit sequences;
-* ``BVH.refit`` preserves tree topology and leaf order while keeping every
-  node box a superset of its children, so flat traversal tie-breaks
-  cannot flip and intersections match a freshly built tree;
+* a geometry commit refits the scene's flat BVH: tree topology and leaf
+  order are preserved while every internal box stays the exact union of
+  its children, so traversal tie-breaks cannot flip and intersections
+  match a freshly built tree;
 * journal replay (:func:`apply_edits`) is idempotent and lands a stale
   fork-copy of the scene on byte-identical state.
 """
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.raytracer.bvh import BVH
+from repro.raytracer.flatbvh import FlatBVH
 from repro.raytracer.coherence import _cones_overlap, _cones_overlap_block
 from repro.raytracer.geometry.primitives import Sphere, Triangle
 from repro.raytracer.materials import Material
@@ -181,27 +182,37 @@ class TestJournal:
 
 
 # -- BVH refit ----------------------------------------------------------------
-def _check_boxes(node):
-    if node.is_leaf:
-        return
-    for child in (node.left, node.right):
-        assert (node.box.minimum <= child.box.minimum + 1e-12).all()
-        assert (node.box.maximum >= child.box.maximum - 1e-12).all()
-        _check_boxes(child)
+def _check_boxes(flat):
+    internal = np.flatnonzero(flat.left >= 0)
+    left, right = flat.left[internal], flat.right[internal]
+    assert np.array_equal(
+        flat.box_min[internal], np.minimum(flat.box_min[left], flat.box_min[right])
+    )
+    assert np.array_equal(
+        flat.box_max[internal], np.maximum(flat.box_max[left], flat.box_max[right])
+    )
 
 
 class TestRefit:
     def test_refit_preserves_leaf_order_and_containment(self):
         scene = small_scene(num_spheres=12, seed=5)
         index = scene.index
-        assert isinstance(index, BVH)
+        assert isinstance(index, FlatBVH)
         leaves_before = list(index.packet_primitives)
         moved = [o for o in scene.bounded_objects if isinstance(o, Sphere)][:4]
+        edit = scene.begin_edit()
         for i, sphere in enumerate(moved):
-            sphere.center = sphere.center + np.asarray([0.3 * (i + 1), -0.1, 0.2])
-        index.refit(moved)
-        assert list(index.packet_primitives) == leaves_before  # same order
-        _check_boxes(index.root)
+            edit.update(sphere, center=sphere.center + np.asarray([0.3 * (i + 1), -0.1, 0.2]))
+        edit.commit()
+        refit = scene.index
+        assert refit is not index
+        assert list(refit.packet_primitives) == leaves_before  # same order
+        assert np.array_equal(refit.left, index.left)  # same topology
+        _check_boxes(refit)
+        for sphere in moved:
+            box = sphere.bounding_box()
+            node = refit.leaf_node[leaves_before.index(sphere)]
+            assert np.array_equal(refit.box_min[node], box.minimum)
 
     def test_refit_matches_fresh_build_intersections(self):
         scene = small_scene(num_spheres=10, seed=7)
@@ -224,9 +235,8 @@ class TestRefit:
 
     def test_refit_rejects_foreign_primitive(self):
         scene = small_scene()
-        index = scene.index
         with pytest.raises(KeyError):
-            index.refit([Sphere(vec3(0, 0, -3), 0.5)])
+            scene.index.refitted([Sphere(vec3(0, 0, -3), 0.5)])
 
 
 # -- the planner's vectorised cone test ---------------------------------------

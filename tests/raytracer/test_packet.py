@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.raytracer import (
-    BVH,
+    BruteForceIndex,
     Camera,
     Material,
     RayTracer,
@@ -135,19 +135,12 @@ class TestIndexPackets:
 
     def test_any_hit_packet_matches_scalar(self):
         spheres = self.make_spheres(12, seed=29)
-        bvh = BVH(spheres)
+        brute = BruteForceIndex(spheres)
         origins, directions = random_rays(200, seed=31)
         t_max = np.full(200, 6.0)
-        mask = FlatBVH.from_bvh(bvh).any_hit_packet(origins, directions, 1e-6, t_max)
+        mask = FlatBVH.build(spheres).any_hit_packet(origins, directions, 1e-6, t_max)
         for i in range(origins.shape[0]):
-            assert mask[i] == bvh.any_hit(Ray(origins[i], directions[i]), 1e-6, 6.0)
-
-    def test_packet_index_invalidated_by_insert(self):
-        spheres = self.make_spheres(4)
-        bvh = BVH(spheres)
-        assert len(bvh.packet_primitives) == 4
-        bvh.insert(Sphere(vec3(9, 9, 9), 0.5))
-        assert len(bvh.packet_primitives) == 5
+            assert mask[i] == brute.any_hit(Ray(origins[i], directions[i]), 1e-6, 6.0)
 
 
 class TestPacketTracing:
@@ -268,25 +261,33 @@ class TestRenderModeKnob:
         assert rebuilt is not first
         assert len(rebuilt.primitives) == len(first.primitives) + 1
 
-    @pytest.mark.parametrize("use_bvh", [True, False], ids=["bvh", "brute"])
-    def test_packet_data_cache_survives_in_place_insert(self, use_bvh):
-        """Regression: inserting into the *existing* index (not via
-        Scene.add) must also invalidate the material arrays, or packet hit
-        indices would gather stale/mismatched materials."""
-        scene = standard_scene(num_spheres=4, use_bvh=use_bvh)
+    def test_packet_data_follows_geometry_refit(self):
+        """A geometry-only commit replaces the index by its refit; the packet
+        rows (aligned with the unchanged leaf slots) are carried over, and a
+        material commit drops them."""
+        scene = standard_scene(num_spheres=8)
         first = scene_packet_data(scene)
-        extra = Sphere(vec3(0.0, 0.0, -4.0), 0.6, Material.matte(1.0, 0.0, 0.0))
-        scene.index.insert(extra)
-        scene.objects.append(extra)  # keep the scene's own list in step
-        rebuilt = scene_packet_data(scene)
-        assert rebuilt is not first
-        assert extra in rebuilt.primitives
-        # a render right after the in-place insert must not crash or mix
-        # materials: the new sphere's hit rows must resolve to its colour
+        sphere = scene.index.packet_primitives[0]
+        edit = scene.begin_edit()
+        edit.update(sphere, center=sphere.center + np.array([0.2, 0.0, 0.1]))
+        edit.commit()
+        carried = scene_packet_data(scene)
+        assert carried.index is scene.index is not first.index
+        assert carried.primitives == first.primitives
+        assert np.array_equal(carried.color, first.color)
+        edit = scene.begin_edit()
+        edit.update(sphere, material=Material.matte(0.9, 0.1, 0.1))
+        edit.commit()
+        recoloured = scene_packet_data(scene)
+        assert recoloured is not carried
+        row = recoloured.primitives.index(sphere)
+        assert np.array_equal(recoloured.color[row], [0.9, 0.1, 0.1])
         camera = Camera(position=vec3(0, 0, 2), look_at=vec3(0, 0, -4), width=16, height=16)
-        fused = RayTracer(scene, camera).render_rows_fused(0, 16)
-        scalar = RayTracer(scene, camera).render_rows(0, 16)
-        np.testing.assert_allclose(fused, scalar, atol=1e-9)
+        np.testing.assert_allclose(
+            RayTracer(scene, camera).render_rows_fused(0, 16),
+            RayTracer(scene, camera).render_rows(0, 16),
+            atol=1e-9,
+        )
 
     def test_tiled_packets_match_single_packet(self):
         """Row tiling (MAX_PACKET_RAYS) must not change any pixel."""

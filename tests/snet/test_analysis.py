@@ -26,7 +26,7 @@ from repro.snet.lang.builder import build_network
 from repro.snet.lang.parser import parse_guard, parse_network, parse_pattern
 from repro.snet.lang.typecheck import check_network
 from repro.snet.network import Network
-from repro.snet.patterns import Guard, Pattern
+from repro.snet.patterns import Guard, Pattern, TagRef
 from repro.snet.placement import StaticPlacement
 from repro.snet.records import Record, Tag
 from repro.snet.runtime.engine import ThreadedRuntime
@@ -254,6 +254,50 @@ class TestRuntimeCheckKnob:
             out = runtime.run(net, [Record({"x": 1})], timeout=10)
         assert len(out) == 1  # the run still happened
         assert any("analyzer failed" in str(w.message) for w in caught)
+
+
+class TestInferredInputType:
+    """The seed of an undeclared network is its first entity's input type.
+
+    A serial composition's inferred input type is its left operand's, and
+    the analysis seeds *closed* records of it — the rule that makes
+    ``a .. b`` with disjoint labels a definite error.  A label a later entity
+    needs and the inputs supply through flow inheritance is therefore
+    invisible unless the network declares it.  The nested network below
+    terminates and matches the sequential interpreter; undeclared it is
+    reported (SNET-E005, SNET-E002), declared it is clean and runs under
+    ``check="error"``.
+    """
+
+    def _body(self):
+        inc = Box("inc", "(a) -> (a)", lambda a: {"a": a + 1})
+        bump = Box("bump", "(<n>) -> (<n>)", lambda n: {"<n>": n + 1})
+        return Serial(
+            IndexSplit(Serial(inc, Filter.identity()), "k"),
+            Star(bump, Pattern(["<n>"], Guard(TagRef("n") >= 2))),
+        )
+
+    def test_undeclared_seed_misses_inherited_labels(self):
+        net = Network("nested", self._body())
+        (seed,) = net.signature.input_type.variants
+        assert set(seed.labels) == set(Variant(["a", "<k>"]).labels)
+        report = analyze_network(net)
+        assert {"SNET-E002", "SNET-E005"} <= {d.code for d in report.errors}
+
+    def test_declared_input_type_is_clean_and_runs(self):
+        from repro.snet.network import run_network
+        from repro.snet.types import TypeSignature
+
+        net = Network(
+            "nested",
+            self._body(),
+            signature=TypeSignature(["a", "<k>", "<n>"], ["a", "<k>", "<n>"]),
+        )
+        assert not analyze_network(net).errors
+        inputs = [Record({"a": i, "<k>": i % 2, "<n>": 0}) for i in range(6)]
+        out = ThreadedRuntime(check="error").run(net, inputs, timeout=10)
+        expected = sorted(repr(r) for r in run_network(net, inputs))
+        assert sorted(repr(r) for r in out) == expected
 
 
 class TestLintCLI:

@@ -16,9 +16,11 @@ import repro.snet.runtime.distributed_engine as distributed_engine
 from repro.snet.boxes import box
 from repro.snet.combinators import Serial
 from repro.snet.errors import RuntimeError_
+from repro.snet.network import Network
 from repro.snet.placement import StaticPlacement, placed_split
 from repro.snet.records import Record
 from repro.snet.runtime import DistributedRuntime, run_distributed, run_on
+from repro.snet.types import TypeSignature
 
 fork_only = pytest.mark.skipif(
     not DistributedRuntime.fork_available(), reason="needs the fork start method"
@@ -83,7 +85,13 @@ class TestPartitioning:
         assert list(runtime.partition_plan.values()) == [0]
 
     def test_partition_plan_reports_static_and_dynamic_partitions(self):
-        net = Serial(StaticPlacement(make_pid_box("a", "b"), 1), placed_split(make_pid_box("b", "c"), "k"))
+        # <k> reaches the split by flow inheritance past the first box, so
+        # the input type is declared rather than inferred from that box
+        net = Network(
+            "placed",
+            Serial(StaticPlacement(make_pid_box("a", "b"), 1), placed_split(make_pid_box("b", "c"), "k")),
+            signature=TypeSignature(["a", "<k>"], ["c", "<k>"]),
+        )
         runtime = DistributedRuntime(nodes=2)
         runtime.run(net, [Record({"a": 1, "<k>": 0})], timeout=30.0)
         values = list(runtime.partition_plan.values())

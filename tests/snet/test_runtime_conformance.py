@@ -36,6 +36,7 @@ from repro.snet.runtime import (
     run_on,
 )
 from repro.snet.synchrocell import SyncroCell
+from repro.snet.types import TypeSignature
 
 BACKENDS = ["threaded", "process", "distributed"]
 
@@ -200,12 +201,16 @@ class TestConformance:
             return {"<n>": n + 1}
 
         inner = Serial(make_inc("a", "a"), Filter.identity())
+        # the star needs <n>, which reaches it by flow inheritance: declare
+        # it, since an inferred input type is only what the first entity
+        # reads (see tests/snet/test_analysis.py)
         net = Network(
             "nested",
             Serial(
                 IndexSplit(inner, "k"),
                 Star(bump, Pattern(["<n>"], Guard(TagRef("n") >= 2))),
             ),
+            signature=TypeSignature(["a", "<k>", "<n>"], ["a", "<k>", "<n>"]),
         )
         inputs = [Record({"a": i, "<k>": i % 2, "<n>": 0}) for i in range(10)]
         expected = multiset(run_network(net, inputs))
