@@ -15,16 +15,26 @@ fraction of a cold job (dense 2000-sphere scene, small 64x64 frame): cold
 jobs rebuild the BVH per call (fresh content-identical scene objects, which
 is exactly what a one-shot service sees), warm jobs hit the scene cache.
 
+Each job's clock covers the farm call or service request only: the test
+builds the fresh scene object before starting it, in both arms.  Building
+a 2000-sphere scene takes ~0.05 s, a constant in both arms that belongs to
+neither path.  The warm arm's clock does include hashing that fresh object
+to find the cached slot.  The two arms alternate job by job, and each is
+summarised by its median: with all cold jobs first, a slow minute on a
+shared host charged one arm alone.
+
 Acceptance bars:
 
 * the warm-served image is pixel-identical (``atol=1e-9``) to the one-shot
   ``run_raytracing_farm`` image;
-* warm jobs are at least 1.3x faster than cold one-shot runs (measured
-  cold 0.35-0.57 s, warm 0.21-0.26 s, 1.55-2.8x over six runs on a 2-vCPU
-  container; with the insertion-built BVH this repository used before the
-  top-down build, cold jobs took 2.7 s and the ratio read 10.9x);
+* warm jobs are at least 1.3x faster than cold one-shot runs, comparing
+  the medians of ``JOBS`` jobs per arm (measured 1.8-2.2x on a 2-vCPU
+  container, cold 0.17-0.46 s and warm 0.09-0.23 s as the host's load
+  varied, and 1.5-1.9x with two or three CPU-bound processes competing
+  for its vCPUs; with the insertion-built BVH this repository used before
+  the top-down build, cold jobs took 2.7 s and the ratio read 10.9x);
 * the service metrics actually account for the cache: one cold build,
-  ``WARM_JOBS`` warm hits, nonzero setup seconds saved.
+  ``JOBS`` warm hits, nonzero setup seconds saved.
 
 Results go to the ``bench_json`` CI artifact when ``BENCH_RESULTS_DIR`` is
 set, *and* to ``BENCH_4.json`` at the repository root so the perf
@@ -34,6 +44,7 @@ trajectory is readable straight from the checkout.
 import json
 import os
 import pathlib
+import statistics
 import time
 
 import numpy as np
@@ -48,8 +59,7 @@ NUM_SPHERES = 2000
 NODES = 2
 TASKS = 8
 WORKERS = 2
-COLD_JOBS = 3
-WARM_JOBS = 3
+JOBS = 5  # per arm
 MIN_SPEEDUP = 1.3
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -60,7 +70,7 @@ def make_scene():
     return paper_scene(num_spheres=NUM_SPHERES)
 
 
-def run_one_shot():
+def run_one_shot(scene):
     start = time.perf_counter()
     run = run_raytracing_farm(
         "static",
@@ -69,7 +79,7 @@ def run_one_shot():
         height=HEIGHT,
         nodes=NODES,
         tasks=TASKS,
-        scene=make_scene(),
+        scene=scene,
         render_mode="fused",
         runtime_options={"workers": WORKERS},
         timeout=300.0,
@@ -77,20 +87,21 @@ def run_one_shot():
     return time.perf_counter() - start, run
 
 
+def run_warm(service, scene):
+    start = time.perf_counter()
+    result = service.render(RenderJob(scene, nodes=NODES, tasks=TASKS), timeout=300.0)
+    return time.perf_counter() - start, result
+
+
 @pytest.mark.skipif(
     not ProcessRuntime.fork_available(),
     reason="the service benchmark runs on the process backend (needs fork)",
 )
 def test_service_warm_vs_cold(bench_json):
-    # cold arm: one-shot farm runs, full construction per frame
     cold_seconds = []
-    oneshot = None
-    for _ in range(COLD_JOBS):
-        seconds, oneshot = run_one_shot()
-        cold_seconds.append(seconds)
-
-    # warm arm: one persistent service; job 0 builds the slot, the rest hit it
     warm_seconds = []
+    oneshot = warm = None
+    # warm arm: one persistent service; job 0 builds the slot, the rest hit it
     with RenderService(
         "process",
         width=WIDTH,
@@ -101,24 +112,27 @@ def test_service_warm_vs_cold(bench_json):
         first = service.render(
             RenderJob(make_scene(), nodes=NODES, tasks=TASKS), timeout=300.0
         )
-        warm_image = None
-        for _ in range(WARM_JOBS):
-            start = time.perf_counter()
-            result = service.render(
-                RenderJob(make_scene(), nodes=NODES, tasks=TASKS), timeout=300.0
-            )
-            warm_seconds.append(time.perf_counter() - start)
-            assert result.warm, "second-and-later jobs must hit the scene cache"
-            warm_image = result.image
+        for job in range(JOBS):
+            # alternate which arm goes first, so neither always follows
+            # the other
+            for cold in (True, False) if job % 2 else (False, True):
+                scene = make_scene()
+                if cold:  # a one-shot farm: full construction per job
+                    seconds, oneshot = run_one_shot(scene)
+                    cold_seconds.append(seconds)
+                else:
+                    seconds, warm = run_warm(service, scene)
+                    warm_seconds.append(seconds)
+                    assert warm.warm, "second-and-later jobs must hit the scene cache"
         metrics = service.metrics()
 
-    cold_mean = sum(cold_seconds) / len(cold_seconds)
-    warm_mean = sum(warm_seconds) / len(warm_seconds)
-    speedup = cold_mean / warm_mean
+    cold_median = statistics.median(cold_seconds)
+    warm_median = statistics.median(warm_seconds)
+    speedup = cold_median / warm_median
 
     print()
-    print(f"  cold one-shot : {cold_mean:6.2f} s/job  {[f'{s:.2f}' for s in cold_seconds]}")
-    print(f"  warm service  : {warm_mean:6.2f} s/job  {[f'{s:.2f}' for s in warm_seconds]}")
+    print(f"  cold one-shot : {cold_median:6.2f} s/job  {[f'{s:.2f}' for s in cold_seconds]}")
+    print(f"  warm service  : {warm_median:6.2f} s/job  {[f'{s:.2f}' for s in warm_seconds]}")
     print(f"  speedup       : {speedup:6.2f} x")
     print(f"  slot build    : {first.seconds:6.2f} s (cold job 0, includes setup)")
     print(f"  setup saved   : {metrics.setup_seconds_saved:6.2f} s over {metrics.warm_hits} warm hits")
@@ -132,10 +146,10 @@ def test_service_warm_vs_cold(bench_json):
         "tasks": TASKS,
         "workers": WORKERS,
         "render_mode": "fused",
-        "cold_jobs": COLD_JOBS,
-        "warm_jobs": WARM_JOBS,
-        "cold_seconds_mean": cold_mean,
-        "warm_seconds_mean": warm_mean,
+        "cold_jobs": JOBS,
+        "warm_jobs": JOBS,
+        "cold_seconds_median": cold_median,
+        "warm_seconds_median": warm_median,
         "speedup": speedup,
         "warm_hit_rate": metrics.warm_hit_rate,
         "setup_seconds_saved": metrics.setup_seconds_saved,
@@ -149,9 +163,9 @@ def test_service_warm_vs_cold(bench_json):
     )
 
     # correctness first: the warm path renders the exact one-shot image
-    np.testing.assert_allclose(warm_image, oneshot.image, atol=1e-9)
+    np.testing.assert_allclose(warm.image, oneshot.image, atol=1e-9)
     np.testing.assert_allclose(first.image, oneshot.image, atol=1e-9)
-    assert metrics.cold_builds == 1 and metrics.warm_hits == WARM_JOBS
+    assert metrics.cold_builds == 1 and metrics.warm_hits == JOBS
     assert metrics.setup_seconds_saved > 0.0
 
     assert speedup >= MIN_SPEEDUP, (

@@ -85,7 +85,7 @@ class TileTouch:
     """
 
     __slots__ = (
-        "width", "ids", "secondary", "current_px", "bucket_min", "bucket_max",
+        "width", "ids", "secondary", "current_px", "_extent",
         "_bucket_starts", "_bucket_keys",
     )
 
@@ -94,12 +94,10 @@ class TileTouch:
         self.ids: Set[int] = set()
         self.secondary = False
         self.current_px = 0  # scalar path: set by render_rows before trace()
-        self.bucket_min = np.full((BUCKETS, 3), np.inf)
-        self.bucket_max = np.full((BUCKETS, 3), -np.inf)
-        # the first column of every bucket that has columns, and its bucket
-        column_bucket = np.arange(self.width) * BUCKETS // self.width
-        self._bucket_starts = np.flatnonzero(np.diff(column_bucket, prepend=-1))
-        self._bucket_keys = column_bucket[self._bucket_starts]
+        # per bucket: the hit points' minimum corner, then their negated
+        # maximum corner, so one minimum reduction updates both
+        self._extent = np.full((BUCKETS, 6), np.inf)
+        self._bucket_starts, self._bucket_keys = _bucket_layout(self.width)
 
     def note_packet(
         self,
@@ -118,19 +116,13 @@ class TileTouch:
         # primary packets are full-row blocks, so column = ray index % width:
         # reduce the hit points per column, then each bucket's column range
         points = origins[hits] + t[hits, None] * directions[hits]
-        grid = np.full((origins.shape[0], 3), np.inf)  # misses never win
-        grid[hits] = points
-        low = self._bucket_min(grid)
-        grid[hits] = -points
-        high = -self._bucket_min(grid)
+        grid = np.full((origins.shape[0], 6), np.inf)  # misses never win
+        grid[hits, :3] = points
+        grid[hits, 3:] = -points
+        columns = grid.reshape(-1, self.width, 6).min(axis=0)
+        per_bucket = np.minimum.reduceat(columns, self._bucket_starts)
         keys = self._bucket_keys
-        self.bucket_min[keys] = np.minimum(self.bucket_min[keys], low)
-        self.bucket_max[keys] = np.maximum(self.bucket_max[keys], high)
-
-    def _bucket_min(self, grid: np.ndarray) -> np.ndarray:
-        """Per-bucket minimum of a full-row ``(rays, 3)`` block."""
-        columns = grid.reshape(-1, self.width, 3).min(axis=0)
-        return np.minimum.reduceat(columns, self._bucket_starts)
+        self._extent[keys] = np.minimum(self._extent[keys], per_bucket)
 
     def note_scalar(self, primitive: Any, point: np.ndarray, depth: int) -> None:
         """Record one scalar hit (``current_px`` holds the pixel column)."""
@@ -138,17 +130,36 @@ class TileTouch:
         if depth > 0:
             return
         bucket = self.current_px * BUCKETS // self.width
-        np.minimum.at(self.bucket_min, bucket, point)
-        np.maximum.at(self.bucket_max, bucket, point)
+        np.minimum.at(self._extent, bucket, np.concatenate((point, -point)))
 
     def summary(self, rays: int) -> TileSummary:
         return TileSummary(
             ids=frozenset(self.ids),
-            bucket_min=self.bucket_min.copy(),
-            bucket_max=self.bucket_max.copy(),
+            bucket_min=self._extent[:, :3].copy(),
+            bucket_max=-self._extent[:, 3:],
             secondary=self.secondary,
             rays=int(rays),
         )
+
+
+def _bucket_layout(width: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The first column of every bucket that has columns, and its bucket.
+
+    Shared, read-only, by the tiles of one width: a frame creates one
+    :class:`TileTouch` per tile, and deriving the layout per tile cost about
+    as much as recording the tile's hits.
+    """
+    layout = _BUCKET_LAYOUTS.get(width)
+    if layout is None:
+        column_bucket = np.arange(width) * BUCKETS // width
+        starts = np.flatnonzero(np.diff(column_bucket, prepend=-1))
+        keys = column_bucket[starts]
+        starts.flags.writeable = keys.flags.writeable = False
+        layout = _BUCKET_LAYOUTS[width] = (starts, keys)
+    return layout
+
+
+_BUCKET_LAYOUTS: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
 
 # -- the planner --------------------------------------------------------------

@@ -89,6 +89,7 @@ __all__ = [
 _KEY_ATTR = "_repro_content_key"
 _DIGEST_ATTR = "_repro_digest_map"
 _SETTINGS_ATTR = "_repro_settings_digest"
+_SCALAR_TYPES = (type(None), bool, int, float, str, bytes)
 
 
 def _canonical(value: Any) -> Any:
@@ -100,21 +101,22 @@ def _canonical(value: Any) -> Any:
     the same description must produce the same key even though their
     primitive ids differ.
     """
+    # scalars first: they are most of the leaves (a scene key visits ~12
+    # values per primitive, so the branch order is measurable)
+    if isinstance(value, _SCALAR_TYPES):
+        return value
     if isinstance(value, np.ndarray):
         return ("nd", value.shape, value.dtype.str, value.tobytes())
     if isinstance(value, (list, tuple)):
-        return tuple(_canonical(item) for item in value)
-    if isinstance(value, (type(None), bool, int, float, str, bytes)):
-        return value
+        return tuple([_canonical(item) for item in value])
     if isinstance(value, Material) or hasattr(value, "__dict__"):
-        attrs = {
-            name: attr
-            for name, attr in vars(value).items()
-            if name != "primitive_id" and not name.startswith("_")
-        }
         return (
             type(value).__name__,
-            tuple((name, _canonical(attr)) for name, attr in sorted(attrs.items())),
+            tuple([
+                (name, _canonical(attr))
+                for name, attr in sorted(vars(value).items())
+                if name != "primitive_id" and not name.startswith("_")
+            ]),
         )
     return repr(value)
 
