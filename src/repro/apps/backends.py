@@ -18,9 +18,10 @@ the box bodies differ.
 
 from __future__ import annotations
 
+import os
 import threading
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from repro.raytracer.image import (
     merge_chunk_into,
     to_ppm,
 )
-from repro.raytracer.mutation import apply_edits
+from repro.raytracer.mutation import EditEntry, apply_edits
 from repro.raytracer.scene import Scene
 from repro.raytracer.tracer import check_render_mode, render_section
 from repro.scheduling.base import Section
@@ -147,11 +148,18 @@ class RenderBackend:
         #: cache only engages for *journaled* scenes (``edit_epoch > 0``), so
         #: plain one-shot jobs behave exactly as before
         self.incremental = True
-        #: set by the warm-runtime builder on fork-based runtimes: workers
-        #: hold stale fork-shared scene copies, so dirty sections must carry
-        #: the journal entries committed since ``broadcast_epoch``
-        self.ship_edits = False
+        #: set by the warm-runtime builder on fork-based runtimes: returns
+        #: the pids of the live workers, which hold fork-time scene copies
+        #: that dirty sections must catch up (``None``: the workers share
+        #: the coordinator's scene object and nothing is shipped)
+        self.fork_workers: Optional[Callable[[], Sequence[int]]] = None
+        #: the scene epoch the fork workers were forked at
         self.broadcast_epoch = 0
+        #: worker pid -> the highest scene epoch one of its chunks was
+        #: rendered at (the journal prefix it is known to have replayed)
+        self.watermarks: Dict[int, int] = {}
+        #: lifetime count of journal entries attached to dirty sections
+        self.edits_shipped = 0
         #: lifetime counters (like ``rays_cast``): sections served from the
         #: tile cache and the rays those sections cost when last rendered
         self.tiles_reused = 0
@@ -192,7 +200,9 @@ class RenderBackend:
 
         Called by the merger-side boxes (which always execute in the
         coordinating process), so the counts survive even when the solver ran
-        in a forked pool worker whose backend copy is unreachable.
+        in a forked pool worker whose backend copy is unreachable.  On fork
+        runtimes the chunk's ``(worker, epoch)`` stamp also raises that
+        worker's watermark (see :meth:`pending_edits`).
 
         When the current job captures tile summaries (incremental mode), the
         chunk is also banked for the next frame's tile cache: a zero-ray
@@ -200,6 +210,10 @@ class RenderBackend:
         ever double-counting its original rays.
         """
         self.add_rays_cast(getattr(chunk, "rays_cast", 0))
+        worker = getattr(chunk, "worker", 0)
+        if worker and self.fork_workers is not None:
+            if chunk.epoch > self.watermarks.get(worker, -1):
+                self.watermarks[worker] = chunk.epoch
         meta = self._frame_meta
         if meta is None or not meta["capture"]:
             return
@@ -228,32 +242,50 @@ class RenderBackend:
         self._camera_cache = (cam, resolved)
         return resolved
 
-    def edits_to_ship(self, scene: Scene) -> Tuple[Any, ...]:
-        """Journal entries dirty sections must carry to stale fork workers.
+    def pending_edits(self, scene: Scene) -> Optional[List[EditEntry]]:
+        """Journal entries the slowest live fork worker has not replayed.
 
-        Empty on shared-memory runtimes (``ship_edits`` unset: threaded
-        workers see the coordinator's already-edited scene object).  On fork
-        runtimes every dirty section carries all entries committed since the
-        pool forked (``broadcast_epoch``): a worker only sees the sections
-        routed to it, so it may have missed any prior frame's entries —
-        replay is epoch-gated and idempotent, so over-shipping is safe.
-        Raises ``RuntimeError`` when the journal no longer reaches back to
-        the fork epoch — rendering with silently stale workers would corrupt
-        pixels; the render service discards such slots before dispatch, so
-        this fires only on direct misuse of a very stale warm runtime.
+        The floor is the minimum watermark over the runtime's live workers;
+        a live worker that has not acknowledged a chunk yet (new, or
+        respawned after a death) counts at ``broadcast_epoch``, and dead
+        workers' watermarks are dropped, so they cannot pin the floor.
+        ``[]`` when nothing needs shipping (shared-memory runtime, scene
+        without a journal, no live fork worker); ``None`` when the journal
+        has been trimmed past the floor — the slowest worker can no longer
+        be caught up, and the render service rebuilds the slot.
         """
-        if not self.ship_edits:
-            return ()
         journal = getattr(scene, "journal", None)
-        if journal is None:
-            return ()
-        entries = journal.entries_since(self.broadcast_epoch)
+        if self.fork_workers is None or journal is None:
+            return []
+        live = set(self.fork_workers())
+        marks = self.watermarks
+        for worker in [w for w in marks if w not in live]:
+            del marks[worker]
+        if not live:
+            return []
+        floor = min(marks.get(worker, self.broadcast_epoch) for worker in live)
+        return journal.entries_since(floor)
+
+    def edits_to_ship(self, scene: Scene) -> Tuple[EditEntry, ...]:
+        """Journal entries every dirty section of this frame must carry.
+
+        A worker only sees the sections routed to it, so each dirty section
+        carries everything the slowest live worker lacks
+        (:meth:`pending_edits`), in wire form (no planner boxes).  Replay
+        is epoch-gated and idempotent, so a worker that is ahead skips what
+        it already has.  Raises ``RuntimeError`` when the journal no longer
+        reaches the floor — rendering with silently stale workers would
+        corrupt pixels; the render service rebuilds such slots before
+        dispatch, so this fires only on direct misuse of a stale warm
+        runtime.
+        """
+        entries = self.pending_edits(scene)
         if entries is None:
             raise RuntimeError(
-                "scene journal no longer covers this runtime's fork epoch "
-                f"({self.broadcast_epoch}); rebuild the warm runtime"
+                "scene journal no longer covers the slowest live worker's "
+                "epoch; rebuild the warm runtime"
             )
-        return tuple(entries)
+        return tuple(entry.for_wire() for entry in entries)
 
     def plan_job(self, scene: Scene, sections: Sequence[Section]) -> Dict[int, Any]:
         """Decide which sections can be served from the tile cache.
@@ -439,16 +471,19 @@ class RealRenderBackend(RenderBackend):
             # fork-based worker catching up on journal entries committed in
             # the coordinator after the pool forked (idempotent replay)
             apply_edits(self.scene, edits)
-        capture = bool(self.incremental and getattr(self.scene, "edit_epoch", 0) > 0)
-        return render_section(
+        epoch = getattr(self.scene, "edit_epoch", 0)
+        chunk = render_section(
             self.scene,
             self._camera_for(self.scene),
             section.y_start,
             section.y_end,
             section.index,
             mode=self.render_mode,
-            touch=capture,
+            touch=bool(self.incremental and epoch > 0),
         )
+        # acknowledge how far this worker has replayed the journal
+        chunk.worker, chunk.epoch = os.getpid(), epoch
+        return chunk
 
     def join_chunks(self, chunks: Sequence[ImageChunk]) -> ImageChunk:
         return ImageChunk(
@@ -517,6 +552,8 @@ class SharedFrameRenderBackend(RealRenderBackend):
             section_id=section.index,
             rays_cast=chunk.rays_cast,
             summary=chunk.summary,
+            worker=chunk.worker,
+            epoch=chunk.epoch,
         )
 
     def join_chunks(self, chunks: Sequence[FrameChunkRef]) -> FrameChunkRef:

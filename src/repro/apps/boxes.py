@@ -117,6 +117,7 @@ class RayTracingBoxes:
                 section = EditedSection(
                     section.index, section.y_start, section.y_end, edits=edits
                 )
+                backend.edits_shipped += len(edits)
             records.append({"scene": scene, "sect": section})
         close_run()
         for entries in records:

@@ -252,9 +252,10 @@ def build_warm_runtime(
     cache, so consecutive jobs on this warm runtime that edit the scene
     through :meth:`Scene.begin_edit` re-render only the dirty tiles.  On
     fork-based runtimes (``process``/``distributed``) the workers hold
-    fork-time scene *copies*, so the backend is additionally configured to
-    ship the journal entries recorded after the fork along with every
-    renderable section (``ship_edits``/``broadcast_epoch``).
+    fork-time scene *copies*, so the backend is additionally wired to the
+    runtime's live worker pids (``fork_workers``) and the fork epoch
+    (``broadcast_epoch``): every renderable section then carries the
+    journal entries the slowest live worker has not yet replayed.
 
     >>> from repro.raytracer.scene import random_scene
     >>> parts = build_warm_runtime(random_scene(num_spheres=2), "static",
@@ -285,9 +286,9 @@ def build_warm_runtime(
             # register boxes + broadcast the scene, then fork the pool — once
             runtime_obj.setup(network, broadcast=(scene,))
         if runtime in ("process", "distributed"):
-            # forked workers hold fork-time scene copies: ship every edit
-            # committed after this point along with the sections
-            backend.ship_edits = True
+            # forked workers hold fork-time scene copies: ship each of them
+            # the edits committed after this point that it has not replayed
+            backend.fork_workers = lambda: runtime_obj.worker_pids
             backend.broadcast_epoch = getattr(scene, "edit_epoch", 0)
     except BaseException:
         # the engines' setup() already tears itself down on failure; the

@@ -907,11 +907,6 @@ class RenderService:
         """Snapshot of the warm pool's key -> slot mapping (tests/debugging)."""
         return self._pool.slots()
 
-    #: fork-time journal backlog beyond which a warm slot is rebuilt instead
-    #: of shipping the edits: past this, replaying the journal in every
-    #: worker costs more than a fresh fork with the edits already applied
-    MAX_SHIPPED_EDITS = 64
-
     def _slot_for(self, job: RenderJob) -> Tuple[WarmSlot, bool]:
         """Lease the warm slot serving ``job`` (building it cold on a miss).
 
@@ -919,10 +914,11 @@ class RenderService:
         content key; the warm slot built under the pre-edit key still holds
         the *same live scene object*, so it is adopted to the new key
         (keeping its forked workers and tile cache alive) rather than
-        duplicated.  A slot whose fork-time workers can no longer be caught
-        up — the journal trimmed past the fork epoch, or the backlog exceeds
-        :data:`MAX_SHIPPED_EDITS` — is discarded first: a stale worker would
-        render silently wrong pixels.
+        duplicated.  A slot whose slowest live fork worker can no longer be
+        caught up — the journal trimmed past its watermark, see
+        :meth:`RenderBackend.pending_edits
+        <repro.apps.backends.RenderBackend.pending_edits>` — is discarded
+        first: a stale worker would render silently wrong pixels.
         """
         key = (self.runtime_name, scene_content_key(job.scene), job.variant)
         adopted = self._pool.adopt(
@@ -933,7 +929,7 @@ class RenderService:
                 and slot.parts.get("scene") is job.scene
             ),
         )
-        if adopted is not None and self._slot_stale(adopted, job.scene):
+        if adopted is not None and adopted.backend.pending_edits(adopted.scene) is None:
             self._pool.discard(key)
 
         def build() -> Dict[str, Any]:
@@ -958,15 +954,3 @@ class RenderService:
             }
 
         return self._pool.acquire(key, build)
-
-    @staticmethod
-    def _slot_stale(slot: WarmSlot, scene: Scene) -> bool:
-        """Whether a slot's fork-time workers can no longer be caught up."""
-        backend = slot.parts.get("backend")
-        if backend is None or not getattr(backend, "ship_edits", False):
-            return False
-        journal = getattr(scene, "journal", None)
-        if journal is None:
-            return False
-        pending = journal.entries_since(getattr(backend, "broadcast_epoch", 0))
-        return pending is None or len(pending) > RenderService.MAX_SHIPPED_EDITS

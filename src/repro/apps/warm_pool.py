@@ -128,6 +128,7 @@ class WarmPoolManager:
         self._cold_builds = 0
         self._evictions_lru = 0
         self._evictions_ttl = 0
+        self._discards_stale = 0
         self._setup_seconds_total = 0.0
         self._setup_seconds_saved = 0.0
         self._sweeper: Optional[threading.Thread] = None
@@ -218,12 +219,18 @@ class WarmPoolManager:
         return len(victims)
 
     def discard(self, key: Hashable) -> bool:
-        """Evict ``key`` now (idle slots only); returns whether it existed."""
+        """Evict ``key`` now (idle slots only); returns whether it existed.
+
+        For slots the caller found stale — a runtime that can no longer
+        serve its key, such as fork workers the scene journal cannot catch
+        up — counted as ``discards_stale`` in :meth:`stats`.
+        """
         with self._lock:
             slot = self._slots.get(key)
             if slot is None or slot.busy:
                 return False
             del self._slots[key]
+            self._discards_stale += 1
         self._teardown(slot)
         return True
 
@@ -338,6 +345,7 @@ class WarmPoolManager:
                 "cold_builds": self._cold_builds,
                 "evictions_lru": self._evictions_lru,
                 "evictions_ttl": self._evictions_ttl,
+                "discards_stale": self._discards_stale,
                 "setup_seconds_total": self._setup_seconds_total,
                 "setup_seconds_saved": self._setup_seconds_saved,
             }

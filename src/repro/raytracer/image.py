@@ -54,6 +54,11 @@ class ImageChunk:
     #: while rendering (incremental mode); rides along so the coordinating
     #: backend can seed the next frame's dirty-tile plan
     summary: Optional[object] = None
+    #: who rendered it: the worker's pid (0 = unstamped) and the scene
+    #: ``edit_epoch`` it rendered at — the acknowledgement from which the
+    #: coordinator learns how far each fork worker has replayed the journal
+    worker: int = 0
+    epoch: int = 0
 
     def __post_init__(self) -> None:
         self.pixels = np.asarray(self.pixels, dtype=np.float64)
@@ -102,6 +107,9 @@ class FrameChunkRef:
     #: optional :class:`~repro.raytracer.coherence.TileSummary` (see
     #: :attr:`ImageChunk.summary`); small frozen metadata, not pixels
     summary: Optional[object] = None
+    #: rendering worker's pid and scene epoch (see :attr:`ImageChunk.worker`)
+    worker: int = 0
+    epoch: int = 0
 
     def __post_init__(self) -> None:
         if self.y_start < 0 or self.rows < 0:
@@ -112,7 +120,7 @@ class FrameChunkRef:
         return self.y_start + self.rows
 
     def payload_size(self) -> int:
-        """Wire size: five small integers plus envelope."""
+        """Wire size: a few small integers plus envelope."""
         return 40
 
 

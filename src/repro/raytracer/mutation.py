@@ -28,7 +28,8 @@ This module makes mutation explicit instead of forbidden:
 
 * Workers that hold a stale fork-shared copy of the scene replay the journal
   with :func:`apply_edits` — application is idempotent (epoch-gated), so a
-  worker may receive the same entries many times (once per dirty section).
+  worker may receive entries it has already replayed (every dirty section
+  of a frame carries the entries the slowest live worker still lacks).
 
 The journal is the ground truth for the dirty-tile planner in
 :mod:`repro.raytracer.coherence` and for the incremental
@@ -250,6 +251,23 @@ class EditEntry:
     epoch: int
     ops: Tuple[EditOp, ...]
 
+    def for_wire(self) -> "EditEntry":
+        """This entry as shipped to fork workers: the captured boxes dropped.
+
+        ``old_box``/``new_box`` feed only the coordinator-side dirty-tile
+        planner; replay never reads them, so the worker copy goes without.
+
+        >>> op = EditOp("update", target=1, geometry=True,
+        ...             old_box=((0.0,) * 3, (1.0,) * 3), new_box=((1.0,) * 3, (2.0,) * 3))
+        >>> EditEntry(4, (op,)).for_wire().ops[0].old_box is None
+        True
+        """
+        if all(op.old_box is None for op in self.ops):
+            return self
+        return EditEntry(
+            self.epoch, tuple(replace(op, old_box=None, new_box=None) for op in self.ops)
+        )
+
 
 class MutationJournal:
     """Bounded log of :class:`EditEntry` objects, ordered by epoch.
@@ -432,8 +450,9 @@ def apply_edits(scene: Any, entries: Sequence[EditEntry]) -> int:
     """Replay journal entries onto a (possibly stale) scene copy.
 
     Idempotent: entries at or below ``scene.edit_epoch`` are skipped, so a
-    forked worker may receive the same entries once per dirty section and
-    apply them exactly once.  Returns the number of entries applied.
+    forked worker may receive entries it already replayed (with another
+    section, or shipped for a slower worker) and applies each exactly once.
+    Returns the number of entries applied.
     """
     applied = 0
     for entry in sorted(entries, key=lambda e: e.epoch):
@@ -447,6 +466,11 @@ def apply_edits(scene: Any, entries: Sequence[EditEntry]) -> int:
 
 
 # -- the editor ---------------------------------------------------------------
+
+
+def _corners(box: Any) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    """An AABB's corners as plain float tuples (what an :class:`EditOp` keeps)."""
+    return tuple(box.minimum.tolist()), tuple(box.maximum.tolist())
 
 
 class SceneEditor:
@@ -566,17 +590,15 @@ class SceneEditor:
         old_boxes: Dict[int, Tuple] = {}
         for op in self._intents:
             if op.kind == "update" and op.geometry and not op.unbounded:
-                box = prims[op.target].bounding_box()
-                old_boxes[op.target] = (tuple(box.minimum), tuple(box.maximum))
+                old_boxes[op.target] = _corners(prims[op.target].bounding_box())
         flags = _apply_ops(scene, self._intents)
         ops: List[EditOp] = []
         for op in self._intents:
             if op.target in old_boxes and op.kind == "update":
-                box = prims[op.target].bounding_box()
                 op = replace(
                     op,
                     old_box=old_boxes[op.target],
-                    new_box=(tuple(box.minimum), tuple(box.maximum)),
+                    new_box=_corners(prims[op.target].bounding_box()),
                 )
             ops.append(op)
         _invalidate_caches(scene, flags, ops)

@@ -66,7 +66,10 @@ Design notes
   persistent service (:class:`repro.apps.service.RenderService`) can run many
   jobs against one warm pool and pay the setup cost once per *scene*, not
   once per *frame*.  :meth:`ProcessRuntime.teardown` restores the cold
-  state.
+  state.  A warm pool that lost a worker between runs is replaced before
+  the next run: a worker killed while idle can die holding the task
+  queue's reader lock, which would block every other worker (and
+  ``Pool.terminate``) forever.
 
 Stateful primitives (synchrocells), filters, dispatchers and boxes marked
 ``parallel_safe=False`` execute in-process, exactly as on the threaded
@@ -79,6 +82,8 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import multiprocessing.connection
+import multiprocessing.pool
 import os
 import threading
 import time
@@ -233,6 +238,51 @@ class BatchAutotuner:
             self.max_inflight = (4 if deep else 2) * self._workers
 
 
+def _fork_pool(workers: int) -> multiprocessing.pool.Pool:
+    pool = multiprocessing.get_context("fork").Pool(processes=workers)
+    pool.forked_pids = {proc.pid for proc in pool._pool}
+    return pool
+
+
+def _lost_worker(pool: multiprocessing.pool.Pool) -> bool:
+    """Whether a worker ``pool`` forked with has died since (replaced or not)."""
+    workers = list(pool._pool)
+    return {proc.pid for proc in workers} != pool.forked_pids or bool(
+        multiprocessing.connection.wait([proc.sentinel for proc in workers], 0)
+    )
+
+
+def _close_pool(pool: multiprocessing.pool.Pool) -> None:
+    """Terminate ``pool``, also when a killed worker left it wedged.
+
+    An idle pool worker blocks reading the task queue while holding its
+    reader lock; SIGKILLed there, it takes the lock with it, and the other
+    workers and ``Pool.terminate`` (which drains the queue under the same
+    lock) then wait on it forever — as they do on the result queue's
+    writer lock if a worker died mid-reply.  So when a worker has died:
+    stop the pool from respawning workers, kill them all, let the task
+    handler (the one other taker of the writer lock) finish, and free both
+    locks — every worker is dead, so whoever still holds one is dead too —
+    before terminating.
+    """
+    if _lost_worker(pool):
+        handler = pool._worker_handler
+        handler._state = multiprocessing.pool.TERMINATE
+        pool._change_notifier.put(None)
+        handler.join()
+        workers = list(pool._pool)
+        for proc in workers:
+            proc.kill()
+        for proc in workers:
+            proc.join()
+        pool._task_handler.join(1.0)
+        for lock in (pool._inqueue._rlock, pool._outqueue._wlock):
+            lock.acquire(block=False)  # free: take it; held by the dead: no-op
+            lock.release()
+    pool.terminate()
+    pool.join()
+
+
 class PoolTransport(Transport):
     """Offload ``parallel_safe`` box invocations to a forked worker pool.
 
@@ -332,16 +382,22 @@ class PoolTransport(Transport):
                         )
                 # the pool MUST fork after registration so children inherit
                 # the registries from a quiescent parent
-                ctx = multiprocessing.get_context("fork")
-                self._persistent_pool = ctx.Pool(processes=runtime.workers)
+                self._persistent_pool = _fork_pool(runtime.workers)
         else:
             self._warn_degraded()
+
+    @property
+    def worker_pids(self) -> List[int]:
+        """OS pids of the current pool's live workers (empty without a pool)."""
+        pool = self._pool if self._pool is not None else self._persistent_pool
+        if pool is None:
+            return []
+        return [proc.pid for proc in list(pool._pool) if proc.exitcode is None]
 
     def teardown(self) -> None:
         pool, self._persistent_pool = self._persistent_pool, None
         if pool is not None:
-            pool.terminate()
-            pool.join()
+            _close_pool(pool)
         self._unregister_boxes()
         unregister_shared(self._shared_registered)
 
@@ -356,7 +412,13 @@ class PoolTransport(Transport):
         runtime = self.runtime
         if runtime.is_warm:
             # warm path: the pool and both registries were built by setup()
-            # and survive this run; nothing is registered or torn down here
+            # and survive this run; nothing is registered or torn down here —
+            # except a pool that lost a worker since it forked, which may be
+            # wedged (see _close_pool): fork a fresh one, which inherits the
+            # registries like the first
+            if self._persistent_pool is not None and _lost_worker(self._persistent_pool):
+                _close_pool(self._persistent_pool)
+                self._persistent_pool = _fork_pool(runtime.workers)
             self._pool = self._persistent_pool
             return network
         if runtime.fork_available():
@@ -369,8 +431,7 @@ class PoolTransport(Transport):
                 # the pool MUST fork after registration and before any worker
                 # thread starts, so children inherit the registries from a
                 # quiescent parent
-                ctx = multiprocessing.get_context("fork")
-                self._cold_pool = self._pool = ctx.Pool(processes=runtime.workers)
+                self._cold_pool = self._pool = _fork_pool(runtime.workers)
         else:
             self._warn_degraded()
         return network
@@ -379,8 +440,7 @@ class PoolTransport(Transport):
         pool, self._cold_pool = self._cold_pool, None
         self._pool = None
         if pool is not None:
-            pool.terminate()
-            pool.join()
+            _close_pool(pool)
         if not self.runtime.is_warm:
             self._unregister_boxes()
             unregister_shared(self._shared_registered)
@@ -587,6 +647,11 @@ class ProcessRuntime(EngineCore):
     def records_offloaded(self) -> int:
         """Records shipped to pool workers during the last run."""
         return self.transport.records_offloaded
+
+    @property
+    def worker_pids(self) -> List[int]:
+        """OS pids of the live pool workers (empty before fork/after teardown)."""
+        return self.transport.worker_pids
 
 
 def run_process(

@@ -12,14 +12,22 @@ Pinned here:
   add/remove spheres, light jiggles) rendered frame by frame through a warm
   threaded service, each frame compared against a cold oracle;
 * the same invariant on the **process** backend, where fork workers hold
-  stale scene copies and catch up by replaying shipped journal entries;
+  stale scene copies and catch up by replaying shipped journal entries —
+  along a 100-edit chain on one warm slot, across a worker killed between
+  commits, and across a journal trimmed past the slowest worker (the one
+  case that rebuilds the slot);
+* edit shipping: each dirty section carries only the entries the slowest
+  live worker has not replayed, in wire form (no planner boxes);
 * the "everything dirty" fallback: a camera edit reuses zero tiles and
   still renders correctly;
 * honest accounting: ``rays_cast`` counts only rays actually traced;
   avoided work is reported separately as ``tiles_reused``/``rays_saved``.
 """
 
+import os
 import pickle
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -31,6 +39,7 @@ from repro.apps.runner import run_raytracing_farm
 from repro.apps.service import RenderJob, RenderService
 from repro.raytracer.camera import Camera
 from repro.raytracer.geometry.primitives import Sphere
+from repro.raytracer.image import ImageChunk
 from repro.raytracer.materials import Material
 from repro.raytracer.scene import random_scene
 from repro.raytracer.vec import vec3
@@ -38,6 +47,10 @@ from repro.snet.runtime.process_engine import ProcessRuntime
 
 SIZE = 32
 TASKS = 4
+
+fork_only = pytest.mark.skipif(
+    not ProcessRuntime.fork_available(), reason="fork start method unavailable"
+)
 
 
 def journaled_scene(num_spheres=6, seed=13):
@@ -106,9 +119,7 @@ def test_random_mutations_render_pixel_identical_threaded(data):
             np.testing.assert_allclose(result.image, cold_oracle(scene), atol=1e-9)
 
 
-@pytest.mark.skipif(
-    not ProcessRuntime.fork_available(), reason="fork start method unavailable"
-)
+@fork_only
 def test_mutations_render_pixel_identical_process_backend():
     # fork workers hold fork-time scene copies; shipped journal entries must
     # land them on byte-identical state (same ray counts, same pixels)
@@ -132,6 +143,159 @@ def test_mutations_render_pixel_identical_process_backend():
             )
             np.testing.assert_allclose(result.image, cold_oracle(scene), atol=1e-9)
             assert step == 0 or result.warm  # the slot followed the edits
+
+
+# -- edit shipping on the process backend -------------------------------------
+def mover_chain():
+    """A journaled scene plus a commit function moving one sphere per call."""
+    scene = journaled_scene(num_spheres=8, seed=2)
+    mover = [o for o in scene.bounded_objects if isinstance(o, Sphere)][0]
+    home = mover.center.copy()
+
+    def commit_move(step):
+        edit = scene.begin_edit()
+        edit.update(
+            mover, center=home + np.asarray([0.3 * np.sin(step), 0.1 * np.cos(step), 0.0])
+        )
+        edit.commit()
+
+    return scene, commit_move
+
+
+def process_service(workers):
+    return RenderService(
+        "process", width=SIZE, height=SIZE, render_mode="fused",
+        runtime_options={"workers": workers},
+    )
+
+
+def render_job(service, scene):
+    return service.render(RenderJob(scene, nodes=2, tasks=TASKS), timeout=60.0)
+
+
+def the_slot(service):
+    (slot,) = service._slots.values()
+    return slot
+
+
+def test_edits_to_ship_follow_the_slowest_live_worker():
+    scene, commit_move = mover_chain()
+    backend = RealRenderBackend(scene, Camera(width=SIZE, height=SIZE))
+    live = [11, 22]
+    backend.fork_workers = lambda: live
+    backend.broadcast_epoch = scene.edit_epoch
+    for step in range(3):
+        commit_move(step)
+    fork = backend.broadcast_epoch
+
+    def shipped():
+        return [entry.epoch for entry in backend.edits_to_ship(scene)]
+
+    def ack(worker, epoch):
+        backend.absorb_chunk_stats(
+            ImageChunk(0, np.zeros((1, SIZE, 3)), worker=worker, epoch=epoch)
+        )
+
+    # nobody has acknowledged a chunk yet: both count at the fork epoch
+    assert shipped() == [fork + 1, fork + 2, fork + 3]
+    ack(11, fork + 3)
+    ack(22, fork + 2)
+    assert shipped() == [fork + 3]  # the slower worker sets the floor
+    # wire form: the planner's boxes stay home, the journal keeps them
+    (entry,) = backend.edits_to_ship(scene)
+    assert all(op.old_box is None and op.new_box is None for op in entry.ops)
+    (op,) = scene.journal.entries_since(fork + 2)[0].ops
+    assert all(type(x) is float for corner in op.old_box + op.new_box for x in corner)
+    # a dead worker cannot pin the floor; a new (respawned) one counts at
+    # the fork epoch until it acknowledges
+    live[:] = [11]
+    assert shipped() == [] and 22 not in backend.watermarks
+    live[:] = [11, 33]
+    assert shipped() == [fork + 1, fork + 2, fork + 3]
+    # trimmed past the floor: the worker cannot be caught up
+    for step in range(scene.journal.capacity):
+        commit_move(step)
+    assert backend.pending_edits(scene) is None
+    with pytest.raises(RuntimeError):
+        backend.edits_to_ship(scene)
+
+
+@fork_only
+def test_long_edit_chain_stays_on_one_warm_slot():
+    # 100 in-place edits, one warm slot: no backlog rule rebuilds it, and
+    # the workers stay caught up (pixels match the cold oracle)
+    scene, commit_move = mover_chain()
+    with process_service(workers=2) as service:
+        for step in range(1, 101):
+            commit_move(step)
+            result = render_job(service, scene)
+            assert service.observability()["warm_pool"]["cold_builds"] == 1
+            if step in (1, 2, 33, 64, 65, 66, 100):
+                np.testing.assert_allclose(result.image, cold_oracle(scene), atol=1e-9)
+
+
+@fork_only
+@pytest.mark.parametrize("victim", [0, 1])
+def test_worker_killed_between_commits(victim):
+    # the killed worker's replacement has acknowledged nothing, so it is
+    # shipped everything since the fork; a worker killed while idle may
+    # also take the pool's task-queue lock with it, which must not hang
+    scene, commit_move = mover_chain()
+    with process_service(workers=2) as service:
+        for step in range(1, 6):
+            commit_move(step)
+            render_job(service, scene)
+        slot = the_slot(service)
+        pid = slot.runtime.worker_pids[victim]
+        commit_move(6)
+        os.kill(pid, signal.SIGKILL)
+        # the death lands a few ms after the signal: wait for it, so the
+        # kill falls between the commits and not into the next frame
+        deadline = time.monotonic() + 10.0
+        while pid in slot.runtime.worker_pids and time.monotonic() < deadline:
+            time.sleep(0.005)
+        commit_move(7)
+        for step in range(8, 11):
+            result = render_job(service, scene)
+            assert result.warm
+            np.testing.assert_allclose(result.image, cold_oracle(scene), atol=1e-9)
+            commit_move(step)
+        assert pid not in slot.runtime.worker_pids
+        assert service.observability()["warm_pool"]["cold_builds"] == 1
+
+
+@fork_only
+def test_each_frame_ships_one_entry_per_dirty_section():
+    scene, commit_move = mover_chain()
+    with process_service(workers=1) as service:
+        render_job(service, scene)
+        backend = the_slot(service).backend
+        for step in range(1, 11):
+            commit_move(step)
+            before = backend.edits_shipped
+            result = render_job(service, scene)
+            dirty = TASKS - result.tiles_reused
+            assert dirty > 0
+            assert backend.edits_shipped - before == dirty
+            # the one worker acknowledged the frame's epoch
+            assert list(backend.watermarks.values()) == [scene.edit_epoch]
+
+
+@fork_only
+def test_journal_trimmed_past_the_floor_rebuilds_once():
+    scene, commit_move = mover_chain()
+    with process_service(workers=2) as service:
+        render_job(service, scene)
+        for step in range(300):
+            commit_move(step)
+        assert len(scene.journal) == scene.journal.capacity < 300
+        for step in range(2):
+            result = render_job(service, scene)
+            pool = service.observability()["warm_pool"]
+            assert (pool["cold_builds"], pool["discards_stale"]) == (2, 1)
+            assert result.warm == (step > 0)
+            np.testing.assert_allclose(result.image, cold_oracle(scene), atol=1e-9)
+            commit_move(step)
 
 
 # -- the all-dirty fallback ---------------------------------------------------

@@ -6,6 +6,10 @@ one runtime): ``ThreadedRuntime.run`` resets per-run state on entry, and
 the pool fork out of ``run()`` so consecutive runs share one warm pool.
 """
 
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
@@ -99,6 +103,35 @@ def test_warm_process_runtime_serves_repeated_runs(farm):
         runtime.teardown()
         backend.release()
     assert not runtime.is_warm
+
+
+@fork_only
+def test_warm_pool_replaced_after_its_workers_die_between_runs(farm):
+    # one idle worker holds the task queue's reader lock; killing every
+    # worker takes it down with them, which wedges the pool (and its
+    # terminate()) for good — the next run must fork a fresh pool instead
+    scene, camera, reference = farm
+    backend = SharedFrameRenderBackend(scene, camera, render_mode="fused")
+    network = build_static_network(backend)
+    runtime = ProcessRuntime(workers=2)
+    try:
+        runtime.setup(network, broadcast=(scene,))
+        runtime.run(network, [initial_record(scene, nodes=2, tasks=4)], timeout=60.0)
+        victims = runtime.worker_pids
+        assert len(victims) == 2
+        for pid in victims:
+            os.kill(pid, signal.SIGKILL)
+        deadline = time.monotonic() + 10.0
+        while set(runtime.worker_pids) & set(victims) and time.monotonic() < deadline:
+            time.sleep(0.005)
+        backend.begin_job()
+        runtime.run(network, [initial_record(scene, nodes=2, tasks=4)], timeout=60.0)
+        np.testing.assert_allclose(extract_image(backend), reference, atol=1e-9)
+        assert not set(runtime.worker_pids) & set(victims)
+    finally:
+        runtime.teardown()
+        backend.release()
+    assert runtime.worker_pids == []
 
 
 @fork_only

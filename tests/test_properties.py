@@ -184,9 +184,13 @@ sphere_lists = st.lists(
     max_size=25,
 )
 
+#: the float-heavy BVH properties report a failure as generated: shrinking
+#: their scenes ran for minutes and hundreds of MB before reporting anything
+NO_SHRINK = [Phase.explicit, Phase.reuse, Phase.generate]
+
 
 class TestBVHProperties:
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None, phases=NO_SHRINK)
     @given(sphere_lists)
     def test_build_invariants(self, raw):
         spheres = [Sphere(vec3(x, y, z), r) for x, y, z, r in raw]
@@ -208,7 +212,7 @@ class TestBVHProperties:
             assert np.array_equal(flat.box_min[node], sphere.bounding_box().minimum)
             assert flat.leaf_end[node] - flat.first_leaf[node] == 1
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None, phases=NO_SHRINK)
     @given(sphere_lists, st.floats(-0.9, 0.9), st.floats(-0.9, 0.9))
     def test_bvh_agrees_with_brute_force(self, raw, dx, dy):
         spheres = [Sphere(vec3(x, y, z), r) for x, y, z, r in raw]
@@ -456,7 +460,7 @@ def _packet_arrays(raw_rays):
 
 
 class TestFlatBVHProperties:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
     @given(sphere_lists, ray_packets)
     def test_flat_any_hit_equals_brute_force(self, raw, raw_rays):
         spheres = [Sphere(vec3(x, y, z), r) for x, y, z, r in raw]
@@ -468,7 +472,7 @@ class TestFlatBVHProperties:
             flat.any_hit_packet(origins, directions),
         )
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
     @given(sphere_lists, ray_packets)
     def test_flat_agrees_with_brute_force_by_identity(self, raw, raw_rays):
         spheres = [Sphere(vec3(x, y, z), r) for x, y, z, r in raw]
@@ -512,13 +516,7 @@ mixed_rays = st.lists(
 
 
 class TestFlatBVHMixedSceneProperties:
-    # a failure is reported as generated: shrinking these float-heavy scenes
-    # ran for minutes and hundreds of MB before reporting anything
-    @settings(
-        max_examples=40,
-        deadline=None,
-        phases=[Phase.explicit, Phase.reuse, Phase.generate],
-    )
+    @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
     @given(sphere_lists, triangle_lists, st.booleans(), mixed_rays)
     def test_closest_hit_is_brute_force_hit(self, raw, raw_tris, with_plane, raw_rays):
         from repro.raytracer.packet import cast_packet, scene_packet_data
