@@ -188,8 +188,8 @@ class RenderBackend:
     def add_rays_cast(self, count: int) -> None:
         """Thread-safely accumulate rays cast by one solver invocation.
 
-        Solver replicas under the threaded runtime share this backend object
-        from several worker threads, hence the lock.
+        Solver replicas share this backend object, and a service may run
+        jobs on several threads, hence the lock.
         """
         if count:
             with self._stats_lock:

@@ -54,6 +54,10 @@ class BoxSignature:
             tuple(as_label(l) for l in variant) for variant in outputs
         )
 
+    def __deepcopy__(self, memo: Dict[int, Any]) -> "BoxSignature":
+        # frozen after construction: entity copies (Entity.copy) may share it
+        return self
+
     @classmethod
     def parse(cls, text: str) -> "BoxSignature":
         """Parse surface syntax, e.g. ``"(scene, <nodes>) -> (scene, sect)"``."""

@@ -232,6 +232,10 @@ class Pattern:
         #: (line, column) span when this pattern came from parsed source
         self.source_span = None
 
+    def __deepcopy__(self, memo: Dict[int, Any]) -> "Pattern":
+        # frozen after construction: entity copies (Entity.copy) may share it
+        return self
+
     @classmethod
     def parse(cls, text: str) -> "Pattern":
         from repro.snet.lang.parser import parse_pattern

@@ -8,12 +8,13 @@ engine — :class:`~repro.snet.runtime.core.EngineCore` — behind a
 in where records go:
 
 ``threaded`` — the correctness backend
-    :class:`ThreadedRuntime` = the core + the inline transport: worker
-    threads connected by bounded :class:`Stream` objects (one worker per
-    primitive entity, dispatchers for the dynamic combinators).  Boxes
-    execute for real, in process, which makes it the reference for
-    observable semantics — but the CPython GIL serialises CPU-bound box
-    code, so it cannot demonstrate wall-clock speedup.
+    :class:`ThreadedRuntime` = the core + the inline transport: the network
+    compiles to a graph of ports (one per entity instance; star levels and
+    split replicas created on demand) that one run-to-completion scheduler
+    drives on the calling thread.  Boxes execute for real, in process,
+    which makes it the reference for observable semantics — but CPU-bound
+    box code runs on one thread, so it cannot demonstrate wall-clock
+    speedup.
 
 ``process`` — the wall-clock parallel backend
     :class:`ProcessRuntime` = the core + the pool transport: invocations of
@@ -40,9 +41,9 @@ in where records go:
 Modules:
 
 * :mod:`repro.snet.runtime.stream` — bounded thread-safe streams with
-  multi-writer reference counting,
-* :mod:`repro.snet.runtime.core` — :class:`EngineCore` and the
-  :class:`Transport` seam,
+  multi-writer reference counting (used at transport boundaries),
+* :mod:`repro.snet.runtime.core` — :class:`EngineCore`, its port graph
+  and scheduler, and the :class:`Transport` seam,
 * :mod:`repro.snet.runtime.data_plane` — protocol-5 out-of-band
   serialization and the fork-shared payload broadcast registry,
 * :mod:`repro.snet.runtime.engine` — :class:`ThreadedRuntime`,

@@ -1,44 +1,48 @@
 """The transport-agnostic execution core shared by every executing runtime.
 
-Three generations of runtimes (the PR 1 process pool, the PR 3 zero-copy
-data plane, the PR 4 warm lifecycle) grew the same engine logic in two
-places — :class:`~repro.snet.runtime.engine.ThreadedRuntime` and
-:class:`~repro.snet.runtime.process_engine.ProcessRuntime` each carried
-their own copy of network compilation, drain-on-error shutdown, the
-wall-clock run deadline and the warm ``setup()``/``teardown()`` split.
-This module hoists all of it into one :class:`EngineCore` and isolates what
-actually differs between backends behind an explicit :class:`Transport`
+:class:`EngineCore` compiles an S-Net entity graph into a graph of
+*ports*: one per entity instance, each a step function taking one record
+(``on_record``) or the end of its input stream (``on_close``).  One
+run-to-completion :class:`RunScheduler` drives the whole graph on the
+thread that called :meth:`EngineCore.run`: a step pushes its outputs onto
+a FIFO deque of pending steps, so a record crossing 64 star levels is 64
+deque entries, never 64 nested calls and never an OS thread hand-off.
+What differs between backends sits behind an explicit :class:`Transport`
 seam:
 
 =============  =======================================================
 runtime        transport
 =============  =======================================================
-threaded       :class:`InlineTransport` — records stay on in-memory
-               streams; every primitive executes in a parent thread.
-process        ``PoolTransport`` — ``parallel_safe`` box invocations are
-               serialized (protocol 5, out-of-band buffers) onto a
-               forked worker pool; everything else runs inline.
+threaded       :class:`InlineTransport` — every entity is a port on the
+               scheduler; records travel by reference.
+process        ``PoolTransport`` — ``parallel_safe`` boxes are claimed;
+               their records are batched per scheduler turn, serialized
+               (protocol 5, out-of-band buffers) and run on a forked
+               worker pool whose results come back through the
+               scheduler's inbox.
 distributed    ``PartitionTransport`` — whole placement partitions
                (``A @ num``, ``A !@ <tag>``) execute in real worker
-               processes; records cross partitions over pipe links.
+               processes; records cross partitions over pipe links,
+               behind a :class:`StreamBridge`.
 =============  =======================================================
 
 The core owns the engine invariants, so they hold identically on every
 backend:
 
-* **compilation** — one worker per primitive entity, dispatchers for the
-  dynamic combinators, lazily unrolled stars and index splits;
-* **drain-on-error** — a dying worker closes its writers first, then
-  drains its input (:func:`drain_stream`), so the run fails promptly
-  instead of hanging until the harness timeout;
-* **wall-clock deadline** — ``timeout`` bounds the whole run, not each
-  output record;
+* **compilation** — one port per primitive entity, routing ports for the
+  dynamic combinators; star levels and index-split replicas are created
+  lazily, on the first record that needs them;
+* **drain-on-error** — a failing port closes its outputs (downstream sees
+  EOS at once) and drops the rest of its input, so the run fails promptly
+  with the collected exception instead of hanging until the deadline;
+* **wall-clock deadline** — ``timeout`` bounds the whole run; it is
+  checked between steps;
 * **warm lifecycle** — ``setup()``/``teardown()``/``is_warm`` and the
   context-manager protocol, with the transport deciding what (if
   anything) is worth keeping warm;
-* **data-plane accounting** — :attr:`EngineCore.bytes_pickled` uniformly
-  reports the bytes the transport serialized across process boundaries
-  (0 for the inline transport).
+* **accounting** — :attr:`EngineCore.bytes_pickled` reports the bytes the
+  transport serialized across process boundaries (0 inline) and
+  :meth:`EngineCore.observability` the steps and threads of the last run.
 
 A minimal custom transport only needs to override the hooks it cares
 about:
@@ -55,19 +59,32 @@ about:
 >>> core = EngineCore(transport=CountingTransport())
 >>> [r.field("y") for r in core.run(double, [Record({"x": 21})])]
 [42]
->>> core.transport.runs, core.bytes_pickled
-(1, 0)
+>>> core.transport.runs, core.bytes_pickled, core.threads_started
+(1, 0, 0)
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import queue
 import threading
 import time
 import warnings
 import weakref
+from collections import deque
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.snet.base import Entity, PrimitiveEntity
 from repro.snet.combinators import IndexSplit, Parallel, Serial, Star
@@ -75,13 +92,17 @@ from repro.snet.errors import NetworkError, RuntimeError_
 from repro.snet.network import Network
 from repro.snet.placement import StaticPlacement
 from repro.snet.records import Record
-from repro.snet.runtime.stream import Stream, StreamWriter
+from repro.snet.runtime.stream import Stream, StreamClosed, StreamWriter
 from repro.snet.runtime.tracing import NullTracer, Tracer
 
 __all__ = [
     "EngineCore",
     "Transport",
     "InlineTransport",
+    "Port",
+    "PortWriter",
+    "RunScheduler",
+    "StreamBridge",
     "drain_stream",
     "worker_scope",
     "warn_fork_degraded",
@@ -107,11 +128,8 @@ def warn_fork_degraded(runtime_name: str, consequence: str) -> None:
 def drain_stream(stream: Stream) -> None:
     """Consume and discard everything remaining on ``stream`` until EOS.
 
-    Workers call this when they die on an error: abandoning the input stream
-    would leave upstream producers blocked on back-pressure forever, so the
-    whole run would only fail once the harness timeout fires.  Draining lets
-    every upstream worker finish normally and the run fail promptly with the
-    collected exception.
+    Transport threads call this when they die on an error: abandoning the
+    input stream would leave its writer blocked on back-pressure forever.
     """
     while stream.get() is not None:
         pass
@@ -121,13 +139,12 @@ def drain_stream(stream: Stream) -> None:
 def worker_scope(
     in_stream: Stream, writers: Callable[[], Iterable[StreamWriter]]
 ) -> Iterator[None]:
-    """Shutdown contract shared by every runtime worker.
+    """Shutdown contract of a transport thread reading a :class:`Stream`.
 
-    On normal exit the worker's output writers are closed.  On error they are
-    closed *first* (so downstream sees EOS immediately), then the input
+    On normal exit the thread's output writers are closed.  On error they
+    are closed *first* (so downstream sees EOS immediately), then the input
     stream is drained (see :func:`drain_stream`), then the error propagates
-    to the runtime's collector.  ``writers`` is a callable because dynamic
-    dispatchers (star, index split) open writers while running.
+    to the runtime's collector.
     """
 
     def close_all() -> None:
@@ -144,14 +161,390 @@ def worker_scope(
         close_all()
 
 
+# -- the port graph ------------------------------------------------------------
+
+
+class PortWriter:
+    """A writer handle on a :class:`Port`.
+
+    Ports count their writers the way a :class:`Stream` does: the port's
+    ``on_close`` step is scheduled once every writer has been closed, which
+    is how parallel branches merge and how EOS cascades through the graph.
+    Writers are used on the scheduler's thread only; other threads hand
+    records in through :meth:`RunScheduler.deliver`.
+    """
+
+    __slots__ = ("port", "closed")
+
+    def __init__(self, port: "Port"):
+        self.port = port
+        self.closed = False
+
+    def push(self, rec: Record) -> None:
+        if self.closed:
+            raise StreamClosed(f"push on a closed writer of {self.port.name}")
+        self.port.ready.append((self.port, rec))
+
+    def dup(self) -> "PortWriter":
+        """Open an additional writer on the same port."""
+        return self.port.open_writer()
+
+    def close(self) -> None:
+        if self.closed:
+            return
+        self.closed = True
+        port = self.port
+        port.writers -= 1
+        if port.writers == 0:
+            port.ready.append((port, None))
+
+
+class Port:
+    """One entity instance of the compiled graph: its input and its steps.
+
+    Subclasses implement :meth:`on_record` (one input record) and
+    :meth:`on_close` (end of input; must close the port's outputs once the
+    port is done) and list their output writers in :meth:`outputs`, which
+    the scheduler closes when a step raises.
+    """
+
+    def __init__(self, sched: "RunScheduler", name: str):
+        self.sched = sched
+        self.ready = sched.ready
+        self.name = name
+        self.writers = 0
+        self.failed = False
+
+    def open_writer(self) -> PortWriter:
+        self.writers += 1
+        return PortWriter(self)
+
+    def on_record(self, rec: Record) -> None:
+        raise NotImplementedError
+
+    def on_close(self) -> None:
+        for writer in self.outputs():
+            writer.close()
+
+    def end_turn(self, _arg: Any = None) -> None:
+        """Called at the end of a scheduler turn after :meth:`RunScheduler.at_turn_end`."""
+
+    def outputs(self) -> Iterable[PortWriter]:
+        return ()
+
+
+class _PrimitivePort(Port):
+    """A box, filter, synchrocell or fused chain: a plain call per record."""
+
+    def __init__(self, core: "EngineCore", entity: PrimitiveEntity, out: PortWriter):
+        super().__init__(core.scheduler, entity.name)
+        self.entity = entity
+        self.out = out
+        self.tracer = core.tracer if core.tracer.enabled else None
+
+    def on_record(self, rec: Record) -> None:
+        if self.tracer is not None:
+            self.tracer.record(self.name, "consume", record=repr(rec))
+        self._emit(self.entity.process(rec))
+
+    def on_close(self) -> None:
+        self._emit(self.entity.flush())
+        self.out.close()
+
+    def _emit(self, produced: Iterable[Record]) -> None:
+        push, tracer = self.out.push, self.tracer
+        for rec in produced:
+            if tracer is not None:
+                tracer.record(self.name, "produce", record=repr(rec))
+            push(rec)
+
+    def outputs(self) -> Iterable[PortWriter]:
+        return (self.out,)
+
+
+class _ParallelPort(Port):
+    """Route each record to the best-matching branch; branches share ``out``."""
+
+    def __init__(self, core: "EngineCore", entity: Parallel, out: PortWriter):
+        super().__init__(core.scheduler, entity.name)
+        self.entity = entity
+        self.out = out
+        self.tracer = core.tracer
+        # route() returns one of entity.branches; resolve it to a writer by
+        # identity instead of an O(branches) list search per record
+        self.writer_of = {
+            id(branch): core.compile(branch, out.dup()).open_writer()
+            for branch in entity.branches
+        }
+
+    def on_record(self, rec: Record) -> None:
+        branch = self.entity.route(rec)
+        self.tracer.record(self.name, "route", branch=branch.name)
+        self.writer_of[id(branch)].push(rec)
+
+    def outputs(self) -> Iterable[PortWriter]:
+        return (*self.writer_of.values(), self.out)
+
+
+class _StarLevel(Port):
+    """The router of one star level; unrolls the next level on demand."""
+
+    def __init__(self, core: "EngineCore", entity: Star, level: int, out: PortWriter):
+        super().__init__(core.scheduler, f"{entity.name}-L{level}")
+        self.core = core
+        self.entity = entity
+        self.level = level
+        self.out = out
+        self.instance: Optional[PortWriter] = None
+
+    def on_record(self, rec: Record) -> None:
+        entity = self.entity
+        if entity.exit_pattern.matches(rec):
+            self.core.tracer.record(entity.name, "exit", level=self.level)
+            self.out.push(rec)
+            return
+        if self.instance is None:
+            if self.level >= entity.max_depth:
+                raise RuntimeError_(
+                    f"star {entity.name} exceeded max depth {entity.max_depth}"
+                )
+            self.core.tracer.record(entity.name, "unroll", level=self.level)
+            following = _StarLevel(self.core, entity, self.level + 1, self.out.dup())
+            self.instance = self.core.compile(
+                entity.operand.copy(), following.open_writer()
+            ).open_writer()
+        self.instance.push(rec)
+
+    def outputs(self) -> Iterable[PortWriter]:
+        if self.instance is None:
+            return (self.out,)
+        return (self.instance, self.out)
+
+
+class _SplitPort(Port):
+    """Route by tag value; one replica per value, created on its first record."""
+
+    def __init__(self, core: "EngineCore", entity: IndexSplit, out: PortWriter):
+        super().__init__(core.scheduler, entity.name)
+        self.core = core
+        self.entity = entity
+        self.out = out
+        self.instances: Dict[int, PortWriter] = {}
+
+    def on_record(self, rec: Record) -> None:
+        entity = self.entity
+        if not rec.has_tag(entity.tag):
+            raise RuntimeError_(
+                f"index split {entity.name} requires tag <{entity.tag}> "
+                f"on every record, got {rec!r}"
+            )
+        value = rec.tag(entity.tag)
+        writer = self.instances.get(value)
+        if writer is None:
+            core = self.core
+            core.tracer.record(entity.name, "instantiate", index=value)
+            inst_out = self.out.dup()
+            # the transport gets first claim on the replica (a placed !@
+            # split runs it on compute node `value`)
+            port = core.transport.compile_split_instance(entity, value, inst_out)
+            if port is None:
+                port = core.compile(entity.operand.copy(), inst_out)
+            writer = self.instances[value] = port.open_writer()
+        writer.push(rec)
+
+    def outputs(self) -> Iterable[PortWriter]:
+        return (*self.instances.values(), self.out)
+
+
+class _Collector(Port):
+    """The network's output: gathers the run's result records."""
+
+    def __init__(self, sched: "RunScheduler"):
+        super().__init__(sched, "network-out")
+        self.records: List[Record] = []
+        self.done = False
+
+    def on_record(self, rec: Record) -> None:
+        self.records.append(rec)
+
+    def on_close(self) -> None:
+        self.done = True
+
+
+class StreamBridge(Port):
+    """Adapter for a transport that runs a claimed entity on its own threads.
+
+    Records pushed to this port are put on :attr:`in_stream` (bounded by the
+    runtime's ``stream_capacity``), which the transport's threads read with
+    the blocking :class:`Stream` API; end of input closes it.  The bridge is
+    also the transport's output writer: its :meth:`put` and :meth:`close`
+    may be called from any thread and are forwarded downstream by the
+    scheduler.
+    """
+
+    def __init__(self, core: "EngineCore", name: str, out: PortWriter):
+        super().__init__(core.scheduler, name)
+        self.in_stream = core._new_stream(f"{name}-in")
+        self._in = self.in_stream.open_writer()
+        self.out = out
+        self.closed = False  # the transport side, as on a StreamWriter
+        self._lock = threading.Lock()
+        self.sched.bridges.append(self)
+
+    def on_record(self, rec: Record) -> None:
+        self._in.put(rec)
+
+    def on_close(self) -> None:
+        self._in.close()  # also called at the end of a run: idempotent
+
+    def outputs(self) -> Iterable[Any]:
+        return (self._in, self.out)
+
+    def put(self, rec: Record) -> None:
+        if self.closed:
+            raise StreamClosed(f"write on closed writer of {self.name}")
+        self.sched.deliver(self, self._forward, rec)
+
+    def close(self) -> None:
+        with self._lock:
+            if self.closed:
+                return
+            self.closed = True
+        self.sched.deliver(self, lambda _arg: self.out.close())
+
+    def _forward(self, rec: Record) -> None:
+        if not self.out.closed:  # a late result after a failover closed the channel
+            self.out.push(rec)
+
+
+class RunScheduler:
+    """Drive one run's port graph to completion on the calling thread.
+
+    Steps — ``(port, record)``, or ``(port, None)`` for end of input — are
+    processed in FIFO order from :attr:`ready`.  A *turn* ends when
+    :attr:`ready` is empty or after :attr:`TURN_STEPS` steps: the ports
+    registered with :meth:`at_turn_end` then act on what the turn gave them
+    (the pool transport submits its batches there), and the scheduler takes
+    the work other threads handed in through :meth:`deliver`, sleeping on
+    that one inbox while it has nothing else to do.
+    """
+
+    #: steps per turn: the batches a turn gives the pool transport go out
+    #: when it ends, so a long cascade elsewhere in the graph (the merger's
+    #: walk through its star) cannot hold back the next solver input
+    TURN_STEPS = 32
+
+    def __init__(self, core: "EngineCore"):
+        self.core = core
+        self.ready: Deque[Tuple[Port, Optional[Record]]] = deque()
+        self.steps = 0
+        self.bridges: List[StreamBridge] = []
+        self._inbox: "queue.SimpleQueue[Any]" = queue.SimpleQueue()
+        self._turn_end: List[Port] = []
+
+    def deliver(self, port: Port, fn: Callable[[Any], None], arg: Any = None) -> None:
+        """Run ``fn(arg)`` as a step of ``port`` (thread-safe)."""
+        self._inbox.put((port, fn, arg))
+
+    def wake(self) -> None:
+        """Make an idle scheduler re-check its state (thread-safe)."""
+        self._inbox.put(None)
+
+    def at_turn_end(self, port: Port) -> None:
+        """Call ``port.end_turn()`` once the current turn's steps are done."""
+        self._turn_end.append(port)
+
+    def _fail(self, port: Port, exc: BaseException) -> None:
+        port.failed = True
+        self.core._record_error(exc, source=port.name)
+        for writer in port.outputs():
+            writer.close()
+
+    def _call(self, port: Port, fn: Callable[[Any], None], arg: Any) -> None:
+        if port.failed:
+            return
+        try:
+            fn(arg)
+        except Exception as exc:  # noqa: BLE001 - collected for reporting
+            self._fail(port, exc)
+
+    def run(self, collector: _Collector, deadline: Optional[float]) -> bool:
+        """Process steps until the output closes; ``False`` at the deadline.
+
+        With a collected error the run also ends as soon as the scheduler
+        runs out of work: the error is what the caller reports.
+        """
+        ready, clock = self.ready, time.monotonic
+        core = self.core
+        while True:
+            budget = self.TURN_STEPS
+            while ready and budget:
+                budget -= 1
+                port, rec = ready.popleft()
+                self.steps += 1
+                if not port.failed:
+                    try:
+                        if rec is None:
+                            port.on_close()
+                        else:
+                            port.on_record(rec)
+                    except Exception as exc:  # noqa: BLE001 - collected
+                        self._fail(port, exc)
+                if deadline is not None and clock() > deadline:
+                    return False
+            if self._turn_end:
+                ports, self._turn_end = self._turn_end, []
+                for port in ports:
+                    self._call(port, port.end_turn, None)
+            if self._take_deliveries() or ready:
+                continue
+            if collector.done or core.errors:
+                return True
+            if not self._await_delivery(deadline):
+                return False
+
+    def _take_deliveries(self) -> bool:
+        """Run every step other threads have handed in; ``True`` if any."""
+        inbox, took = self._inbox, False
+        while True:
+            try:
+                item = inbox.get_nowait()
+            except queue.Empty:
+                return took
+            took = True
+            if item is not None:
+                self._call(*item)
+
+    def _await_delivery(self, deadline: Optional[float]) -> bool:
+        """Sleep until another thread hands in work; ``False`` at the deadline."""
+        wait = None if deadline is None else deadline - time.monotonic()
+        if wait is not None and wait <= 0:
+            return False
+        transport = self.core.transport
+        try:
+            check = transport.idle_check()
+        except Exception as exc:  # noqa: BLE001 - collected
+            self.core._record_error(exc, source=transport.name)
+            return True
+        if check is not None:
+            wait = check if wait is None else min(wait, check)
+        try:
+            item = self._inbox.get(timeout=wait)
+        except queue.Empty:
+            return True
+        if item is not None:
+            self._call(*item)
+        return True
+
+
 class Transport:
     """The seam between the execution core and a record-moving substrate.
 
-    A transport owns whatever lives outside the parent's worker threads —
-    a process pool, partition worker processes, nothing at all — and tells
-    the core which parts of the entity graph it wants to execute itself.
-    All hooks have safe no-op defaults; see :class:`InlineTransport` for
-    the trivial instance and the process/distributed engines for real ones.
+    A transport owns whatever lives outside the scheduler — a process pool,
+    partition worker processes, nothing at all — and tells the core which
+    parts of the entity graph it wants to execute itself.  All hooks have
+    safe no-op defaults; see :class:`InlineTransport` for the trivial
+    instance and the process/distributed engines for real ones.
 
     Lifecycle: :meth:`bind` is called once when the owning runtime is
     constructed; per run the core calls :meth:`begin_run` (acquire
@@ -195,28 +588,28 @@ class Transport:
         """Release per-run resources (called from ``finally``; idempotent)."""
 
     # -- compilation seam ----------------------------------------------------
-    def compile_entity(
-        self, entity: Entity, in_stream: Stream, out_writer: StreamWriter
-    ) -> bool:
+    def compile_entity(self, entity: Entity, out: PortWriter) -> Optional[Port]:
         """Claim ``entity`` for transport-side execution.
 
-        Return ``True`` when the transport compiled the entity itself (it
-        then owns ``out_writer``); ``False`` lets the core compile it with
-        the default in-process scheme.
+        Return the :class:`Port` that receives the entity's input when the
+        transport runs it (it then owns ``out``); ``None`` lets the core
+        compile it with the default scheme.  Ports are built on the
+        current run's :attr:`EngineCore.scheduler`; a transport with
+        threads of its own wraps them in a :class:`StreamBridge`.
         """
-        return False
+        return None
 
     def compile_split_instance(
-        self, entity: IndexSplit, value: int, inst_in: Stream, out_writer: StreamWriter
-    ) -> bool:
+        self, entity: IndexSplit, value: int, out: PortWriter
+    ) -> Optional[Port]:
         """Claim one lazily created replica of an index split.
 
-        Called by the split dispatcher each time a new tag value appears;
-        returning ``True`` means the transport runs the replica (the
-        distributed engine does this for placed ``!@`` splits), ``False``
+        Called by the split's port each time a new tag value appears;
+        returning a port means the transport runs the replica (the
+        distributed engine does this for placed ``!@`` splits), ``None``
         compiles it in-process.
         """
-        return False
+        return None
 
     def claims_entity(self, entity: Entity) -> bool:
         """Would :meth:`compile_entity` claim ``entity`` right now?
@@ -229,6 +622,15 @@ class Transport:
         """
         return False
 
+    def idle_check(self) -> Optional[float]:
+        """Health check, called each time the scheduler is about to sleep.
+
+        Raise to fail the run (the pool transport does when a worker died
+        with batches outstanding); return the longest the scheduler may
+        sleep before asking again, or ``None`` for no limit.
+        """
+        return None
+
     # -- accounting ----------------------------------------------------------
     @property
     def bytes_pickled(self) -> int:
@@ -237,36 +639,39 @@ class Transport:
 
 
 class InlineTransport(Transport):
-    """The trivial transport: everything executes in parent threads.
+    """The trivial transport: every entity is a port on the scheduler.
 
-    In-memory :class:`Stream` objects *are* the data plane, so nothing is
-    ever serialized and there are no resources to acquire or keep warm.
+    Records travel by reference between ports, so nothing is ever
+    serialized and there are no resources to acquire or keep warm.
     """
 
     name = "inline"
 
 
 class EngineCore:
-    """Execute an S-Net network with one thread per runtime component.
+    """Execute an S-Net network as a graph of ports on one scheduler.
 
-    The core compiles an entity graph into a network of worker threads
-    connected by :class:`~repro.snet.runtime.stream.Stream` objects:
+    The core compiles an entity graph into :class:`Port` step functions
+    that one :class:`RunScheduler` drives on the calling thread:
 
-    * every primitive entity (box, filter, synchrocell) becomes one worker
-      that repeatedly takes a record from its input stream, applies the
-      entity and writes the results to its output stream;
-    * serial composition allocates an intermediate stream;
-    * parallel composition becomes a dispatcher worker that routes records
-      by best type match; both branches write into the same output stream,
-      which gives the nondeterministic in-arrival-order merge of the paper;
-    * serial replication (star) spawns one *router* per unrolling level;
-    * parallel replication (index split) becomes a dispatcher that lazily
-      instantiates one replica pipeline per observed tag value.
+    * every primitive entity (box, filter, synchrocell, fused chain) becomes
+      one port that applies the entity to each record and pushes the
+      results to its output port;
+    * serial composition wires the left operand's output to the right
+      operand's input port;
+    * parallel composition becomes a routing port that sends each record to
+      the best-matching branch; both branches write into the same output
+      port, which gives the nondeterministic in-arrival-order merge of the
+      paper;
+    * serial replication (star) is a chain of level routers, one more
+      unrolled each time a record reaches the deepest level;
+    * parallel replication (index split) becomes a routing port that
+      lazily instantiates one replica per observed tag value.
 
     Before compiling any entity the core offers it to the
     :class:`Transport`, which may claim it for out-of-process execution
-    (pool-offloaded boxes, placement partitions); unclaimed entities run in
-    parent threads regardless of the backend, so stateful primitives behave
+    (pool-offloaded boxes, placement partitions); unclaimed entities run on
+    the scheduler regardless of the backend, so stateful primitives behave
     identically everywhere.
 
     Parameters
@@ -274,7 +679,8 @@ class EngineCore:
     tracer:
         Optional :class:`Tracer` receiving runtime events.
     stream_capacity:
-        Bound of every internal stream (provides back-pressure/throttling).
+        Bound of every stream at a transport boundary (back-pressure on
+        the records handed to transport threads).
     transport:
         The record-moving substrate; defaults to :class:`InlineTransport`.
     check:
@@ -290,7 +696,7 @@ class EngineCore:
         Sequential-chain linearization mode (see
         :mod:`repro.snet.runtime.linearize`).  ``"auto"`` (default)
         collapses purely sequential runs of pure primitives into single
-        fused workers whenever that is provably transparent: tracing must
+        fused ports whenever that is provably transparent: tracing must
         be disabled (fusion elides the interior per-record trace events)
         and the static analyzer must report the network error-free (the
         fail-safe direction — no report, no fusion).  ``"off"`` disables
@@ -301,11 +707,11 @@ class EngineCore:
         collapsed.
 
     Runtime instances are **reusable**: :meth:`run` resets all per-run state
-    (worker bookkeeping, collected errors) on entry, so a long-lived service
-    can execute many jobs on one runtime object.  The warm lifecycle —
-    :meth:`setup`, :meth:`teardown`, :attr:`is_warm`, and the context-manager
-    protocol — is owned here and delegates resource decisions to the
-    transport::
+    (scheduler, collected errors, counters) on entry, so a long-lived
+    service can execute many jobs on one runtime object.  The warm
+    lifecycle — :meth:`setup`, :meth:`teardown`, :attr:`is_warm`, and the
+    context-manager protocol — is owned here and delegates resource
+    decisions to the transport::
 
         runtime.setup(network)            # no-op inline, forks a pool etc.
         try:
@@ -344,6 +750,14 @@ class EngineCore:
         self.fuse = fuse
         #: number of fused chains the most recent :meth:`run` created
         self.fused_chains = 0
+        #: OS threads the engine started during the most recent :meth:`run`
+        #: (transport threads only: every entity runs on the scheduler)
+        self.threads_started = 0
+        #: scheduler steps (records and end-of-stream signals moved between
+        #: ports) of the most recent :meth:`run`
+        self.steps = 0
+        #: the scheduler of the run in progress (``None`` between runs)
+        self.scheduler: Optional[RunScheduler] = None
         #: cluster size for placement checks; the distributed runtime sets it
         self.check_nodes: Optional[int] = None
         self._check_cache: "weakref.WeakKeyDictionary[Entity, Any]" = (
@@ -505,22 +919,39 @@ class EngineCore:
         self.teardown()
 
     def _reset_run_state(self) -> None:
-        """Forget the previous run's workers and errors (start of every run)."""
+        """Forget the previous run's threads, errors and counters."""
         with self._lock:
             self._threads = []
             self._pending = []
             self._started = False
             self.errors = []
             self.fused_chains = 0
+            self.threads_started = 0
+            self.steps = 0
 
-    # -- thread management -------------------------------------------------
+    def observability(self) -> Dict[str, Any]:
+        """Counters of the most recent run as a JSON-friendly dict."""
+        return {
+            "transport": self.transport.name,
+            "steps": self.steps,
+            "threads_started": self.threads_started,
+            "fused_chains": self.fused_chains,
+            "bytes_pickled": self.bytes_pickled,
+        }
+
+    # -- transport threads ---------------------------------------------------
     def _record_error(self, exc: BaseException, source: str = "transport") -> None:
-        """Collect an asynchronous error (transport links report through this)."""
+        """Collect an error (failing ports and transport threads report here)."""
         with self._lock:
             self.errors.append(exc)
         self.tracer.record(source, "worker-error", error=repr(exc))
+        sched = self.scheduler
+        if sched is not None:
+            sched.wake()
 
     def _spawn(self, fn: Callable[[], None], name: str) -> None:
+        """Run ``fn`` on a transport thread (deferred until the run starts)."""
+
         def guarded() -> None:
             try:
                 fn()
@@ -537,176 +968,33 @@ class EngineCore:
         thread = threading.Thread(target=fn, name=name, daemon=True)
         with self._lock:
             self._threads.append(thread)
+            self.threads_started += 1
         thread.start()
 
     def _new_stream(self, name: str) -> Stream:
         return Stream(name=name, capacity=self.stream_capacity)
 
     # -- compilation ----------------------------------------------------------
-    def compile(self, entity: Entity, in_stream: Stream, out_writer: StreamWriter) -> None:
-        """Compile ``entity`` reading ``in_stream`` and owning ``out_writer``."""
-        if self.transport.compile_entity(entity, in_stream, out_writer):
-            return
+    def compile(self, entity: Entity, out: PortWriter) -> Port:
+        """Compile ``entity`` writing to ``out``; returns its input port."""
+        port = self.transport.compile_entity(entity, out)
+        if port is not None:
+            return port
         if isinstance(entity, PrimitiveEntity):
-            self._compile_primitive(entity, in_stream, out_writer)
-        elif isinstance(entity, Serial):
-            self._compile_serial(entity, in_stream, out_writer)
-        elif isinstance(entity, Parallel):
-            self._compile_parallel(entity, in_stream, out_writer)
-        elif isinstance(entity, Star):
-            self._compile_star(entity, in_stream, out_writer)
-        elif isinstance(entity, IndexSplit):
-            self._compile_split(entity, in_stream, out_writer)
-        elif isinstance(entity, (Network, StaticPlacement)):
+            return _PrimitivePort(self, entity, out)
+        if isinstance(entity, Serial):
+            right = self.compile(entity.right, out)
+            return self.compile(entity.left, right.open_writer())
+        if isinstance(entity, Parallel):
+            return _ParallelPort(self, entity, out)
+        if isinstance(entity, Star):
+            return _StarLevel(self, entity, 0, out)
+        if isinstance(entity, IndexSplit):
+            return _SplitPort(self, entity, out)
+        if isinstance(entity, (Network, StaticPlacement)):
             inner = entity.body if isinstance(entity, Network) else entity.operand
-            self.compile(inner, in_stream, out_writer)
-        else:
-            raise RuntimeError_(f"cannot compile entity {entity!r}")
-
-    def _compile_primitive(
-        self, entity: PrimitiveEntity, in_stream: Stream, out_writer: StreamWriter
-    ) -> None:
-        tracer = self.tracer
-        traced = getattr(tracer, "enabled", True)
-
-        def worker() -> None:
-            with worker_scope(in_stream, lambda: (out_writer,)):
-                while True:
-                    rec = in_stream.get()
-                    if rec is None:
-                        break
-                    if traced:
-                        tracer.record(entity.name, "consume", record=repr(rec))
-                    for produced in entity.process(rec):
-                        if traced:
-                            tracer.record(entity.name, "produce", record=repr(produced))
-                        out_writer.put(produced)
-                for produced in entity.flush():
-                    if traced:
-                        tracer.record(entity.name, "produce", record=repr(produced))
-                    out_writer.put(produced)
-
-        self._spawn(worker, f"worker-{entity.name}-{entity.entity_id}")
-
-    def _compile_serial(
-        self, entity: Serial, in_stream: Stream, out_writer: StreamWriter
-    ) -> None:
-        mid = self._new_stream(f"{entity.name}-mid")
-        self.compile(entity.left, in_stream, mid.open_writer())
-        self.compile(entity.right, mid, out_writer)
-
-    def _compile_parallel(
-        self, entity: Parallel, in_stream: Stream, out_writer: StreamWriter
-    ) -> None:
-        branch_streams: List[Stream] = []
-        branch_writers: List[StreamWriter] = []
-        for branch in entity.branches:
-            branch_in = self._new_stream(f"{entity.name}-{branch.name}-in")
-            branch_streams.append(branch_in)
-            branch_writers.append(branch_in.open_writer())
-            self.compile(branch, branch_in, out_writer.dup())
-
-        tracer = self.tracer
-        # route() returns one of entity.branches; resolve it to a writer by
-        # identity instead of an O(branches) list search per record
-        writer_of = {id(b): w for b, w in zip(entity.branches, branch_writers)}
-
-        def dispatcher() -> None:
-            with worker_scope(in_stream, lambda: (*branch_writers, out_writer)):
-                while True:
-                    rec = in_stream.get()
-                    if rec is None:
-                        break
-                    branch = entity.route(rec)
-                    tracer.record(entity.name, "route", branch=branch.name)
-                    writer_of[id(branch)].put(rec)
-
-        self._spawn(dispatcher, f"dispatch-{entity.name}-{entity.entity_id}")
-
-    def _compile_star(
-        self, entity: Star, in_stream: Stream, out_writer: StreamWriter
-    ) -> None:
-        tracer = self.tracer
-        runtime = self
-
-        def make_router(level: int, level_in: Stream, writer: StreamWriter) -> Callable[[], None]:
-            def router() -> None:
-                instance_writer: Optional[StreamWriter] = None
-
-                def open_writers():
-                    if instance_writer is not None:
-                        return (instance_writer, writer)
-                    return (writer,)
-
-                with worker_scope(level_in, open_writers):
-                    while True:
-                        rec = level_in.get()
-                        if rec is None:
-                            break
-                        if entity.exit_pattern.matches(rec):
-                            tracer.record(entity.name, "exit", level=level)
-                            writer.put(rec)
-                            continue
-                        if instance_writer is None:
-                            if level >= entity.max_depth:
-                                raise RuntimeError_(
-                                    f"star {entity.name} exceeded max depth {entity.max_depth}"
-                                )
-                            tracer.record(entity.name, "unroll", level=level)
-                            inst_in = runtime._new_stream(f"{entity.name}-L{level}-in")
-                            inst_out = runtime._new_stream(f"{entity.name}-L{level}-out")
-                            instance_writer = inst_in.open_writer()
-                            runtime.compile(
-                                entity.operand.copy(), inst_in, inst_out.open_writer()
-                            )
-                            runtime._spawn(
-                                make_router(level + 1, inst_out, writer.dup()),
-                                f"star-{entity.name}-L{level + 1}",
-                            )
-                        instance_writer.put(rec)
-
-            return router
-
-        self._spawn(make_router(0, in_stream, out_writer), f"star-{entity.name}-L0")
-
-    def _compile_split(
-        self, entity: IndexSplit, in_stream: Stream, out_writer: StreamWriter
-    ) -> None:
-        tracer = self.tracer
-        runtime = self
-        transport = self.transport
-
-        def dispatcher() -> None:
-            instance_writers: Dict[int, StreamWriter] = {}
-            with worker_scope(
-                in_stream, lambda: (*instance_writers.values(), out_writer)
-            ):
-                while True:
-                    rec = in_stream.get()
-                    if rec is None:
-                        break
-                    if not rec.has_tag(entity.tag):
-                        raise RuntimeError_(
-                            f"index split {entity.name} requires tag <{entity.tag}> "
-                            f"on every record, got {rec!r}"
-                        )
-                    value = rec.tag(entity.tag)
-                    if value not in instance_writers:
-                        tracer.record(entity.name, "instantiate", index=value)
-                        inst_in = runtime._new_stream(f"{entity.name}-{value}-in")
-                        instance_writers[value] = inst_in.open_writer()
-                        inst_out = out_writer.dup()
-                        # the transport gets first claim on the replica (a
-                        # placed !@ split runs it on compute node `value`)
-                        if not transport.compile_split_instance(
-                            entity, value, inst_in, inst_out
-                        ):
-                            runtime.compile(
-                                entity.operand.copy(), inst_in, inst_out
-                            )
-                    instance_writers[value].put(rec)
-
-        self._spawn(dispatcher, f"split-{entity.name}-{entity.entity_id}")
+            return self.compile(inner, out)
+        raise RuntimeError_(f"cannot compile entity {entity!r}")
 
     # -- running -------------------------------------------------------------
     def run(
@@ -718,19 +1006,16 @@ class EngineCore:
     ) -> List[Record]:
         """Execute ``network`` on a finite input stream and return all outputs.
 
-        The input records are fed from a dedicated feeder thread while the
-        calling thread drains the global output stream, so bounded streams
-        cannot deadlock the harness.
+        The inputs are pushed into the compiled graph and the scheduler runs
+        it to completion on the calling thread.
 
-        ``timeout`` is a *wall-clock deadline for the whole run*, not a
-        per-record patience: every read of the output stream waits at most
-        for the time remaining until the deadline.  (It used to be applied
-        per output record, so a network trickling one record just under the
-        timeout apiece could stall arbitrarily long without ever timing
-        out.)  ``None`` disables the deadline.
+        ``timeout`` is a *wall-clock deadline for the whole run*, checked
+        between steps: an entity that blocks is not pre-empted, but the run
+        ends at the first step boundary past the deadline.  ``None``
+        disables the deadline.
 
         ``run`` may be called repeatedly on the same runtime instance; each
-        call starts from a clean per-run state (fresh worker bookkeeping, no
+        call starts from a clean per-run state (fresh scheduler, no
         carried-over errors from an earlier failed run).  Transport
         resources are acquired before compilation (so forked workers inherit
         every registration) and released in ``finally``.
@@ -740,6 +1025,7 @@ class EngineCore:
         # cached across jobs on warm runtimes
         self._validate_network(network)
         target = network.copy() if fresh else network
+        sched = self.scheduler = RunScheduler(self)
         try:
             target = self.transport.begin_run(target, inputs, timeout)
             # linearize after begin_run so the transport's claims reflect
@@ -756,61 +1042,41 @@ class EngineCore:
                 target, self.fused_chains = linearize(
                     target, self.transport.claims_entity
                 )
-            in_stream = self._new_stream("network-in")
-            out_stream = self._new_stream("network-out")
-            self.compile(target, in_stream, out_stream.open_writer())
-
-            input_writer = in_stream.open_writer()
-
-            def feeder() -> None:
-                try:
-                    for rec in inputs:
-                        input_writer.put(rec)
-                finally:
-                    input_writer.close()
-
-            self._spawn(feeder, "feeder")
-
-            # start all registered workers
+            collector = _Collector(sched)
+            entry = self.compile(target, collector.open_writer()).open_writer()
+            for rec in inputs:
+                entry.push(rec)
+            entry.close()
             with self._lock:
                 self._started = True
-                pending = list(self._pending)
-                self._pending.clear()
+                pending, self._pending = self._pending, []
             for start in pending:
                 start()
 
             deadline = None if timeout is None else time.monotonic() + timeout
-
-            def remaining() -> Optional[float]:
-                if deadline is None:
-                    return None
-                return max(0.0, deadline - time.monotonic())
-
-            outputs: List[Record] = []
-            while True:
-                try:
-                    # already-buffered records are returned even at a spent
-                    # deadline; only *waiting* is bounded by the remaining budget
-                    rec = out_stream.get(timeout=remaining())
-                except RuntimeError_:
-                    # drain timed out: a collected worker error explains the
-                    # stall better than the generic timeout does
-                    if self.errors:
-                        break
-                    raise
-                if rec is None:
-                    break
-                outputs.append(rec)
-
-            # with a collected error, joining stuck threads for the remaining
-            # budget each would delay the report by N_threads x timeout; they
-            # are daemons, so give them only a token grace period
+            finished = sched.run(collector, deadline)
+            if not finished and not self.errors:
+                raise RuntimeError_(
+                    f"run timed out after {timeout}s with the network still "
+                    "running"
+                )
+            # transport threads end once their input streams close; with a
+            # collected error they get only a token grace period
+            for bridge in sched.bridges:
+                bridge.on_close()
             for thread in list(self._threads):
-                thread.join(timeout=1.0 if self.errors else remaining())
+                if deadline is None or self.errors:
+                    thread.join(timeout=1.0 if self.errors else None)
+                else:
+                    thread.join(timeout=max(0.0, deadline - time.monotonic()))
             if self.errors:
                 raise RuntimeError_(
                     f"{len(self.errors)} worker(s) failed: {self.errors[0]!r}"
                 ) from self.errors[0]
-            return outputs
+            return collector.records
         finally:
+            for bridge in sched.bridges:
+                bridge.on_close()
+            self.steps = sched.steps
+            self.scheduler = None
             self.transport.end_run()

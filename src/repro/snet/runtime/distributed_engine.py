@@ -21,10 +21,10 @@ and split at its placement combinators:
   partitions**: the replica for tag value *v* executes on node
   ``v % nodes``, instantiated lazily when *v* is first observed — exactly
   the paper's indexed placement;
-* everything *not* under a placement combinator (dispatchers, the merger's
-  synchrocell chain, ``genImg``) runs in the coordinating parent process
-  with ordinary threaded semantics, so stateful primitives keep their
-  single-home guarantee;
+* everything *not* under a placement combinator (routing ports, the
+  merger's synchrocell chain, ``genImg``) runs on the coordinating parent's
+  scheduler with ordinary threaded-backend semantics, so stateful
+  primitives keep their single-home guarantee;
 * a network with **no placement combinators at all** is wrapped in an
   implicit ``@ 0``, so the whole network executes on compute node 0 — any
   S-Net program runs distributed unchanged.
@@ -69,14 +69,15 @@ Every frame byte in either direction is accumulated in
 :attr:`DistributedRuntime.bytes_pickled` — the cross-partition
 bytes-on-the-wire metric the distributed benchmarks pin.
 
-Each parent-side channel gets a *forwarder* thread (batching records off
-the partition's input stream), each link a *sender* thread (so a slow
-worker can never deadlock the duplex pipe: frames queue in the parent
-instead of blocking mid-send) and a *receiver* thread (demultiplexing
-``RESULT`` frames onto the partitions' output streams, where the bounded
-streams apply normal back-pressure).  Worker errors surface through the
-core's collector with drain-on-error semantics, exactly like a failing
-box on any other backend.
+Each parent-side channel sits behind a
+:class:`~repro.snet.runtime.core.StreamBridge` port of the scheduler and
+gets a *forwarder* thread (batching records off the bridge's bounded input
+stream); each link gets a *sender* thread (so a slow worker can never
+deadlock the duplex pipe: frames queue in the parent instead of blocking
+mid-send) and a *receiver* thread (demultiplexing ``RESULT`` frames onto
+the channels' bridges, which hand them to the scheduler's inbox).  Worker
+errors surface through the core's collector with drain-on-error
+semantics, exactly like a failing box on any other backend.
 
 Fault tolerance
 ---------------
@@ -135,6 +136,9 @@ from repro.snet.placement import (
 from repro.snet.records import Record
 from repro.snet.runtime.core import (
     EngineCore,
+    Port,
+    PortWriter,
+    StreamBridge,
     Transport,
     drain_stream,
     warn_fork_degraded,
@@ -1073,29 +1077,24 @@ class PartitionTransport(Transport):
         unregister_shared(self._shared_registered)
 
     # -- compilation seam ----------------------------------------------------
-    def compile_entity(
-        self, entity: Entity, in_stream: Stream, out_writer: StreamWriter
-    ) -> bool:
+    def compile_entity(self, entity: Entity, out: PortWriter) -> Optional[Port]:
         if not self._links or not isinstance(entity, StaticPlacement):
-            return False
+            return None
         key = self._resolve_key(entity)
         if key is None:
-            return False
-        node = placement_of(entity)
-        self._open_channel(key, node, in_stream, out_writer, entity.name)
-        return True
+            return None
+        return self._bridge_channel(key, placement_of(entity), out, entity.name)
 
     def compile_split_instance(
-        self, entity: IndexSplit, value: int, inst_in: Stream, out_writer: StreamWriter
-    ) -> bool:
+        self, entity: IndexSplit, value: int, out: PortWriter
+    ) -> Optional[Port]:
         if not self._links or not entity.placed:
-            return False
+            return None
         key = self._resolve_key(entity)
         if key is None:
-            return False
+            return None
         # indexed placement: the replica for tag value v runs on node v
-        self._open_channel(key, value, inst_in, out_writer, f"{entity.name}-{value}")
-        return True
+        return self._bridge_channel(key, value, out, f"{entity.name}-{value}")
 
     def claims_entity(self, entity: Entity) -> bool:
         """Mirror of :meth:`compile_entity`'s claim condition (no side effects)."""
@@ -1106,6 +1105,12 @@ class PartitionTransport(Transport):
         )
 
     # -- channels ------------------------------------------------------------
+    def _bridge_channel(self, key: str, node: int, out: PortWriter, label: str) -> Port:
+        """Open a channel behind a :class:`StreamBridge` port of the scheduler."""
+        bridge = StreamBridge(self.runtime, label, out)
+        self._open_channel(key, node, bridge.in_stream, bridge, label)
+        return bridge
+
     def _open_channel(
         self,
         key: str,

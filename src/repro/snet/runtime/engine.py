@@ -2,9 +2,10 @@
 
 :class:`ThreadedRuntime` is the :class:`~repro.snet.runtime.core.EngineCore`
 paired with the :class:`~repro.snet.runtime.core.InlineTransport`: the
-compilation scheme, drain-on-error shutdown, wall-clock run deadline and
-warm lifecycle all live in the shared core; the inline transport keeps
-every record on in-memory streams and every primitive in a parent thread.
+compilation scheme, scheduler, drain-on-error shutdown, wall-clock run
+deadline and warm lifecycle all live in the shared core; the inline
+transport claims nothing, so every entity instance is a port on the
+scheduler and records travel by reference.
 
 This makes the threaded engine the *correctness* backend: real box
 execution, no extra processes, no serialization — but GIL-bound, so
@@ -15,8 +16,8 @@ cross-backend conformance suite pins their observable semantics to this
 one.
 
 :func:`drain_stream` and :func:`worker_scope` are re-exported from the core
-for backward compatibility — they are the shutdown contract every runtime
-worker follows.
+for backward compatibility — they are the shutdown contract of transport
+threads that read a :class:`~repro.snet.runtime.stream.Stream`.
 """
 
 from __future__ import annotations
@@ -37,14 +38,15 @@ __all__ = ["ThreadedRuntime", "run_threaded", "drain_stream", "worker_scope"]
 
 
 class ThreadedRuntime(EngineCore):
-    """Execute an S-Net network with one thread per runtime component.
+    """Execute an S-Net network in process, on one run-to-completion scheduler.
 
     Parameters
     ----------
     tracer:
         Optional :class:`Tracer` receiving runtime events.
     stream_capacity:
-        Bound of every internal stream (provides back-pressure/throttling).
+        Bound of every stream at a transport boundary (none inline; kept for
+        a uniform constructor across backends).
 
     Runtime instances are **reusable** and expose the same warm lifecycle
     (:meth:`~repro.snet.runtime.core.EngineCore.setup` /

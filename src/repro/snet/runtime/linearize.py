@@ -1,13 +1,12 @@
 """Sequential-chain linearization: the runtime's network-level fast path.
 
 A purely sequential chain of *pure* primitives — boxes and filters composed
-with ``..`` — compiles, under the default scheme, to one worker thread plus
-one bounded :class:`~repro.snet.runtime.stream.Stream` **per stage**.  Every
-record then pays a stream put/get (two lock acquisitions and a condition
-wake-up) and two tracer calls per hop, which is pure coordination overhead:
-a pure chain has no internal state, no routing decisions and no merge
-points, so executing its stages back-to-back in a single worker is
-observably identical.
+with ``..`` — compiles, under the default scheme, to one scheduler port
+**per stage**.  Every record then pays one queued scheduler step and two
+tracer calls per hop, which is pure coordination overhead: a pure chain
+has no internal state, no routing decisions and no merge points, so
+executing its stages back-to-back in a single port is observably
+identical.
 
 :func:`linearize` rewrites a (privately copied) entity graph before
 compilation, collapsing every maximal run of fusable primitives inside a
@@ -18,7 +17,7 @@ narrow:
 
 * **boxes and filters only** — synchrocells are stateful merge points and
   every combinator is a scheduling boundary (star taps, split routing,
-  parallel merges must keep their own workers);
+  parallel merges must keep their own ports);
 * **not across a placement boundary** — ``A @ node`` / ``A !@ <tag>``
   subtrees are shipped to partition workers keyed by their structural
   content hash, so their shape must stay pristine;
@@ -51,7 +50,7 @@ __all__ = ["FusedChain", "linearize"]
 
 
 class FusedChain(PrimitiveEntity):
-    """A run of pure primitives executed back-to-back in one worker.
+    """A run of pure primitives executed back-to-back in one port.
 
     Behaves exactly like the serial composition of its stages: ``process``
     pipes one record through every stage in order, ``flush`` cascades each
@@ -112,7 +111,7 @@ class FusedChain(PrimitiveEntity):
 def _fusable(entity: Entity, claims: Callable[[Entity], bool]) -> bool:
     """May ``entity`` become a stage of a fused chain?"""
     if not isinstance(entity, (Box, Filter)):
-        return False  # synchrocells (stateful) and anything exotic keep workers
+        return False  # synchrocells (stateful) and anything exotic keep their own ports
     return not claims(entity)
 
 

@@ -2,13 +2,12 @@
 
 :class:`ProcessRuntime` pairs the shared
 :class:`~repro.snet.runtime.core.EngineCore` with a :class:`PoolTransport`:
-the compilation scheme, stream topology and dispatchers for the dynamic
-combinators are exactly those of the threaded engine (they live in the
-core), but invocations of ``parallel_safe`` boxes are claimed by the
-transport and executed on a ``multiprocessing`` worker pool, so CPU-bound
-box code runs outside the GIL and a multi-core host delivers real
-wall-clock speedup (the paper's headline measurement, which the threaded
-runtime can only simulate).
+the port graph and its scheduler are exactly those of the threaded engine
+(they live in the core), but instances of ``parallel_safe`` boxes are
+claimed by the transport and their records are executed on a
+``multiprocessing`` worker pool, so CPU-bound box code runs outside the GIL
+and a multi-core host delivers real wall-clock speedup (the paper's
+headline measurement, which the threaded runtime can only simulate).
 
 Design notes
 ------------
@@ -38,26 +37,31 @@ Design notes
   Every byte serialized either way is accumulated in
   :attr:`ProcessRuntime.bytes_pickled` — the instrumentation behind the
   data-plane benchmarks.
-* **Chunked batches, adaptively sized (layer 4).**  Each box pump submits
-  records in small batches to amortise pool dispatch overhead.  Batching is
-  *greedy*: a pump never blocks waiting for a batch to fill, otherwise a
-  feedback network (e.g. the token loop of the dynamic ray-tracing farm)
-  could starve itself.  Unless ``chunk_size``/``max_inflight`` are pinned,
-  a per-pump :class:`BatchAutotuner` adapts them to the observed batch
-  service time: micro-boxes coalesce into large batches (dispatch-bound),
-  expensive boxes stay at one record per batch (load-balance-bound).
-* **No result withholding.**  Completed batches are written downstream as
-  soon as they are ready, even while the pump waits for more input.  This is
-  essential for cyclic dataflow: in the dynamic farm a solver *result*
-  releases the node token that admits the solver's next *input*.
+* **Chunked batches, adaptively sized (layer 4).**  A claimed box instance
+  is a port on the scheduler: the records it receives during one scheduler
+  turn are batched to amortise pool dispatch overhead, and nothing ever
+  waits for a batch to fill, otherwise a feedback network (e.g. the token
+  loop of the dynamic ray-tracing farm) could starve itself.  Unless
+  ``chunk_size``/``max_inflight`` are pinned, a per-instance
+  :class:`BatchAutotuner` adapts them to the observed batch service time:
+  micro-boxes coalesce into large batches (dispatch-bound), expensive boxes
+  stay at one record per batch (load-balance-bound).  Batches go out with
+  ``apply_async``; their callbacks hand results to the scheduler's inbox.
+* **No result withholding.**  A completed batch is pushed downstream as
+  soon as it lands.  This is essential for cyclic dataflow: in the dynamic
+  farm a solver *result* releases the node token that admits the solver's
+  next *input*.
 * **Back-pressure.**  At most ``max_inflight`` batches are outstanding per
-  box; the pump stops consuming its input stream beyond that, and the bounded
-  streams propagate the pressure upstream exactly as in the threaded engine.
-* **Error surfacing.**  An exception raised by a box in a pool worker is
-  re-raised (as :class:`BoxWorkerError`, carrying the remote traceback) in
-  the pump thread, collected by the runtime and reported by
-  :meth:`EngineCore.run`; the pump drains its input first so upstream
-  workers shut down cleanly instead of hanging until the harness timeout.
+  box instance; further records wait in the port until results return.
+* **Error surfacing.**  An exception raised by a box in a pool worker comes
+  back (as :class:`BoxWorkerError`, carrying the remote traceback) to the
+  box's port, which fails like any other port: its output closes and the
+  run reports the error.  A worker that *dies* never answers, so while
+  batches are outstanding the scheduler checks the workers' sentinels
+  each time it goes idle, and every
+  :attr:`PoolTransport.HEALTH_CHECK_INTERVAL` seconds while it stays idle,
+  and fails the run with :class:`BoxWorkerError` instead of waiting for
+  the deadline.
 
 * **Warm lifecycle (setup/teardown split).**  A one-shot :meth:`ProcessRuntime.run`
   builds and tears down everything per call: box registration, payload
@@ -71,9 +75,9 @@ Design notes
   queue's reader lock, which would block every other worker (and
   ``Pool.terminate``) forever.
 
-Stateful primitives (synchrocells), filters, dispatchers and boxes marked
-``parallel_safe=False`` execute in-process, exactly as on the threaded
-runtime.  On platforms without the ``fork`` start method the runtime
+Stateful primitives (synchrocells), filters, routing ports and boxes
+marked ``parallel_safe=False`` execute on the scheduler, exactly as on the
+threaded runtime.  On platforms without the ``fork`` start method the runtime
 degrades to threaded execution (same semantics, no extra processes) and
 says so with a :class:`RuntimeWarning`.
 """
@@ -98,9 +102,11 @@ from repro.snet.records import Record
 from repro.snet.runtime import data_plane
 from repro.snet.runtime.core import (
     EngineCore,
+    Port,
+    PortWriter,
     Transport,
+    _PrimitivePort,
     warn_fork_degraded,
-    worker_scope,
 )
 from repro.snet.runtime.data_plane import (
     BROADCAST_MIN_BYTES,
@@ -115,7 +121,6 @@ from repro.snet.runtime.data_plane import (
     swap_shared_out,
     unregister_shared,
 )
-from repro.snet.runtime.stream import Stream, StreamWriter
 from repro.snet.runtime.tracing import Tracer
 
 __all__ = [
@@ -186,7 +191,7 @@ def _invoke_box_batch(
 
 
 class BatchAutotuner:
-    """Adapt a pump's ``chunk_size``/``max_inflight`` to batch service time.
+    """Adapt a box instance's ``chunk_size``/``max_inflight`` to batch service time.
 
     The controller targets ~:data:`TARGET_BATCH_SECONDS` of box work per
     pool submission: an EWMA of the worker-measured per-record service time
@@ -194,7 +199,7 @@ class BatchAutotuner:
     growth per observation (one noisy measurement must not cause a wild
     swing).  ``max_inflight`` follows the same signal: sub-millisecond
     records need a deep submission pipeline to keep workers busy between
-    pump polls (4x workers), expensive records keep the default shallow
+    scheduler turns (4x workers), expensive records keep the default shallow
     bound (2x workers) so work stays available for load balancing.  Pinned
     values (explicit ``chunk_size=``/``max_inflight=``) are never adapted.
     """
@@ -294,9 +299,9 @@ class PoolTransport(Transport):
 
     name = "pool"
 
-    #: seconds a pump waits on either its input stream or its oldest pending
-    #: result before re-checking the other
-    _POLL_INTERVAL = 0.02
+    #: longest the scheduler sleeps, while batches are outstanding, before
+    #: re-checking that every pool worker is still alive
+    HEALTH_CHECK_INTERVAL = 0.1
 
     def __init__(self) -> None:
         super().__init__()
@@ -309,7 +314,7 @@ class PoolTransport(Transport):
         self._box_keys: Dict[tuple, int] = {}
         self._registered: List[int] = []
         self._shared_registered: List[int] = []
-        self._result_timeout: Optional[float] = None
+        self._ports: List["_PoolPort"] = []  # this run's claimed box instances
         self._stats_lock = threading.Lock()
         self._bytes_pickled = 0
         self.batches_dispatched = 0
@@ -405,9 +410,7 @@ class PoolTransport(Transport):
     def begin_run(
         self, network: Entity, inputs: Sequence[Record], timeout: Optional[float]
     ) -> Entity:
-        # pool results share the run's patience budget: a batch that takes
-        # longer than the whole run is allowed to would time the run out anyway
-        self._result_timeout = timeout
+        self._ports = []
         self._reset_stats()
         runtime = self.runtime
         if runtime.is_warm:
@@ -439,6 +442,7 @@ class PoolTransport(Transport):
     def end_run(self) -> None:
         pool, self._cold_pool = self._cold_pool, None
         self._pool = None
+        self._ports = []
         if pool is not None:
             _close_pool(pool)
         if not self.runtime.is_warm:
@@ -446,24 +450,13 @@ class PoolTransport(Transport):
             unregister_shared(self._shared_registered)
 
     # -- compilation seam ----------------------------------------------------
-    def compile_entity(
-        self, entity: Entity, in_stream: Stream, out_writer: StreamWriter
-    ) -> bool:
-        if (
-            self._pool is None
-            or not isinstance(entity, Box)
-            or not entity.parallel_safe
-        ):
-            # filters, synchrocells, non-offloadable boxes: threaded semantics
-            return False
-        key = self._box_keys.get(self._template_key(entity))
-        if key is None:
-            return False
-        self.runtime._spawn(
-            self._make_pump(entity, key, in_stream, out_writer),
-            f"pool-{entity.name}-{entity.entity_id}",
-        )
-        return True
+    def compile_entity(self, entity: Entity, out: PortWriter) -> Optional[Port]:
+        if not self.claims_entity(entity):
+            # filters, synchrocells, non-offloadable boxes: scheduler ports
+            return None
+        port = _PoolPort(self, entity, self._box_keys[self._template_key(entity)], out)
+        self._ports.append(port)
+        return port
 
     def claims_entity(self, entity: Entity) -> bool:
         """Mirror of :meth:`compile_entity`'s claim condition (no side effects)."""
@@ -474,98 +467,109 @@ class PoolTransport(Transport):
             and self._box_keys.get(self._template_key(entity)) is not None
         )
 
-    def _make_pump(
-        self, entity: Box, key: int, in_stream: Stream, out_writer: StreamWriter
-    ):
-        pool = self._pool
-        runtime = self.runtime
-        tracer = runtime.tracer
-        traced = getattr(tracer, "enabled", True)
-        transport = self
-        batcher = BatchAutotuner(
+    def idle_check(self) -> Optional[float]:
+        """Fail the run fast if a pool worker died with batches outstanding.
+
+        A batch handed to a worker that dies never completes, and a worker
+        killed while waiting for tasks can take the task queue's lock with
+        it, wedging every other worker; either way waiting longer is futile.
+        """
+        if self._pool is None or not any(
+            port.inflight and not port.failed for port in self._ports
+        ):
+            return None
+        if _lost_worker(self._pool):
+            raise BoxWorkerError(
+                "a pool worker process died while box batches were outstanding"
+            )
+        return self.HEALTH_CHECK_INTERVAL
+
+
+class _PoolPort(_PrimitivePort):
+    """A claimed ``parallel_safe`` box instance: batches on the worker pool.
+
+    Records pushed during one scheduler turn wait in the port; at the end
+    of the turn they go out in batches of the autotuned ``chunk_size``, at
+    most ``max_inflight`` batches at a time (the rest wait for results).
+    Results come back through the scheduler's inbox and are pushed
+    downstream as soon as they land — in the dynamic farm a solver
+    *result* releases the node token that admits the solver's next input.
+    """
+
+    def __init__(self, transport: PoolTransport, entity: Box, key: int, out: PortWriter):
+        runtime = transport.runtime
+        super().__init__(runtime, entity, out)
+        self.transport = transport
+        self.key = key
+        self.pool = transport._pool
+        self.batcher = BatchAutotuner(
             runtime.workers,
             chunk_size=runtime.chunk_size,
             max_inflight=runtime.max_inflight,
         )
-        poll = self._POLL_INTERVAL
-        result_timeout = self._result_timeout
+        self.waiting: Deque[Record] = deque()
+        self.inflight = 0
+        self.input_closed = False
+        self.submit_due = False
 
-        def submit(batch: List[Record]):
-            """Serialize one batch (payloads swapped for refs) and dispatch it."""
-            payload, buffers, nbytes = dumps_records(
-                [swap_shared_out(rec) for rec in batch]
+    def on_record(self, rec: Record) -> None:
+        if self.tracer is not None:
+            self.tracer.record(self.name, "consume", record=repr(rec))
+        self.waiting.append(rec)
+        self._submit_at_turn_end()
+
+    def on_close(self) -> None:
+        self.input_closed = True
+        if not self.waiting and not self.inflight:
+            self._finish()
+
+    def _submit_at_turn_end(self) -> None:
+        if not self.submit_due:
+            self.submit_due = True
+            self.sched.at_turn_end(self)
+
+    def end_turn(self, _arg: Any = None) -> None:
+        self.submit_due = False
+        waiting, batcher = self.waiting, self.batcher
+        while waiting and self.inflight < batcher.max_inflight:
+            self._submit([waiting.popleft() for _ in range(min(len(waiting), batcher.chunk_size))])
+
+    def _submit(self, batch: List[Record]) -> None:
+        """Serialize one batch (payloads swapped for refs) and dispatch it."""
+        payload, buffers, nbytes = dumps_records([swap_shared_out(r) for r in batch])
+        self.transport._count_pickled(nbytes, batches=1, records=len(batch))
+        self.inflight += 1
+        size, sched = len(batch), self.sched
+        self.pool.apply_async(
+            _invoke_box_batch,
+            (self.key, payload, buffers),
+            callback=lambda result: sched.deliver(self, self._landed, (result, size)),
+            error_callback=lambda exc: sched.deliver(self, self._failed, exc),
+        )
+
+    def _landed(self, landed: Tuple[Tuple[bytes, List[bytes], float], int]) -> None:
+        (payload, buffers, elapsed), size = landed
+        self.inflight -= 1
+        self.transport._count_pickled(len(payload) + sum(len(b) for b in buffers))
+        self.batcher.observe(size, elapsed)
+        self._emit(resolve_shared_in(rec) for rec in loads_records(payload, buffers))
+        if self.waiting:
+            self._submit_at_turn_end()
+        elif self.input_closed and not self.inflight:
+            self._finish()
+
+    def _failed(self, exc: BaseException) -> None:
+        self.inflight -= 1
+        raise exc
+
+    def _finish(self) -> None:
+        self._emit(self.entity.flush())  # boxes are stateless: usually []
+        self.out.close()
+        with self.transport._stats_lock:
+            self.transport.batch_plan[self.name] = (
+                self.batcher.chunk_size,
+                self.batcher.max_inflight,
             )
-            transport._count_pickled(nbytes, batches=1, records=len(batch))
-            return pool.apply_async(_invoke_box_batch, (key, payload, buffers))
-
-        def collect(async_result, batch_len: int) -> List[Record]:
-            """Bounded wait on a pool result; feeds the autotuner.
-
-            A worker killed abruptly (segfault, OOM killer) never completes
-            its AsyncResult; an unbounded ``get()`` would then hang the pump
-            and mask the cause behind the generic stream timeout.
-            """
-            try:
-                payload, buffers, elapsed = async_result.get(result_timeout)
-            except multiprocessing.TimeoutError:
-                raise BoxWorkerError(
-                    f"box {entity.name!r}: the worker pool returned no result "
-                    f"within {result_timeout}s; a worker process may have died"
-                ) from None
-            transport._count_pickled(len(payload) + sum(len(b) for b in buffers))
-            batcher.observe(batch_len, elapsed)
-            return [resolve_shared_in(rec) for rec in loads_records(payload, buffers)]
-
-        def emit(batch_result: List[Record]) -> None:
-            for produced in batch_result:
-                if traced:
-                    tracer.record(entity.name, "produce", record=repr(produced))
-                out_writer.put(produced)
-
-        def pump() -> None:
-            inflight: Deque = deque()
-            with worker_scope(in_stream, lambda: (out_writer,)):
-                at_eos = False
-                while not at_eos:
-                    # 1. forward whatever has completed, oldest first
-                    while inflight and inflight[0][0].ready():
-                        emit(collect(*inflight.popleft()))
-                    # 2. respect the in-flight bound before taking more input
-                    if len(inflight) >= batcher.max_inflight:
-                        inflight[0][0].wait(poll)
-                        continue
-                    # 3. take one record (bounded wait so completed batches
-                    #    keep flowing even while the input stream is idle —
-                    #    feedback networks need those outputs to make input)
-                    try:
-                        rec = in_stream.get(timeout=poll if inflight else None)
-                    except RuntimeError_:
-                        continue  # poll expired; loop back to step 1
-                    if rec is None:
-                        at_eos = True
-                        break
-                    # 4. greedily batch whatever else is immediately available
-                    batch = [rec]
-                    while len(batch) < batcher.chunk_size:
-                        extra = in_stream.try_get()
-                        if extra is None:
-                            break
-                        batch.append(extra)
-                    if traced:
-                        for item in batch:
-                            tracer.record(entity.name, "consume", record=repr(item))
-                    inflight.append((submit(batch), len(batch)))
-                while inflight:
-                    emit(collect(*inflight.popleft()))
-                for produced in entity.flush():  # boxes are stateless: usually []
-                    emit([produced])
-            with transport._stats_lock:
-                transport.batch_plan[entity.name] = (
-                    batcher.chunk_size,
-                    batcher.max_inflight,
-                )
-
-        return pump
 
 
 class ProcessRuntime(EngineCore):
@@ -577,10 +581,10 @@ class ProcessRuntime(EngineCore):
         Size of the worker pool (default: ``os.cpu_count()``).
     chunk_size:
         Records per pool submission.  ``None`` (the default) lets each box
-        pump autotune the batch size from observed service times (see
+        instance autotune the batch size from observed service times (see
         :class:`BatchAutotuner`); an explicit integer pins it.
     max_inflight:
-        Maximum outstanding batches per box pump.  ``None`` (the default)
+        Maximum outstanding batches per box instance.  ``None`` (the default)
         autotunes between ``2 * workers`` and ``4 * workers``; an explicit
         integer pins it.
     zero_copy:

@@ -14,14 +14,14 @@ so applications, examples and benchmarks pick an execution strategy by name::
 Four backends ship with the repository:
 
 ``threaded``
-    :class:`~repro.snet.runtime.engine.ThreadedRuntime` — one thread per
-    runtime component.  The *correctness* backend: real box execution, no
-    extra processes, but GIL-bound (no wall-clock speedup for CPU-bound
-    boxes).
+    :class:`~repro.snet.runtime.engine.ThreadedRuntime` — every entity
+    instance a port on one run-to-completion scheduler.  The *correctness*
+    backend: real box execution, no extra processes, but one thread (no
+    wall-clock speedup for CPU-bound boxes).
 ``process``
     :class:`~repro.snet.runtime.process_engine.ProcessRuntime` — same
-    compilation scheme, box invocations offloaded to a forked worker pool.
-    The *wall-clock parallel* backend.
+    port graph, ``parallel_safe`` box invocations offloaded to a forked
+    worker pool.  The *wall-clock parallel* backend.
 ``distributed``
     :class:`~repro.snet.runtime.distributed_engine.DistributedRuntime` —
     placement combinators (``A @ num``, ``A !@ <tag>``) executed for real:

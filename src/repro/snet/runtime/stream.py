@@ -1,16 +1,20 @@
-"""Typed streams connecting runtime workers.
+"""Bounded thread-safe streams for records crossing a thread boundary.
 
-A :class:`Stream` is a bounded, thread-safe FIFO of records with *writer
-reference counting*: several workers may write into the same stream (this is
-how parallel branches merge nondeterministically, in arrival order, exactly as
-the paper describes) and the stream only signals end-of-stream to its readers
-once every registered writer has been closed.
+Inside one run the engine's ports hand records to each other on the
+scheduler's thread; a :class:`Stream` carries records between threads —
+to a transport's own threads (the distributed engine's channel forwarders
+read their partition's input from one, behind a
+:class:`~repro.snet.runtime.core.StreamBridge`) and from clients to the
+render service's job loop.  It is a bounded FIFO with
+*writer reference counting*: several writers may share one stream and it
+only signals end-of-stream to its readers once every registered writer has
+been closed.
 
 Readers obtain records with :meth:`Stream.get`, which returns ``None`` once
 the stream is exhausted (empty *and* all writers closed).  The two read
 methods give ``None`` two different meanings — this contract matters to
-every consumer that must distinguish "idle" from "finished" (the process
-runtime's greedy batcher, the render service's job queue):
+every consumer that must distinguish "idle" from "finished" (a forwarder
+topping up a batch, the render service's job queue):
 
 >>> from repro.snet.records import Record
 >>> stream = Stream(name="demo", capacity=4)
@@ -159,9 +163,9 @@ class Stream:
         ``try_get`` cannot distinguish that case from an exhausted stream —
         callers that need to observe EOS (queue drained *and* every writer
         closed) must use :meth:`get`, whose ``None`` is definitive.  The
-        process runtime's greedy batcher relies on exactly this: it tops up a
-        batch with ``try_get`` and falls back to a blocking ``get`` to learn
-        about end-of-stream.
+        distributed engine's channel forwarders rely on exactly this: they
+        top up a batch with ``try_get`` and fall back to a blocking ``get``
+        to learn about end-of-stream.
         """
         with self._lock:
             if self._queue:

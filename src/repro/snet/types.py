@@ -84,15 +84,12 @@ class Variant:
 
     def accepts(self, rec: Record) -> bool:
         """True if ``rec`` (viewed as a variant) is a subtype of this variant."""
-        rec_labels = set(rec.labels())
         for label in self._labels:
-            if isinstance(label, Tag):
-                # a tag pattern is satisfied by either a plain or binding tag
-                if not rec.has_tag(label.name):
-                    return False
-            else:
-                if label not in rec_labels:
-                    return False
+            if label in rec:
+                continue
+            # a tag pattern is satisfied by either a plain or binding tag
+            if not (isinstance(label, Tag) and rec.has_tag(label.name)):
+                return False
         return True
 
     def match_score(self, rec: Record) -> Optional[int]:

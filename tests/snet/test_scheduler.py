@@ -1,0 +1,272 @@
+"""The run-to-completion scheduler: cost model and S-Net semantics.
+
+``EngineCore`` compiles a network to a graph of ports that one scheduler
+drives on the calling thread.  These tests pin what that buys — threads
+per frame independent of the task count, no recursion per star level —
+and the S-Net semantics the scheduler must keep: exact record multisets,
+synchrocell state per star instance, stars and index splits that unfold
+only as far as records reach, no record lost between the pool's threads
+and the scheduler, prompt failure on a raising box and on a dead pool
+worker.
+"""
+
+import os
+import signal
+import sys
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from repro.apps.backends import RealRenderBackend
+from repro.apps.networks import build_dynamic_network
+from repro.apps.workloads import dynamic_input_records, extract_image
+from repro.raytracer import Camera
+from repro.raytracer.scene import random_scene
+from repro.snet.boxes import box
+from repro.snet.combinators import IndexSplit, Parallel, Serial, Star
+from repro.snet.errors import RuntimeError_
+from repro.snet.filters import Filter
+from repro.snet.network import run_network
+from repro.snet.patterns import Guard, Pattern, TagRef
+from repro.snet.records import Record
+from repro.snet.runtime import (
+    BoxWorkerError,
+    ProcessRuntime,
+    ThreadedRuntime,
+    Tracer,
+    get_runtime,
+)
+from repro.snet.synchrocell import SyncroCell
+
+fork_only = pytest.mark.skipif(
+    not ProcessRuntime.fork_available(), reason="needs the fork start method"
+)
+
+
+def multiset(records):
+    return sorted(repr(r) for r in records)
+
+
+@pytest.fixture
+def count_thread_starts(monkeypatch):
+    """Count every ``threading.Thread.start`` in this process."""
+    starts = [0]
+    original = threading.Thread.start
+
+    def counting_start(self):
+        starts[0] += 1
+        return original(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return starts
+
+
+@pytest.fixture(scope="module")
+def small_scene():
+    return random_scene(num_spheres=8, seed=1)
+
+
+def dynamic_frame(runtime_name, scene, tasks, **options):
+    """One cold dynamic-farm frame: (outputs, image, the runtime that ran it)."""
+    backend = RealRenderBackend(scene, Camera(width=32, height=64), render_mode="fused")
+    network = build_dynamic_network(backend)
+    inputs = dynamic_input_records(scene, nodes=2, tasks=tasks, tokens=2)
+    runtime = get_runtime(runtime_name, **options)
+    backend.begin_job()
+    outputs = runtime.run(network, inputs, timeout=120.0)
+    return outputs, extract_image(backend).copy(), runtime
+
+
+def sequential_frame(scene, tasks):
+    backend = RealRenderBackend(scene, Camera(width=32, height=64), render_mode="fused")
+    network = build_dynamic_network(backend)
+    backend.begin_job()
+    outputs = run_network(network, dynamic_input_records(scene, nodes=2, tasks=tasks, tokens=2))
+    return outputs, extract_image(backend).copy()
+
+
+class TestCostModel:
+    @pytest.mark.parametrize(
+        "runtime_name, options",
+        [
+            ("threaded", {}),
+            pytest.param("process", {"workers": 2}, marks=fork_only),
+        ],
+    )
+    def test_threads_per_frame_do_not_grow_with_tasks(
+        self, runtime_name, options, small_scene, count_thread_starts
+    ):
+        started = {}
+        for tasks in (8, 32, 64):
+            before = count_thread_starts[0]
+            outputs, image, runtime = dynamic_frame(
+                runtime_name, small_scene, tasks, **options
+            )
+            started[tasks] = count_thread_starts[0] - before
+            # every entity instance is a port: the engine starts no thread
+            assert runtime.threads_started == 0
+            assert runtime.observability()["threads_started"] == 0
+            assert runtime.observability()["steps"] > 0
+            expected_outputs, expected_image = sequential_frame(small_scene, tasks)
+            assert multiset(outputs) == multiset(expected_outputs)
+            np.testing.assert_array_equal(image, expected_image)
+        # a cold process run forks a pool (its helper threads); nothing else
+        assert started[8] == started[32] == started[64], started
+        if runtime_name == "threaded":
+            assert started[8] == 0
+
+    def test_deep_star_runs_without_recursion(self):
+        # far deeper than the interpreter's recursion limit: each level is
+        # one queued step, never a nested call
+        @box("(<n>) -> (<n>)")
+        def bump(n):
+            return {"<n>": n + 1}
+
+        depth = 1500
+        net = Star(bump, Pattern(["<n>"], Guard(TagRef("n") >= depth)))
+        outputs = ThreadedRuntime().run(net, [Record({"<n>": 0})], timeout=60.0)
+        assert [r.tag("n") for r in outputs] == [depth]
+
+
+class TestSemantics:
+    def test_synchrocell_state_is_per_star_instance(self):
+        # the first {a} waits in level 0's cell; the second passes the
+        # occupied slot and waits in level 1's own cell
+        @box("(a, b) -> (a, b, <done>)")
+        def mark(a, b):
+            return {"a": a, "b": b, "<done>": 1}
+
+        operand = Serial(
+            SyncroCell([["a"], ["b"]]), Parallel(mark, Filter.identity("pass"))
+        )
+        net = Star(operand, Pattern(["<done>"]))
+        inputs = [Record({"a": 1}), Record({"a": 2}), Record({"b": 1}), Record({"b": 2})]
+        outputs = ThreadedRuntime().run(net, inputs, timeout=30.0)
+        pairs = sorted((r.field("a"), r.field("b")) for r in outputs)
+        assert pairs == [(1, 1), (2, 2)]
+        assert multiset(outputs) == multiset(run_network(net, inputs))
+
+    def test_star_unfolds_only_as_deep_as_records_reach(self):
+        @box("(<n>) -> (<n>)")
+        def bump(n):
+            return {"<n>": n + 1}
+
+        tracer = Tracer()
+        net = Star(bump, Pattern(["<n>"], Guard(TagRef("n") >= 4)))
+        ThreadedRuntime(tracer=tracer).run(
+            net, [Record({"<n>": 0}), Record({"<n>": 2})], timeout=30.0
+        )
+        # <n>=0 needs levels 0..3; <n>=2 reuses levels 0 and 1
+        assert [e.detail["level"] for e in tracer.of_kind("unroll")] == [0, 1, 2, 3]
+
+    def test_index_split_replica_created_on_a_tags_first_record(self):
+        @box("(x, <k>) -> (y, <k>)")
+        def solve(x, k):
+            return {"y": x, "<k>": k}
+
+        tracer = Tracer()
+        inputs = [Record({"x": i, "<k>": k}) for i, k in enumerate([2, 2, 0, 2, 1, 0])]
+        outputs = ThreadedRuntime(tracer=tracer).run(
+            IndexSplit(solve, "k"), inputs, timeout=30.0
+        )
+        assert [e.detail["index"] for e in tracer.of_kind("instantiate")] == [2, 0, 1]
+        assert sorted(r.field("y") for r in outputs) == list(range(6))
+
+    def test_box_raising_mid_stream_ends_the_run_promptly(self):
+        @box("(a) -> (b)")
+        def flaky(a):
+            if a == 7:
+                raise ValueError("exploded mid-stream")
+            return {"b": a}
+
+        net = Serial(Filter.identity(), Serial(flaky, Filter.identity()))
+        start = time.monotonic()
+        with pytest.raises(RuntimeError_, match="worker") as excinfo:
+            ThreadedRuntime().run(net, [Record({"a": i}) for i in range(5000)], timeout=30.0)
+        assert time.monotonic() - start < 2.0
+        assert isinstance(excinfo.value.__cause__, ValueError)
+
+
+@fork_only
+class TestInbox:
+    def test_pool_results_handed_in_from_other_threads_are_never_lost(self):
+        # results land on the pool's result-handler thread and reach the
+        # scheduler through its inbox while it is running or asleep; more
+        # workers than cores and a short switch interval interleave the two
+        @box("(a) -> (<n>, a)")
+        def start(a):
+            return {"<n>": a % 5, "a": a}
+
+        @box("(<n>) -> (<n>)", parallel_safe=False)
+        def bump(n):
+            return {"<n>": n + 1}
+
+        net = Serial(start, Star(bump, Pattern(["<n>"], Guard(TagRef("n") >= 5))))
+        inputs = [Record({"a": i}) for i in range(300)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runtime = ProcessRuntime(workers=3, chunk_size=1, max_inflight=4)
+            outputs = runtime.run(net, inputs, timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert runtime.batches_dispatched == 300
+        assert multiset(outputs) == multiset(run_network(net, inputs))
+
+
+def _suicidal_box():
+    @box("(a) -> (b)", name="suicidal")
+    def suicidal(a):
+        if a < 0:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return {"b": a + 1}
+
+    return suicidal
+
+
+@fork_only
+class TestPoolWorkerDeath:
+    def test_worker_dying_mid_run_fails_fast_then_pool_is_replaced(self):
+        net = _suicidal_box()
+        runtime = ProcessRuntime(workers=2, chunk_size=1)
+        try:
+            runtime.setup(net)
+            assert [r.field("b") for r in runtime.run(net, [Record({"a": 1})], timeout=30.0)] == [2]
+            start = time.monotonic()
+            with pytest.raises(RuntimeError_) as excinfo:
+                runtime.run(net, [Record({"a": -1})], timeout=60.0)
+            assert time.monotonic() - start < 5.0
+            assert isinstance(excinfo.value.__cause__, BoxWorkerError)
+            outputs = runtime.run(net, [Record({"a": i}) for i in range(6)], timeout=30.0)
+            assert sorted(r.field("b") for r in outputs) == list(range(1, 7))
+        finally:
+            runtime.teardown()
+
+    def test_worker_killed_right_before_a_run_never_wedges_it(self, small_scene):
+        camera = Camera(width=32, height=64)
+        backend = RealRenderBackend(small_scene, camera, render_mode="fused")
+        network = build_dynamic_network(backend)
+        inputs = dynamic_input_records(small_scene, nodes=2, tasks=8, tokens=2)
+        _, reference = sequential_frame(small_scene, 8)
+        runtime = ProcessRuntime(workers=2)
+        try:
+            runtime.setup(network, broadcast=(small_scene,))
+            victim = runtime.worker_pids[0]
+            os.kill(victim, signal.SIGKILL)
+            start = time.monotonic()
+            backend.begin_job()
+            try:
+                # the death lands either before begin_run (a fresh pool is
+                # forked and the frame renders) or during the run
+                runtime.run(network, inputs, timeout=60.0)
+            except RuntimeError_ as exc:
+                assert isinstance(exc.__cause__, BoxWorkerError)
+            assert time.monotonic() - start < 5.0
+            backend.begin_job()
+            runtime.run(network, inputs, timeout=60.0)
+            np.testing.assert_array_equal(extract_image(backend), reference)
+            assert victim not in runtime.worker_pids
+        finally:
+            runtime.teardown()
