@@ -102,23 +102,28 @@ class TileTouch:
     def note_packet(
         self,
         data: Any,
-        indices: np.ndarray,
-        t: np.ndarray,
         origins: np.ndarray,
         directions: np.ndarray,
+        indices: np.ndarray,
+        t: np.ndarray,
         hits: np.ndarray,
+        rays: int,
         depth: int,
     ) -> None:
-        """Record one packet's hits (``hits`` = ray indices with a hit)."""
-        self.ids.update(data.primitive_id[indices[hits]].tolist())
+        """Record one packet's hits.
+
+        ``origins``/``directions``/``indices``/``t`` are the hit rays' rows
+        (the shading's own gathered inputs) and ``hits`` their positions in
+        the packet of ``rays`` rays.
+        """
+        self.ids.update(data.primitive_id.take(indices).tolist())
         if depth > 0 or hits.size == 0:
             return
         # primary packets are full-row blocks, so column = ray index % width:
         # reduce the hit points per column, then each bucket's column range
-        points = origins[hits] + t[hits, None] * directions[hits]
-        grid = np.full((origins.shape[0], 6), np.inf)  # misses never win
-        grid[hits, :3] = points
-        grid[hits, 3:] = -points
+        points = origins + t[:, None] * directions
+        grid = np.full((rays, 6), np.inf)  # misses never win
+        grid[hits] = np.concatenate((points, -points), axis=1)
         columns = grid.reshape(-1, self.width, 6).min(axis=0)
         per_bucket = np.minimum.reduceat(columns, self._bucket_starts)
         keys = self._bucket_keys

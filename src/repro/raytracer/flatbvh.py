@@ -14,31 +14,40 @@ compile step.  One structure is built (:meth:`Scene.build_index
   ``area(L) * |L| + area(R) * |R|`` from prefix/suffix box unions (a full
   sweep, a handful of NumPy calls per node, no per-primitive Python insert)
   and takes the cheapest, lowest axis and position first on ties.  The
-  upper part along the split axis becomes the child both traversals visit
+  upper part along the split axis becomes the child the scalar walk visits
   first: the scene generators' cameras look down ``-z``, so near geometry
-  is tested first and its hits cull the far child (about 30 % fewer node
-  visits than the opposite order on the benchmark scenes).  The result is
+  is tested first and its hits cull the far child.  The result is
   deterministic — the same primitives in the same order give bit-identical
   arrays — and each leaf holds one primitive.
-* **Layout.**  ``box_min``/``box_max`` ``(m, 3)`` and ``left``/``right``/
-  ``skip``/``first_leaf``/``leaf_end``/``parent`` int arrays
-  (``m = 2 n - 1``) in pre-order with the right child at ``i + 1``, so the
-  subtree of node ``i`` is the index range ``[i, skip[i])`` and its leaves
-  are the leaf slots ``[first_leaf[i], leaf_end[i])``; ``leaf_node`` maps a
-  leaf slot back to its node.  Leaf slots are the rows of
+* **Layout.**  ``box_min``/``box_max`` ``(3, m)`` — one row per axis, the
+  one box layout, stored the way the packet slab test gathers it — and
+  ``left``/``right``/``skip``/``first_leaf``/``leaf_end``/``parent`` int
+  arrays (``m = 2 n - 1``) in pre-order with the right child at ``i + 1``,
+  so the subtree of node ``i`` is the index range ``[i, skip[i])`` and its
+  leaves are the leaf slots ``[first_leaf[i], leaf_end[i])``; ``leaf_node``
+  maps a leaf slot back to its node.  Leaf slots are the rows of
   :attr:`FlatBVH.packet_primitives`.  Every internal box is the exact
   union of its children's boxes and every leaf box its primitive's box.
 * **Leaf kernels.**  Leaf primitives are grouped by kernel type into
   batched parameter arrays (sphere centres/radii, triangle vertices, a
-  generic fallback list) with per-type prefix counts, so the leaves under
-  any subtree form a contiguous slice of each parameter array.
-* **Packet traversal** (the ``fused`` render path) keeps an explicit index
-  stack of ``(node, active-ray-indices)`` pairs and a batch budget: once a
-  subtree is small enough relative to the surviving packet, all its leaves
-  are tested in one 2-D ``(rays x leaves)`` NumPy kernel.  The batched
+  generic fallback list) with per-type prefix counts, so a leaf slot maps
+  to its row of its kind's parameter array.
+* **Packet traversal** (the ``fused`` render path) is a wavefront: a
+  frontier of ``(ray, node)`` pairs held as int arrays, walked one tree
+  level per step.  Each step slab-tests every pair in one gathered
+  ``(3, pairs)`` NumPy expression, sends the surviving pairs whose node
+  fits the batch rule (``BATCH_WORK``) to a pair-list leaf kernel over
+  gathered ``(ray, primitive)`` rows, and replaces the other survivors by
+  their two children — so the Python steps per packet follow the tree
+  depth, not the number of nodes visited.  Rays enter in waves of
+  ``WAVE_RAYS``, which bounds the frontier and its peak memory.  The leaf
   kernels reproduce :meth:`Sphere.intersect_block` /
-  :meth:`Triangle.intersect_block` operation-for-operation, and ties in
-  exact ``t`` resolve to the lower leaf slot.
+  :meth:`Triangle.intersect_block` operation-for-operation; their dot
+  products must be ``einsum("ij,ij->i")`` (the reduction order of the
+  block kernels) — a hand-written ``x*x + y*y + z*z`` rounds differently.
+  The closest hit per ray is the lexicographic minimum of ``(t, leaf
+  slot)``, so exact-``t`` ties resolve to the lower leaf slot whatever
+  order the frontier meets them in.
 * **Scalar traversal** (the ``scalar`` oracle mode) walks the same arrays
   in layout order with one ray and tests each leaf with the primitive's own
   scalar ``intersect``, so it checks the batched kernels independently and
@@ -124,18 +133,28 @@ class FlatBVH:
     index.
     """
 
-    #: max ``active_rays * subtree_leaves`` elements for a batched leaf
-    #: test; above it the traversal keeps descending (pruning beats
-    #: batching while the product is large)
-    BATCH_WORK = 8192
+    #: the batch rule: a node whose ``subtree_leaves * rays_in_wave`` fits
+    #: this budget is not descended — once its box passes, the ray is paired
+    #: with every leaf under it.  A small scene is then a frontier whose first
+    #: step is a batch, while a 512-ray wave descends to 2-leaf subtrees,
+    #: whose boxes prune far better than brute-forcing larger ones.  1024 is
+    #: the best of a sweep (1 .. 8192) on the benchmark workloads' packets;
+    #: 1 tests every leaf box
+    BATCH_WORK = 1024
+
+    #: rays per wave: the frontier walks at most this many rays at once,
+    #: which bounds its peak size (and the process's peak memory) whatever
+    #: the packet size; 512 was the fastest of 256 .. 2048
+    WAVE_RAYS = 512
 
     def __init__(self) -> None:
         self.primitives: List[Primitive] = []
         self.num_primitives = 0
         self.stats = TraversalStats()
-        # node arrays (m = 2 * leaves - 1 for a non-empty tree)
-        self.box_min = np.zeros((0, 3))
-        self.box_max = np.zeros((0, 3))
+        # node arrays (m = 2 * leaves - 1 for a non-empty tree); the boxes
+        # are (3, m), one row per axis, the way the slab test gathers them
+        self.box_min = np.zeros((3, 0))
+        self.box_max = np.zeros((3, 0))
         self.left = np.zeros(0, dtype=np.int64)
         self.right = np.zeros(0, dtype=np.int64)
         self.skip = np.zeros(0, dtype=np.int64)
@@ -191,8 +210,8 @@ class FlatBVH:
         centroid = 0.5 * (lo + hi)
         m = 2 * n - 1
         order = np.arange(n)  # leaf slot -> input row, settled top-down
-        flat.box_min = np.empty((m, 3))
-        flat.box_max = np.empty((m, 3))
+        flat.box_min = np.empty((3, m))
+        flat.box_max = np.empty((3, m))
         flat.left = np.full(m, -1, dtype=np.int64)
         flat.right = np.full(m, -1, dtype=np.int64)
         flat.first_leaf = np.empty(m, dtype=np.int64)
@@ -206,8 +225,8 @@ class FlatBVH:
             flat.first_leaf[i], flat.leaf_end[i] = a, b
             rows = order[a:b]
             row_lo, row_hi = lo[rows], hi[rows]
-            flat.box_min[i] = row_lo.min(axis=0)
-            flat.box_max[i] = row_hi.max(axis=0)
+            flat.box_min[:, i] = row_lo.min(axis=0)
+            flat.box_max[:, i] = row_hi.max(axis=0)
             if b - a == 1:
                 continue
             ranked, count = _sah_split(row_lo, row_hi, centroid[rows])
@@ -270,15 +289,14 @@ class FlatBVH:
             "tri_v0", "tri_edge1", "tri_edge2",
         ):
             setattr(flat, name, getattr(self, name).copy())
-        touched: List[int] = []
+        slots: List[int] = []
+        boxes = []
         for prim in primitives:
             slot = slot_by_prim.get(id(prim))
             if slot is None:
                 raise KeyError(f"{prim!r} is not stored in this flat BVH")
-            node = int(flat.leaf_node[slot])
             box = prim.bounding_box()
-            flat.box_min[node] = box.minimum
-            flat.box_max[node] = box.maximum
+            boxes.append((box.minimum, box.maximum))
             if type(prim) is Sphere:
                 row = flat.sphere_before[slot]
                 flat.sphere_center[row] = prim.center
@@ -288,20 +306,23 @@ class FlatBVH:
                 flat.tri_v0[row] = prim.v0
                 flat.tri_edge1[row] = prim.v1 - prim.v0
                 flat.tri_edge2[row] = prim.v2 - prim.v0
-            touched.append(node)
-        ancestors = set()
-        for node in touched:
-            i = int(flat.parent[node])
-            while i >= 0 and i not in ancestors:
-                ancestors.add(i)
-                i = int(flat.parent[i])
-        # the layout puts every parent before its children, so descending
-        # positions re-union each node only after both its children
-        for i in sorted(ancestors, reverse=True):
-            li, ri = flat.left[i], flat.right[i]
-            np.minimum(flat.box_min[li], flat.box_min[ri], out=flat.box_min[i])
-            np.maximum(flat.box_max[li], flat.box_max[ri], out=flat.box_max[i])
-        return flat
+            slots.append(slot)
+        if not slots:
+            return flat
+        level = flat.leaf_node[slots]
+        flat.box_min[:, level] = np.array([lo for lo, _ in boxes]).T
+        flat.box_max[:, level] = np.array([hi for _, hi in boxes]).T
+        # re-union one tree level per round: a node d levels above a moved
+        # leaf is recomputed in round d, so its last recomputation follows
+        # both its children's (min/max are exact: repeats change nothing)
+        while True:
+            level = np.unique(flat.parent[level])
+            level = level[level >= 0]
+            if level.size == 0:
+                return flat
+            left, right = flat.left[level], flat.right[level]
+            flat.box_min[:, level] = np.minimum(flat.box_min[:, left], flat.box_min[:, right])
+            flat.box_max[:, level] = np.maximum(flat.box_max[:, left], flat.box_max[:, right])
 
     # -- interface parity with BruteForceIndex --------------------------------
     @property
@@ -329,7 +350,7 @@ class FlatBVH:
         while stack:
             i = stack.pop()
             self.stats.node_visits += 1
-            if not slab_hit(self.box_min[i], self.box_max[i], ray, t_min, best_t):
+            if not slab_hit(self.box_min[:, i], self.box_max[:, i], ray, t_min, best_t):
                 continue
             if self.left[i] < 0:
                 self.stats.primitive_tests += 1
@@ -351,7 +372,7 @@ class FlatBVH:
         while stack:
             i = stack.pop()
             self.stats.node_visits += 1
-            if not slab_hit(self.box_min[i], self.box_max[i], ray, t_min, t_max):
+            if not slab_hit(self.box_min[:, i], self.box_max[:, i], ray, t_min, t_max):
                 continue
             if self.left[i] < 0:
                 self.stats.primitive_tests += 1
@@ -362,73 +383,137 @@ class FlatBVH:
             stack.append(int(self.right[i]))
         return False
 
-    # -- traversal helpers ---------------------------------------------------
+    # -- packet traversal (the ``fused`` render path) --------------------------
     def _packet_inverse(self, directions: np.ndarray) -> Tuple[np.ndarray, Any]:
-        """Per-packet reciprocal directions plus the degenerate-axis mask.
+        """Per-packet reciprocal directions and the degenerate-axis mask.
 
-        Computed once per packet instead of once per node: the per-node slab
-        test reduces to two fused subtract-multiplies, a min/max pair and
-        two reductions.  ``deg`` is ``None`` for packets without degenerate
-        components (the overwhelmingly common case), which lets the hot loop
-        skip the parallel-ray handling entirely.
+        Returns ``(inv, deg)``, both ``(3, n)`` like the node boxes: one row
+        per axis.  ``deg`` marks the rays parallel to a slab and is ``None``
+        for packets without any (the overwhelmingly common case), which lets
+        the slab test skip the parallel-ray handling entirely.
         """
-        deg = np.abs(directions) < _DEGENERATE
+        rows = np.ascontiguousarray(directions.T)
+        deg = np.abs(rows) < _DEGENERATE
         if not deg.any():
-            deg = None
-            safe = directions
-        else:
-            safe = np.where(deg, 1.0, directions)
-        return 1.0 / safe, deg
+            return 1.0 / rows, None
+        return 1.0 / np.where(deg, 1.0, rows), deg
 
-    def _box_mask(
+    def _slab(
         self,
-        i: int,
-        origins: np.ndarray,
+        rays: np.ndarray,
+        nodes: np.ndarray,
+        org: np.ndarray,
         inv: np.ndarray,
-        deg,
+        deg: Any,
         t_min: float,
-        hi0: np.ndarray,
+        hi: np.ndarray,
     ) -> np.ndarray:
-        """Slab test of node ``i`` for the active rays (bool mask).
+        """Slab test of ray ``rays[k]`` against nodes ``nodes[:, k]``.
 
-        Same accept set as the scalar ``AABB.intersects_ray`` — including
-        the parallel-ray rule: a degenerate axis leaves the interval
-        unconstrained when the origin lies inside the slab and rejects the
-        ray outright when it does not.
+        ``nodes`` is ``(c, k)``: the frontier holds both children of a node
+        for the same ray, so each ray row is gathered once and broadcast
+        over its ``c`` nodes.  ``org``/``inv``/``deg`` are ``(3, n)``
+        per-packet rows and the gathered blocks ``(3, c, k)``, so the whole
+        test is a dozen NumPy calls whatever the pair count.  Returns the
+        ``(c, k)`` accept mask within ``[t_min, hi[k]]`` — the accept set of
+        the scalar ``slab_hit``, including the parallel-ray rule: a
+        degenerate axis leaves the interval unconstrained when the origin
+        lies inside the slab and rejects the ray outright when it does not.
         """
-        t0 = (self.box_min[i] - origins) * inv
-        t1 = (self.box_max[i] - origins) * inv
+        o = org.take(rays, axis=1)[:, None]
+        iv = inv.take(rays, axis=1)[:, None]
+        t0 = self.box_min.take(nodes, axis=1)
+        t1 = self.box_max.take(nodes, axis=1)
+        if deg is not None:
+            d = deg.take(rays, axis=1)[:, None]
+            outside = (d & ((o < t0) | (o > t1))).any(axis=0)
+        t0 -= o
+        t0 *= iv
+        t1 -= o
+        t1 *= iv
+        del o, iv  # the widest level's peak memory: free before `near`
         near = np.minimum(t0, t1)
-        far = np.maximum(t0, t1)
+        far = np.maximum(t0, t1, out=t1)
         if deg is not None:
-            near = np.where(deg, -np.inf, near)
-            far = np.where(deg, np.inf, far)
-        lo = np.maximum(near.max(axis=1), t_min)
-        hi = np.minimum(far.min(axis=1), hi0)
-        mask = lo <= hi
+            np.copyto(near, -np.inf, where=d)
+            np.copyto(far, np.inf, where=d)
+        lo = near.max(axis=0)
+        np.maximum(lo, t_min, out=lo)
+        mask = lo <= np.minimum(far.min(axis=0), hi)
         if deg is not None:
-            outside = (origins < self.box_min[i]) | (origins > self.box_max[i])
-            mask &= ~(deg & outside).any(axis=1)
+            mask &= ~outside
         return mask
 
-    def _sphere_roots(
+    def _leaf_pairs(
+        self, rays: np.ndarray, nodes: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Expand batch pairs ``(ray, node)`` to ``(ray, leaf slot)`` pairs."""
+        first = self.first_leaf[nodes]
+        count = self.leaf_end[nodes] - first
+        if count.max() == 1:
+            return rays, first
+        total = int(count.sum())
+        start = np.repeat(first - (np.cumsum(count) - count), count)
+        return np.repeat(rays, count), start + np.arange(total)
+
+    def _pair_t(
         self,
-        s0: int,
-        s1: int,
+        rays: np.ndarray,
+        slots: np.ndarray,
         origins: np.ndarray,
         directions: np.ndarray,
         t_min: float,
         tm: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Both roots of every ray against spheres ``[s0, s1)`` (2-D kernel).
+    ) -> np.ndarray:
+        """Hit parameter of every ``(ray, leaf slot)`` pair (``inf`` on a miss).
 
-        Returns ``(near, far, near_ok, far_ok)``, each ``(rays, spheres)``;
-        a root is ok when it is real and inside ``[t_min, tm]``.
+        One pair-list kernel per primitive kind over gathered rows; each
+        reproduces :meth:`Sphere.intersect_block` /
+        :meth:`Triangle.intersect_block` operation-for-operation and accepts
+        only ``t`` inside ``[t_min, tm]``.
         """
-        self.stats.primitive_tests += int(origins.shape[0] * (s1 - s0))
-        oc = origins[:, None, :] - self.sphere_center[s0:s1]
-        half_b = np.einsum("rsk,rk->rs", oc, directions)
-        c = np.einsum("rsk,rsk->rs", oc, oc) - self.sphere_r2[s0:s1]
+        self.stats.primitive_tests += int(slots.size)
+        if self.sphere_slot.size == self.num_primitives:
+            return self._sphere_t(rays, slots, origins, directions, t_min, tm)
+        t = np.full(slots.size, np.inf)
+        kinds = (
+            (self.sphere_before, self._sphere_t),
+            (self.tri_before, self._triangle_t),
+        )
+        other = np.ones(slots.size, dtype=bool)
+        for before, kernel in kinds:
+            rows = before[slots]
+            sel = (before[slots + 1] > rows).nonzero()[0]
+            if sel.size:
+                other[sel] = False
+                t[sel] = kernel(rays[sel], rows[sel], origins, directions, t_min, tm[sel])
+        other = other.nonzero()[0]
+        for prim_slot in np.unique(slots[other]):
+            sel = other[slots[other] == prim_slot]
+            r = rays[sel]
+            t[sel] = self.primitives[prim_slot].intersect_block(
+                origins[r], directions[r], t_min, tm[sel]
+            )
+        return t
+
+    def _sphere_t(
+        self,
+        rays: np.ndarray,
+        rows: np.ndarray,
+        origins: np.ndarray,
+        directions: np.ndarray,
+        t_min: float,
+        tm: np.ndarray,
+    ) -> np.ndarray:
+        """Nearer valid root of ray ``rays[k]`` against sphere ``rows[k]``.
+
+        ``einsum("ij,ij->i")`` is the reduction :meth:`Sphere.intersect_block`
+        uses (``row_dot``); a hand-written ``x*x + y*y + z*z`` sums in another
+        order and moves pixels by ~1e-9.
+        """
+        oc = origins.take(rays, axis=0) - self.sphere_center.take(rows, axis=0)
+        half_b = np.einsum("ij,ij->i", oc, directions.take(rays, axis=0))
+        c = np.einsum("ij,ij->i", oc, oc) - self.sphere_r2[rows]
         disc = half_b * half_b - c
         valid = disc >= 0.0
         sqrt_d = np.sqrt(np.where(valid, disc, 0.0))
@@ -436,33 +521,30 @@ class FlatBVH:
         far = -half_b + sqrt_d
         near_ok = valid & (near >= t_min) & (near <= tm)
         far_ok = valid & (far >= t_min) & (far <= tm)
-        return near, far, near_ok, far_ok
+        return np.where(near_ok, near, np.where(far_ok, far, np.inf))
 
-    def _triangle_hits(
+    def _triangle_t(
         self,
-        g0: int,
-        g1: int,
+        rays: np.ndarray,
+        rows: np.ndarray,
         origins: np.ndarray,
         directions: np.ndarray,
         t_min: float,
         tm: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Möller–Trumbore for every ray against triangles ``[g0, g1)``.
-
-        Returns ``(t, ok)``, each ``(rays, triangles)``; ``ok`` marks hits
-        inside ``[t_min, tm]``.
-        """
-        self.stats.primitive_tests += int(origins.shape[0] * (g1 - g0))
-        edge2 = self.tri_edge2[g0:g1]
-        h = np.cross(directions[:, None, :], edge2[None, :, :])
-        aa = np.einsum("rsk,sk->rs", h, self.tri_edge1[g0:g1])
+    ) -> np.ndarray:
+        """Möller–Trumbore for ray ``rays[k]`` against triangle ``rows[k]``."""
+        d = directions.take(rays, axis=0)
+        edge1 = self.tri_edge1.take(rows, axis=0)
+        edge2 = self.tri_edge2.take(rows, axis=0)
+        h = np.cross(d, edge2)
+        aa = np.einsum("ij,ij->i", h, edge1)
         valid = np.abs(aa) >= 1e-12
         f = 1.0 / np.where(valid, aa, 1.0)
-        s = origins[:, None, :] - self.tri_v0[g0:g1]
-        u = f * np.einsum("rsk,rsk->rs", s, h)
-        q = np.cross(s, self.tri_edge1[g0:g1][None, :, :])
-        v = f * np.einsum("rk,rsk->rs", directions, q)
-        cand = f * np.einsum("rsk,sk->rs", q, edge2)
+        s = origins.take(rays, axis=0) - self.tri_v0.take(rows, axis=0)
+        u = f * np.einsum("ij,ij->i", s, h)
+        q = np.cross(s, edge1)
+        v = f * np.einsum("ij,ij->i", d, q)
+        cand = f * np.einsum("ij,ij->i", q, edge2)
         ok = (
             valid
             & (u >= 0.0)
@@ -472,88 +554,63 @@ class FlatBVH:
             & (cand >= t_min)
             & (cand <= tm)
         )
-        return cand, ok
+        return np.where(ok, cand, np.inf)
 
-    def _range_closest(
+    def _traverse(
         self,
-        a: int,
-        b: int,
         origins: np.ndarray,
         directions: np.ndarray,
         t_min: float,
-        tmax: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Closest hit among leaf slots ``[a, b)``: per-ray ``(t, slot)``.
+        bound: np.ndarray,
+        slot: Optional[np.ndarray] = None,
+        occluded: Optional[np.ndarray] = None,
+    ) -> None:
+        """The wavefront walk both packet queries share.
 
-        One 2-D kernel per primitive kind present in the range; the fold
-        across kinds breaks exact-``t`` ties towards the lower leaf slot, so
-        the result does not depend on how the range was batched.
+        Closest hit (``slot`` given): hits fold into the per-ray
+        lexicographic minimum of ``(t, leaf slot)``, held in ``bound`` and
+        ``slot``.  Any hit (``occluded`` given): a hit flags its ray, which
+        then leaves the frontier.
         """
-        r = origins.shape[0]
-        best = np.full(r, np.inf)
-        slot = np.full(r, _NO_SLOT, dtype=np.int64)
-        tm = tmax[:, None]
-        s0, s1 = self.sphere_before[a], self.sphere_before[b]
-        g0, g1 = self.tri_before[a], self.tri_before[b]
-        kinds = []
-        if s1 > s0:
-            near, far, near_ok, far_ok = self._sphere_roots(
-                s0, s1, origins, directions, t_min, tm
-            )
-            ts = np.where(near_ok, near, np.where(far_ok, far, np.inf))
-            kinds.append((ts, self.sphere_slot[s0:s1]))
-        if g1 > g0:
-            cand, ok = self._triangle_hits(g0, g1, origins, directions, t_min, tm)
-            kinds.append((np.where(ok, cand, np.inf), self.tri_slot[g0:g1]))
-        for ts, slots in kinds:
-            col = np.argmin(ts, axis=1)
-            t_kind = ts[np.arange(r), col]
-            s_kind = slots[col]
-            better = (t_kind < best) | ((t_kind == best) & (s_kind < slot))
-            best = np.where(better, t_kind, best)
-            slot = np.where(better & np.isfinite(t_kind), s_kind, slot)
-        o0, o1 = self.other_before[a], self.other_before[b]
-        for prim_slot, prim in self.other_prims[o0:o1]:
-            self.stats.primitive_tests += int(r)
-            ts = prim.intersect_block(origins, directions, t_min, tmax)
-            better = (ts < best) | ((ts == best) & (prim_slot < slot))
-            best = np.where(better, ts, best)
-            slot = np.where(better & np.isfinite(ts), prim_slot, slot)
-        return best, slot
+        org = np.ascontiguousarray(origins.T)
+        inv, deg = self._packet_inverse(directions)
+        # a subtree of k leaves spans the 2k - 1 nodes [i, skip[i])
+        span = self.skip - np.arange(self.skip.size)
+        n = origins.shape[0]
+        for w0 in range(0, n, self.WAVE_RAYS):
+            rays = np.arange(w0, min(n, w0 + self.WAVE_RAYS))
+            nodes = np.zeros((1, rays.size), dtype=np.int64)
+            leaves = max(1, self.BATCH_WORK // rays.size)
+            batch_node = span < 2 * leaves
+            while rays.size:
+                self.stats.node_visits += int(nodes.size)
+                keep = self._slab(rays, nodes, org, inv, deg, t_min, bound[rays]).ravel()
+                if nodes.shape[0] == 2:
+                    rays = np.concatenate((rays, rays))
+                nodes = nodes.ravel()
+                batch = batch_node[nodes]
+                leaf = (keep & batch).nonzero()[0]
+                if leaf.size:
+                    pr, ps = self._leaf_pairs(rays[leaf], nodes[leaf])
+                    t = self._pair_t(pr, ps, origins, directions, t_min, bound[pr])
+                    hit = (t < np.inf).nonzero()[0]
+                    pr, ps, t = pr[hit], ps[hit], t[hit]
+                    if hit.size and occluded is not None:
+                        occluded[pr] = True
+                        keep &= ~occluded[rays]
+                    elif hit.size:
+                        # lowest t first, then the lowest slot among its ties
+                        before = bound[pr]
+                        np.minimum.at(bound, pr, t)
+                        after = bound[pr]
+                        slot[pr[after < before]] = _NO_SLOT
+                        tie = t == after
+                        np.minimum.at(slot, pr[tie], ps[tie])
+                # both children of a surviving node share its ray: (2, k)
+                inner = (keep > batch).nonzero()[0]
+                rays, nodes = rays[inner], nodes[inner]
+                nodes = np.concatenate((nodes + 1, self.left[nodes])).reshape(2, -1)
 
-    def _range_any(
-        self,
-        a: int,
-        b: int,
-        origins: np.ndarray,
-        directions: np.ndarray,
-        t_min: float,
-        tmax: np.ndarray,
-    ) -> np.ndarray:
-        """Occlusion among leaf slots ``[a, b)``: per-ray bool."""
-        r = origins.shape[0]
-        hit = np.zeros(r, dtype=bool)
-        tm = tmax[:, None]
-        s0, s1 = self.sphere_before[a], self.sphere_before[b]
-        if s1 > s0:
-            _, _, near_ok, far_ok = self._sphere_roots(
-                s0, s1, origins, directions, t_min, tm
-            )
-            hit |= (near_ok | far_ok).any(axis=1)
-        g0, g1 = self.tri_before[a], self.tri_before[b]
-        if g1 > g0 and not hit.all():
-            _, ok = self._triangle_hits(g0, g1, origins, directions, t_min, tm)
-            hit |= ok.any(axis=1)
-        o0, o1 = self.other_before[a], self.other_before[b]
-        for _, prim in self.other_prims[o0:o1]:
-            if hit.all():
-                break
-            self.stats.primitive_tests += int(r)
-            ts = prim.intersect_block(origins, directions, t_min, tmax)
-            hit |= np.isfinite(ts)
-        return hit
-
-    # -- packet queries ------------------------------------------------------
     def intersect_packet(
         self, origins: np.ndarray, directions: np.ndarray, t_min: float = 1e-6
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -564,42 +621,11 @@ class FlatBVH:
         """
         n = origins.shape[0]
         best_t = np.full(n, np.inf)
-        best_index = np.full(n, -1, dtype=np.int64)
-        if self.box_min.shape[0] == 0 or n == 0:
-            return best_index, best_t
-        inv, deg = self._packet_inverse(directions)
-        stack: List[Tuple[int, np.ndarray]] = [(0, np.arange(n))]
-        with np.errstate(over="ignore", invalid="ignore"):
-            while stack:
-                i, active = stack.pop()
-                self.stats.node_visits += int(active.size)
-                mask = self._box_mask(
-                    i,
-                    origins[active],
-                    inv[active],
-                    None if deg is None else deg[active],
-                    t_min,
-                    best_t[active],
-                )
-                active = active[mask]
-                if active.size == 0:
-                    continue
-                a, b = int(self.first_leaf[i]), int(self.leaf_end[i])
-                count = b - a
-                if count == 1 or count * active.size <= self.BATCH_WORK:
-                    t, slot = self._range_closest(
-                        a, b, origins[active], directions[active], t_min, best_t[active]
-                    )
-                    closer = t < best_t[active]
-                    hits = active[closer]
-                    best_t[hits] = t[closer]
-                    best_index[hits] = slot[closer]
-                    continue
-                # push left then right: the right child (laid out at i + 1)
-                # pops first, walking the layout in order
-                stack.append((int(self.left[i]), active))
-                stack.append((int(self.right[i]), active))
-        return best_index, best_t
+        slot = np.full(n, _NO_SLOT, dtype=np.int64)
+        if self.num_primitives and n:
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._traverse(origins, directions, t_min, best_t, slot)
+        return np.where(slot == _NO_SLOT, -1, slot), best_t
 
     def any_hit_packet(
         self, origins: np.ndarray, directions: np.ndarray, t_min: float = 1e-6, t_max=np.inf
@@ -607,39 +633,10 @@ class FlatBVH:
         """Vectorized occlusion query; ``t_max`` may be per-ray."""
         n = origins.shape[0]
         occluded = np.zeros(n, dtype=bool)
-        if self.box_min.shape[0] == 0 or n == 0:
-            return occluded
-        tmax = broadcast_tmax(t_max, n)
-        inv, deg = self._packet_inverse(directions)
-        stack: List[Tuple[int, np.ndarray]] = [(0, np.arange(n))]
-        with np.errstate(over="ignore", invalid="ignore"):
-            while stack:
-                i, active = stack.pop()
-                active = active[~occluded[active]]
-                if active.size == 0:
-                    continue
-                self.stats.node_visits += int(active.size)
-                mask = self._box_mask(
-                    i,
-                    origins[active],
-                    inv[active],
-                    None if deg is None else deg[active],
-                    t_min,
-                    tmax[active],
-                )
-                active = active[mask]
-                if active.size == 0:
-                    continue
-                a, b = int(self.first_leaf[i]), int(self.leaf_end[i])
-                count = b - a
-                if count == 1 or count * active.size <= self.BATCH_WORK:
-                    hit = self._range_any(
-                        a, b, origins[active], directions[active], t_min, tmax[active]
-                    )
-                    occluded[active[hit]] = True
-                    continue
-                stack.append((int(self.left[i]), active))
-                stack.append((int(self.right[i]), active))
+        if self.num_primitives and n:
+            tmax = broadcast_tmax(t_max, n)
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._traverse(origins, directions, t_min, tmax, occluded=occluded)
         return occluded
 
 

@@ -7,12 +7,11 @@ module renders whole image sections as *packets*:
 
 * the camera emits all primary rays of a section as ``(n, 3)`` arrays
   (:meth:`~repro.raytracer.camera.Camera.primary_ray_block_into`);
-* the scene's flat BVH is traversed once per packet with masked
-  active-ray index sets
+* the scene's flat BVH is traversed once per packet by a wavefront of
+  ``(ray, node)`` pairs, one tree level per NumPy step
   (:meth:`~repro.raytracer.flatbvh.FlatBVH.intersect_packet`), testing
-  whole ray subsets against each node box and batches of leaf primitives
-  with NumPy kernels (scalar fallback for primitives without a vectorized
-  kernel);
+  every pair's node box at once and the leaf pairs with pair-list NumPy
+  kernels (scalar fallback for primitives without a vectorized kernel);
 * direct lighting is shaded for the whole packet at once
   (:func:`repro.raytracer.shading.shade_block`);
 * secondary rays (reflection, refraction) are gathered into smaller packets
@@ -180,20 +179,18 @@ def trace_packet(
     data = scene_packet_data(scene)
     indices, t = cast_packet(scene, index, origins, directions)
     hits = (indices >= 0).nonzero()[0]
-    if touch is not None and hits.size:
-        touch.note_packet(data, indices, t, origins, directions, hits, depth)
     if hits.size == 0:
         return colors
     from repro.raytracer.shading import shade_block
 
-    colors[hits] = shade_block(
-        tracer,
-        data,
-        index,
-        origins[hits],
-        directions[hits],
-        indices[hits],
-        t[hits],
-        depth,
+    # the hit rows, gathered once for the touch capture and the shading
+    rows = (
+        origins.take(hits, axis=0),
+        directions.take(hits, axis=0),
+        indices.take(hits),
+        t.take(hits),
     )
+    if touch is not None:
+        touch.note_packet(data, *rows, hits, n, depth)
+    colors[hits] = shade_block(tracer, data, index, *rows, depth)
     return colors

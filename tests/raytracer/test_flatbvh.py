@@ -15,6 +15,7 @@ from repro.raytracer.scene import Scene, random_scene
 from repro.raytracer.tracer import (
     RayTracer,
     render,
+    render_section,
     reset_scratch_stats,
     scratch_stats,
 )
@@ -63,7 +64,7 @@ class TestFlatCompilation:
         for slot, prim in enumerate(flat.packet_primitives):
             node = flat.leaf_node[slot]
             assert flat.left[node] == -1 and flat.first_leaf[node] == slot
-            assert np.array_equal(flat.box_min[node], prim.bounding_box().minimum)
+            assert np.array_equal(flat.box_min[:, node], prim.bounding_box().minimum)
 
     def test_empty_bvh(self):
         flat = FlatBVH.build([])
@@ -116,15 +117,18 @@ class TestExactEquivalence:
         )
         directions = np.tile(np.array([0.0, 0.0, -1.0]), (origins.shape[0], 1))
         inv, deg = flat._packet_inverse(directions)
-        hi = np.full(origins.shape[0], np.inf)
+        n, m = origins.shape[0], flat.box_min.shape[1]
+        rays, nodes = np.repeat(np.arange(n), m), np.tile(np.arange(m), n)
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(flat.box_min.shape[0]):
-                mask = flat._box_mask(i, origins, inv, deg, 1e-6, hi)
-                box = AABB(flat.box_min[i], flat.box_max[i])
-                for r in range(origins.shape[0]):
-                    assert mask[r] == box.intersects_ray(
-                        Ray(origins[r], directions[r]), 1e-6, np.inf
-                    ), (i, r)
+            mask = flat._slab(
+                rays, nodes[None], origins.T.copy(), inv, deg, 1e-6, np.full(n * m, np.inf)
+            )[0]
+        for k in range(n * m):
+            r, i = rays[k], nodes[k]
+            box = AABB(flat.box_min[:, i], flat.box_max[:, i])
+            assert mask[k] == box.intersects_ray(
+                Ray(origins[r], directions[r]), 1e-6, np.inf
+            ), (i, r)
         fi, ft = flat.intersect_packet(origins, directions)
         for r in range(origins.shape[0]):
             ray = Ray(origins[r], directions[r])
@@ -164,17 +168,28 @@ class TestExactEquivalence:
             flat.any_hit_packet(origins, directions, t_max=tmax),
         )
 
-    def test_small_batch_budget_still_exact(self):
-        # force the per-leaf scalar fallback by shrinking the batch budget
+    @pytest.mark.parametrize("batch_work, wave_rays", [(1, 7), (1_000, 1), (480, 512)])
+    def test_batch_rule_and_wave_size_do_not_change_hits(self, batch_work, wave_rays):
+        # every leaf box tested in 7-ray waves, the whole 71-leaf scene as
+        # one batch in 1-ray waves, and 4-leaf batches in one 120-ray wave:
+        # the same hits, the same exact-t tie-breaks
         scene = _mixed_scene(num_spheres=60, seed=21)
-        flat = scene.index
+        brute = BruteForceIndex(scene.bounded_objects)
         origins, directions = _ray_batch(120, seed=23)
-        ref_i, ref_t = flat.intersect_packet(origins, directions)
-        tiny = FlatBVH.build(scene.bounded_objects)
-        tiny.BATCH_WORK = 1
-        ti, tt = tiny.intersect_packet(origins, directions)
-        assert np.array_equal(ref_i, ti)
-        assert np.array_equal(ref_t, tt)
+        flat = FlatBVH.build(scene.bounded_objects)
+        assert flat.size == 71
+        flat.BATCH_WORK, flat.WAVE_RAYS = batch_work, wave_rays
+        fi, ft = flat.intersect_packet(origins, directions)
+        bi, bt = brute.intersect_packet(origins, directions)
+        assert np.array_equal(ft, bt)
+        assert [id(flat.packet_primitives[i]) if i >= 0 else None for i in fi] == [
+            id(brute.primitives[i]) if i >= 0 else None for i in bi
+        ]
+        tmax = np.where(np.isfinite(bt), bt, 5.0)
+        assert np.array_equal(
+            flat.any_hit_packet(origins, directions, t_max=tmax),
+            brute.any_hit_packet(origins, directions, t_max=tmax),
+        )
 
 
 class TestSceneFlatCache:
@@ -262,15 +277,15 @@ def _assert_exact_union(flat):
     internal = np.flatnonzero(flat.left >= 0)
     left, right = flat.left[internal], flat.right[internal]
     assert np.array_equal(
-        flat.box_min[internal], np.minimum(flat.box_min[left], flat.box_min[right])
+        flat.box_min[:, internal], np.minimum(flat.box_min[:, left], flat.box_min[:, right])
     )
     assert np.array_equal(
-        flat.box_max[internal], np.maximum(flat.box_max[left], flat.box_max[right])
+        flat.box_max[:, internal], np.maximum(flat.box_max[:, left], flat.box_max[:, right])
     )
     for slot, prim in enumerate(flat.packet_primitives):
         box = prim.bounding_box()
-        assert np.array_equal(flat.box_min[flat.leaf_node[slot]], box.minimum)
-        assert np.array_equal(flat.box_max[flat.leaf_node[slot]], box.maximum)
+        assert np.array_equal(flat.box_min[:, flat.leaf_node[slot]], box.minimum)
+        assert np.array_equal(flat.box_max[:, flat.leaf_node[slot]], box.maximum)
 
 
 class TestFlatRefit:
@@ -326,6 +341,37 @@ class TestFlatRefit:
         for name, array in _flat_arrays(copy.index).items():
             assert np.array_equal(array, reference[name]), name
         _assert_exact_union(copy.index)
+
+    def test_refit_at_scale_renders_like_a_fresh_build(self):
+        # a 40-op commit on a 600-sphere scene refits the index in place of
+        # a rebuild; the refit must leave no box the traversal reads stale
+        scene = random_scene(num_spheres=600, seed=41)
+        camera = Camera(width=64, height=64)
+
+        def sections(scene, mode="fused"):
+            return np.vstack([
+                render_section(scene, camera, y, y + 8, mode=mode).pixels
+                for y in range(0, camera.height, 8)
+            ])
+
+        sections(scene)  # build the index the commit refits
+        rng = np.random.default_rng(43)
+        spheres = scene.index.packet_primitives
+        edit = scene.begin_edit()
+        for sphere in spheres[:: len(spheres) // 40][:40]:
+            edit.update(
+                sphere,
+                center=sphere.center + rng.uniform(-0.6, 0.6, 3),
+                radius=sphere.radius * rng.uniform(0.8, 1.3),
+            )
+        before = scene.index
+        edit.commit()
+        assert scene.index is not before and scene.index.size == before.size
+        refit = sections(scene)
+        # a fresh build over the edited primitives (its own tree and leaf order)
+        fresh = Scene(scene.objects, scene.lights, scene.background, scene.max_ray_depth)
+        assert np.array_equal(refit, sections(fresh))
+        np.testing.assert_allclose(refit, sections(scene, mode="scalar"), atol=1e-9)
 
     def test_refit_rejects_foreign_primitive(self):
         flat = _mixed_scene(num_spheres=10).index

@@ -186,10 +186,10 @@ def _check_boxes(flat):
     internal = np.flatnonzero(flat.left >= 0)
     left, right = flat.left[internal], flat.right[internal]
     assert np.array_equal(
-        flat.box_min[internal], np.minimum(flat.box_min[left], flat.box_min[right])
+        flat.box_min[:, internal], np.minimum(flat.box_min[:, left], flat.box_min[:, right])
     )
     assert np.array_equal(
-        flat.box_max[internal], np.maximum(flat.box_max[left], flat.box_max[right])
+        flat.box_max[:, internal], np.maximum(flat.box_max[:, left], flat.box_max[:, right])
     )
 
 
@@ -212,7 +212,7 @@ class TestRefit:
         for sphere in moved:
             box = sphere.bounding_box()
             node = refit.leaf_node[leaves_before.index(sphere)]
-            assert np.array_equal(refit.box_min[node], box.minimum)
+            assert np.array_equal(refit.box_min[:, node], box.minimum)
 
     def test_refit_matches_fresh_build_intersections(self):
         scene = small_scene(num_spheres=10, seed=7)

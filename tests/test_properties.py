@@ -3,6 +3,7 @@
 import string
 
 import numpy as np
+import pytest
 from hypothesis import Phase, assume, given, settings, strategies as st
 
 from repro.raytracer.bvh import BruteForceIndex
@@ -196,20 +197,20 @@ class TestBVHProperties:
         spheres = [Sphere(vec3(x, y, z), r) for x, y, z, r in raw]
         flat = FlatBVH.build(spheres)
         n = len(spheres)
-        assert flat.size == n and flat.box_min.shape[0] == 2 * n - 1
+        assert flat.size == n and flat.box_min.shape[1] == 2 * n - 1
         assert sorted(map(id, flat.packet_primitives)) == sorted(map(id, spheres))
         internal = np.flatnonzero(flat.left >= 0)
         left, right = flat.left[internal], flat.right[internal]
         assert np.array_equal(right, internal + 1)
         assert np.array_equal(
-            flat.box_min[internal], np.minimum(flat.box_min[left], flat.box_min[right])
+            flat.box_min[:, internal], np.minimum(flat.box_min[:, left], flat.box_min[:, right])
         )
         assert np.array_equal(
-            flat.box_max[internal], np.maximum(flat.box_max[left], flat.box_max[right])
+            flat.box_max[:, internal], np.maximum(flat.box_max[:, left], flat.box_max[:, right])
         )
         for slot, sphere in enumerate(flat.packet_primitives):
             node = flat.leaf_node[slot]
-            assert np.array_equal(flat.box_min[node], sphere.bounding_box().minimum)
+            assert np.array_equal(flat.box_min[:, node], sphere.bounding_box().minimum)
             assert flat.leaf_end[node] - flat.first_leaf[node] == 1
 
     @settings(max_examples=30, deadline=None, phases=NO_SHRINK)
@@ -440,7 +441,21 @@ class TestPlacementTransparency:
 # The compiled SoA traversal (repro.raytracer.flatbvh) must agree with the
 # brute-force oracle exactly — bit-identical hit parameters, the same hit
 # primitive, the same occlusion mask — for arbitrary sphere sets and ray
-# packets.
+# packets.  These scenes and packets are small enough that the default batch
+# rule answers most of them from the root batch, so every property also runs
+# with the budget at its minimum (and 7-ray waves): every example then walks
+# the tree down to its leaf boxes.
+
+#: (BATCH_WORK, WAVE_RAYS) overrides per run; None keeps the defaults
+TRAVERSALS = pytest.mark.parametrize(
+    "traversal", [None, (1, 7)], ids=["default-batch", "every-leaf-box"]
+)
+
+
+def _with_traversal(flat, traversal):
+    if traversal is not None:
+        flat.BATCH_WORK, flat.WAVE_RAYS = traversal
+    return flat
 
 ray_packets = st.lists(
     st.tuples(
@@ -460,11 +475,12 @@ def _packet_arrays(raw_rays):
 
 
 class TestFlatBVHProperties:
+    @TRAVERSALS
     @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
     @given(sphere_lists, ray_packets)
-    def test_flat_any_hit_equals_brute_force(self, raw, raw_rays):
+    def test_flat_any_hit_equals_brute_force(self, traversal, raw, raw_rays):
         spheres = [Sphere(vec3(x, y, z), r) for x, y, z, r in raw]
-        flat = FlatBVH.build(spheres)
+        flat = _with_traversal(FlatBVH.build(spheres), traversal)
         brute = BruteForceIndex(spheres)
         origins, directions = _packet_arrays(raw_rays)
         assert np.array_equal(
@@ -472,11 +488,12 @@ class TestFlatBVHProperties:
             flat.any_hit_packet(origins, directions),
         )
 
+    @TRAVERSALS
     @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
     @given(sphere_lists, ray_packets)
-    def test_flat_agrees_with_brute_force_by_identity(self, raw, raw_rays):
+    def test_flat_agrees_with_brute_force_by_identity(self, traversal, raw, raw_rays):
         spheres = [Sphere(vec3(x, y, z), r) for x, y, z, r in raw]
-        flat = FlatBVH.build(spheres)
+        flat = _with_traversal(FlatBVH.build(spheres), traversal)
         brute = BruteForceIndex(spheres)
         origins, directions = _packet_arrays(raw_rays)
         fi, ft = flat.intersect_packet(origins, directions)
@@ -516,9 +533,12 @@ mixed_rays = st.lists(
 
 
 class TestFlatBVHMixedSceneProperties:
+    @TRAVERSALS
     @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
     @given(sphere_lists, triangle_lists, st.booleans(), mixed_rays)
-    def test_closest_hit_is_brute_force_hit(self, raw, raw_tris, with_plane, raw_rays):
+    def test_closest_hit_is_brute_force_hit(
+        self, traversal, raw, raw_tris, with_plane, raw_rays
+    ):
         from repro.raytracer.packet import cast_packet, scene_packet_data
         from repro.raytracer.scene import Scene
 
@@ -534,6 +554,7 @@ class TestFlatBVHMixedSceneProperties:
             objects.append(Plane(vec3(0, -3, 0), vec3(0, 1, 0)))
         flat_scene, brute_scene = Scene(objects), Scene(objects, use_bvh=False)
         assert isinstance(flat_scene.index, FlatBVH)
+        _with_traversal(flat_scene.index, traversal)
         origins, directions = _packet_arrays(raw_rays)
         fi, ft = cast_packet(flat_scene, flat_scene.index, origins, directions)
         bi, bt = cast_packet(brute_scene, brute_scene.index, origins, directions)
