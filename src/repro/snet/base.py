@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import copy as _copy
 import itertools
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.snet.records import Record
 from repro.snet.types import RecordType, TypeSignature
@@ -45,6 +45,9 @@ class Entity:
 
     #: human-readable kind, overridden by subclasses ("box", "filter", ...)
     KIND = "entity"
+    #: attributes holding child entities (or lists of them), which
+    #: :meth:`copy` copies in turn
+    CHILD_ATTRS: Tuple[str, ...] = ()
 
     def __init__(self, name: Optional[str] = None):
         self.entity_id = fresh_entity_id()
@@ -86,13 +89,19 @@ class Entity:
     def copy(self) -> "Entity":
         """Return a fresh instance of this entity with reset internal state.
 
-        The default implementation deep-copies the entity and assigns a new
-        entity id; stateful entities additionally override :meth:`reset`.
+        Structural, not deep: a shallow copy with a new entity id whose
+        child entities (:attr:`CHILD_ATTRS`) are fresh copies in turn.  The
+        frozen parts — box functions, signatures, patterns, filter rules —
+        are shared; stateful entities override :meth:`reset` to get fresh
+        state.
         """
-        dup = _copy.deepcopy(self)
-        for ent in dup.iter_entities():
-            ent.entity_id = fresh_entity_id()
-            ent.reset()
+        dup = _copy.copy(self)
+        dup.entity_id = fresh_entity_id()
+        for attr in self.CHILD_ATTRS:
+            child = getattr(self, attr)
+            fresh = [c.copy() for c in child] if isinstance(child, list) else child.copy()
+            setattr(dup, attr, fresh)
+        dup.reset()
         return dup
 
     def reset(self) -> None:

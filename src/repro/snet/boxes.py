@@ -27,7 +27,7 @@ interface).
 from __future__ import annotations
 
 import inspect
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.snet.base import PrimitiveEntity
 from repro.snet.errors import BoxError
@@ -53,10 +53,6 @@ class BoxSignature:
         self.outputs: Tuple[Tuple[Label, ...], ...] = tuple(
             tuple(as_label(l) for l in variant) for variant in outputs
         )
-
-    def __deepcopy__(self, memo: Dict[int, Any]) -> "BoxSignature":
-        # frozen after construction: entity copies (Entity.copy) may share it
-        return self
 
     @classmethod
     def parse(cls, text: str) -> "BoxSignature":
@@ -181,9 +177,8 @@ class Box(PrimitiveEntity):
         labels of one declared output variant.  Extra labels are permitted
         (they may themselves be flow-inherited further downstream).
         """
-        for variant in self.box_signature.outputs:
-            if Variant(variant).accepts(rec):
-                return rec
+        if self._type_signature.output_type.accepts(rec):
+            return rec
         raise BoxError(
             f"box {self.name!r} produced a record {rec!r} that matches none of "
             f"its declared output variants {self.box_signature.outputs!r}"

@@ -82,6 +82,7 @@ class Serial(Combinator):
     """Serial composition ``A .. B``: the output stream of A feeds B."""
 
     KIND = "serial"
+    CHILD_ATTRS = ("left", "right")
 
     def __init__(self, left: Entity, right: Entity, name: Optional[str] = None):
         super().__init__(name)
@@ -131,6 +132,7 @@ class Parallel(Combinator):
     """
 
     KIND = "parallel"
+    CHILD_ATTRS = ("left", "right")
 
     def __init__(
         self,
@@ -208,6 +210,7 @@ class Star(Combinator):
     """
 
     KIND = "star"
+    CHILD_ATTRS = ("operand",)
 
     def __init__(
         self,
@@ -312,6 +315,7 @@ class IndexSplit(Combinator):
     """
 
     KIND = "split"
+    CHILD_ATTRS = ("operand",)
 
     def __init__(
         self,

@@ -20,7 +20,7 @@ the paper's networks to provide bypass branches in parallel compositions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.snet.base import PrimitiveEntity
 from repro.snet.errors import FilterError
@@ -56,10 +56,6 @@ class OutputTemplate:
     def __post_init__(self) -> None:
         self.keep = tuple(as_label(l) for l in self.keep)
 
-    def __deepcopy__(self, memo: Dict[int, Any]) -> "OutputTemplate":
-        # frozen after construction: entity copies (Entity.copy) may share it
-        return self
-
     def build(self, rec: Record, consumed: Iterable[Label]) -> Record:
         entries: Dict[Label, object] = {}
         for label in self.keep:
@@ -92,10 +88,6 @@ class FilterRule:
             raise FilterError("a filter rule needs at least one output template")
         self.pattern = pattern
         self.outputs = tuple(outputs)
-
-    def __deepcopy__(self, memo: Dict[int, Any]) -> "FilterRule":
-        # frozen after construction: entity copies (Entity.copy) may share it
-        return self
 
     def matches(self, rec: Record) -> bool:
         return self.pattern.matches(rec)

@@ -139,6 +139,3 @@ class NetDecl:
     nets: List["NetDecl"] = field(default_factory=list)
     body: Optional[NetExpr] = None
     span: Optional[SourceSpan] = None
-
-    def declared_names(self) -> List[str]:
-        return [b.name for b in self.boxes] + [n.name for n in self.nets]

@@ -147,13 +147,6 @@ class TokenStream:
     def from_source(cls, source: str) -> "TokenStream":
         return cls(tokenize(source))
 
-    @property
-    def position(self) -> int:
-        return self._pos
-
-    def restore(self, position: int) -> None:
-        self._pos = position
-
     def peek(self, offset: int = 0) -> Token:
         idx = min(self._pos + offset, len(self._tokens) - 1)
         return self._tokens[idx]
@@ -169,11 +162,6 @@ class TokenStream:
 
     def accept_op(self, *ops: str) -> Optional[Token]:
         if self.peek().is_op(*ops):
-            return self.next()
-        return None
-
-    def accept_keyword(self, *words: str) -> Optional[Token]:
-        if self.peek().is_keyword(*words):
             return self.next()
         return None
 

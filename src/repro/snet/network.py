@@ -27,6 +27,7 @@ class Network(Combinator):
     """A named SISO network wrapping a body entity."""
 
     KIND = "net"
+    CHILD_ATTRS = ("body",)
 
     def __init__(
         self,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Union
+from typing import Callable, Dict, Iterable, Mapping, Optional, Union
 
 from repro.snet.errors import FilterError, TypeError_
 from repro.snet.records import LabelLike, Record, Tag
@@ -31,10 +31,6 @@ class GuardExpr:
 
     def evaluate(self, rec: Record) -> int:
         raise NotImplementedError
-
-    def __deepcopy__(self, memo: Dict[int, Any]) -> "GuardExpr":
-        # the AST nodes are frozen: entity copies (Entity.copy) may share them
-        return self
 
     # Operator sugar so guards can be written naturally in Python:
     # TagRef("tasks") == TagRef("cnt"), TagRef("cnt") + 1, ...
@@ -231,10 +227,6 @@ class Pattern:
         self._guard = guard
         #: (line, column) span when this pattern came from parsed source
         self.source_span = None
-
-    def __deepcopy__(self, memo: Dict[int, Any]) -> "Pattern":
-        # frozen after construction: entity copies (Entity.copy) may share it
-        return self
 
     @classmethod
     def parse(cls, text: str) -> "Pattern":

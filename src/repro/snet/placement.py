@@ -54,6 +54,7 @@ class StaticPlacement(Combinator):
     """
 
     KIND = "placement"
+    CHILD_ATTRS = ("operand",)
 
     def __init__(self, operand: Entity, node: int, name: Optional[str] = None):
         super().__init__(name)

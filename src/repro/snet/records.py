@@ -49,10 +49,6 @@ class Label:
     def kind(self) -> str:
         return type(self).KIND
 
-    def __deepcopy__(self, memo: Dict[int, Any]) -> "Label":
-        # frozen: entity copies (Entity.copy) may share it
-        return self
-
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return self.pretty()
 
@@ -115,6 +111,9 @@ def _check_tag_value(label: Label, value: Any) -> int:
 
 _record_counter = itertools.count(1)
 
+#: one shared frozenset per distinct label set (see :attr:`Record.label_set`)
+_LABEL_SETS: Dict[frozenset, frozenset] = {}
+
 
 class Record(Mapping[Label, Any]):
     """An immutable S-Net record.
@@ -134,7 +133,7 @@ class Record(Mapping[Label, Any]):
     ['scene']
     """
 
-    __slots__ = ("_entries", "_uid")
+    __slots__ = ("_entries", "_uid", "_label_set")
 
     def __init__(self, entries: Optional[Mapping[LabelLike, Any]] = None, *, _uid: Optional[int] = None):
         normalised: Dict[Label, Any] = {}
@@ -148,6 +147,7 @@ class Record(Mapping[Label, Any]):
                 normalised[label] = value
         object.__setattr__(self, "_entries", normalised)
         object.__setattr__(self, "_uid", _uid if _uid is not None else next(_record_counter))
+        object.__setattr__(self, "_label_set", None)
 
     # -- Mapping protocol -------------------------------------------------
     def __getitem__(self, label: LabelLike) -> Any:
@@ -177,11 +177,6 @@ class Record(Mapping[Label, Any]):
     def __copy__(self) -> "Record":
         return self  # immutable, shallow copy can share
 
-    def __deepcopy__(self, memo: Dict[int, Any]) -> "Record":
-        import copy as _copy
-
-        return Record(_copy.deepcopy(dict(self._entries), memo))
-
     def __reduce__(self):
         return (Record, (dict(self._entries),))
 
@@ -195,6 +190,21 @@ class Record(Mapping[Label, Any]):
         return self._entries == other._entries
 
     # -- label accessors ---------------------------------------------------
+    @property
+    def label_set(self) -> "frozenset[Label]":
+        """The record's labels as a frozenset, computed once per record.
+
+        Interned: records with equal label sets share one frozenset, so the
+        type checks that memoize on it (:meth:`Variant.accepts`,
+        :meth:`RecordType.match_score`) hit their tables by identity.
+        """
+        labels = self._label_set
+        if labels is None:
+            labels = frozenset(self._entries)
+            labels = _LABEL_SETS.setdefault(labels, labels)
+            object.__setattr__(self, "_label_set", labels)
+        return labels
+
     def labels(self) -> Tuple[Label, ...]:
         return tuple(self._entries.keys())
 
@@ -255,13 +265,6 @@ class Record(Mapping[Label, Any]):
     def project(self, labels: Iterable[LabelLike]) -> "Record":
         """Return a new record restricted to the given labels."""
         keep = {as_label(l) for l in labels}
-        return Record({l: v for l, v in self._entries.items() if l in keep})
-
-    def restrict_to_names(self, field_names: Iterable[str], tag_names: Iterable[str]) -> "Record":
-        """Project onto the given field and tag *names* (kind-aware)."""
-        keep = {Field(n) for n in field_names} | {Tag(n) for n in tag_names} | {
-            BTag(n) for n in tag_names
-        }
         return Record({l: v for l, v in self._entries.items() if l in keep})
 
     def map_field_values(self, fn: "Callable[[Any], Any]") -> "Record":

@@ -69,7 +69,6 @@ from repro.snet.runtime.process_engine import (
     BoxWorkerError,
     PoolTransport,
     ProcessRuntime,
-    run_process,
 )
 from repro.snet.runtime.distributed_engine import (
     DistributedRuntime,
@@ -104,7 +103,6 @@ __all__ = [
     "DistributedWorkerError",
     "SharedObjectRef",
     "run_threaded",
-    "run_process",
     "run_distributed",
     "drain_stream",
     "worker_scope",

@@ -17,9 +17,9 @@ threaded       :class:`InlineTransport` — every entity is a port on the
                scheduler; records travel by reference.
 process        ``PoolTransport`` — ``parallel_safe`` boxes are claimed;
                their records are batched per scheduler turn, serialized
-               (protocol 5, out-of-band buffers) and run on a forked
-               worker pool whose results come back through the
-               scheduler's inbox.
+               (protocol 5, out-of-band buffers) and sent over pipe
+               links to forked workers; the scheduler reads the results
+               itself (:meth:`Transport.poll`, :meth:`Transport.wait`).
 distributed    ``PartitionTransport`` — whole placement partitions
                (``A @ num``, ``A !@ <tag>``) execute in real worker
                processes; records cross partitions over pipe links,
@@ -424,9 +424,10 @@ class RunScheduler:
     processed in FIFO order from :attr:`ready`.  A *turn* ends when
     :attr:`ready` is empty or after :attr:`TURN_STEPS` steps: the ports
     registered with :meth:`at_turn_end` then act on what the turn gave them
-    (the pool transport submits its batches there), and the scheduler takes
-    the work other threads handed in through :meth:`deliver`, sleeping on
-    that one inbox while it has nothing else to do.
+    (the pool transport sends its batches there), and the scheduler takes
+    the transport's results (:meth:`Transport.poll`) and the work other
+    threads handed in through :meth:`deliver`, sleeping in
+    :meth:`Transport.wait` or on that inbox while it has nothing to do.
     """
 
     #: steps per turn: the batches a turn gives the pool transport go out
@@ -496,12 +497,24 @@ class RunScheduler:
                 ports, self._turn_end = self._turn_end, []
                 for port in ports:
                     self._call(port, port.end_turn, None)
-            if self._take_deliveries() or ready:
+            if self._take_results() | self._take_deliveries() or ready:
                 continue
             if collector.done or core.errors:
                 return True
             if not self._await_delivery(deadline):
                 return False
+
+    def _take_results(self) -> bool:
+        """Run the transport's landed results as steps; ``True`` if any."""
+        transport = self.core.transport
+        try:
+            landed = transport.poll()
+        except Exception as exc:  # noqa: BLE001 - collected
+            self.core._record_error(exc, source=transport.name)
+            return True
+        for item in landed:
+            self._call(*item)
+        return bool(landed)
 
     def _take_deliveries(self) -> bool:
         """Run every step other threads have handed in; ``True`` if any."""
@@ -516,18 +529,17 @@ class RunScheduler:
                 self._call(*item)
 
     def _await_delivery(self, deadline: Optional[float]) -> bool:
-        """Sleep until another thread hands in work; ``False`` at the deadline."""
+        """Sleep until there is work for the scheduler; ``False`` at the deadline."""
         wait = None if deadline is None else deadline - time.monotonic()
         if wait is not None and wait <= 0:
             return False
         transport = self.core.transport
         try:
-            check = transport.idle_check()
+            if transport.wait(wait):
+                return True
         except Exception as exc:  # noqa: BLE001 - collected
             self.core._record_error(exc, source=transport.name)
             return True
-        if check is not None:
-            wait = check if wait is None else min(wait, check)
         try:
             item = self._inbox.get(timeout=wait)
         except queue.Empty:
@@ -622,14 +634,16 @@ class Transport:
         """
         return False
 
-    def idle_check(self) -> Optional[float]:
-        """Health check, called each time the scheduler is about to sleep.
+    def poll(self) -> List[Tuple[Port, Callable[[Any], None], Any]]:
+        """Take the landed results without blocking, as ``(port, fn, arg)``
+        steps; called at every turn end.  Raise to fail the run."""
+        return []
 
-        Raise to fail the run (the pool transport does when a worker died
-        with batches outstanding); return the longest the scheduler may
-        sleep before asking again, or ``None`` for no limit.
-        """
-        return None
+    def wait(self, timeout: Optional[float]) -> bool:
+        """Sleep, at most ``timeout`` seconds, until :meth:`poll` has work;
+        ``False`` (at once) when nothing is outstanding, so the idle
+        scheduler sleeps on its inbox instead.  Raise to fail the run."""
+        return False
 
     # -- accounting ----------------------------------------------------------
     @property

@@ -48,22 +48,9 @@ The wire protocol
 
 Workers are forked (inheriting the partition-template and broadcast
 registries, so unpicklable box closures and the scene never cross by
-value) and speak a small framed protocol over a duplex
-``multiprocessing`` pipe — a Unix socket pair under the hood:
-
-====================  ====================================================
-``OPEN key``          instantiate a fresh copy of partition template
-                      ``key`` for a new channel
-``DATA payload``      a record batch for the channel (protocol 5, buffers
-                      out-of-band, broadcast payloads as
-                      :class:`~repro.snet.runtime.data_plane.SharedObjectRef`)
-``EOS``               channel input finished → worker flushes the
-                      partition and answers ``EOS_ACK``
-``RESULT payload``    records produced by a partition (worker → parent)
-``ERROR message``     a partition raised; the message embeds the remote
-                      traceback (worker → parent)
-``SHUTDOWN``          the run/runtime is over; the worker exits
-====================  ====================================================
+value) and speak the framed ``OPEN``/``DATA``/``EOS``/``RESULT``/``ERROR``/
+``SHUTDOWN`` protocol of :mod:`repro.snet.runtime.link` over a duplex
+``multiprocessing`` pipe — a Unix socket pair under the hood.
 
 Every frame byte in either direction is accumulated in
 :attr:`DistributedRuntime.bytes_pickled` — the cross-partition
@@ -114,9 +101,8 @@ with a :class:`RuntimeWarning`, treating every placement as transparent.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import multiprocessing
-import pickle
 import threading
 import traceback
 import warnings
@@ -154,6 +140,19 @@ from repro.snet.runtime.data_plane import (
     swap_shared_out,
     unregister_shared,
 )
+from repro.snet.runtime.link import (
+    DATA,
+    EOS,
+    EOS_ACK,
+    ERROR,
+    OPEN,
+    RESULT,
+    SHUTDOWN,
+    PipeLink,
+    encode_frame,
+    recv_frame,
+    send_frame,
+)
 from repro.snet.runtime.stream import Stream, StreamClosed, StreamWriter
 from repro.snet.runtime.tracing import Tracer
 
@@ -175,8 +174,8 @@ class DistributedWorkerError(RuntimeError_):
 #: warm runtimes hosting structurally identical partitions can coexist.
 #: Populated in the parent *before* the workers fork, like the process
 #: engine's box registry; the key also rides on the placement entity as an
-#: attribute so it survives ``Entity.copy`` (star unrolling deep-copies
-#: placed subtrees mid-run, long after the fork) without re-hashing.
+#: attribute so it survives ``Entity.copy`` (star unrolling copies placed
+#: subtrees mid-run, long after the fork) without re-hashing.
 _PARTITION_REGISTRY: Dict[str, Tuple[int, Entity]] = {}
 _KEY_ATTR = "_dist_partition_key"
 
@@ -195,66 +194,6 @@ def _release_template(key: str) -> None:
         _PARTITION_REGISTRY.pop(key, None)
     else:
         _PARTITION_REGISTRY[key] = (count - 1, template)
-
-
-# frame kinds (parent -> worker: OPEN/DATA/EOS/SHUTDOWN; worker -> parent:
-# RESULT/EOS_ACK/ERROR)
-_OPEN, _DATA, _EOS, _SHUTDOWN, _RESULT, _EOS_ACK, _ERROR = range(7)
-
-
-def _encode_frame(
-    kind: int,
-    channel: int,
-    meta: Any = None,
-    payload: Optional[bytes] = None,
-    buffers: Sequence[bytes] = (),
-) -> List[bytes]:
-    """Encode one protocol frame as its multipart wire representation.
-
-    The record ``payload`` and its out-of-band ``buffers`` are already
-    serialized by :func:`~repro.snet.runtime.data_plane.dumps_records`;
-    sending them as separate pipe messages (after a tiny pickled header)
-    keeps them out-of-band end to end — re-pickling them into an envelope
-    would copy every wire byte a second time.  ``meta`` carries the small
-    control values (template key for ``OPEN``, message text for ``ERROR``).
-    """
-    header = pickle.dumps(
-        (kind, channel, meta, payload is not None, len(buffers)), protocol=5
-    )
-    parts = [header]
-    if payload is not None:
-        parts.append(payload)
-    parts.extend(buffers)
-    return parts
-
-
-def _send_frame(conn, parts: Sequence[bytes]) -> None:
-    for part in parts:
-        conn.send_bytes(part)
-
-
-def _recv_frame(conn) -> Tuple[int, int, Any, Optional[bytes], List[bytes], int]:
-    """Receive one multipart frame; returns (..., total wire bytes).
-
-    The peer writes all parts of a frame back-to-back from a single
-    thread, so reading header-then-parts never interleaves.  A frame is
-    received atomically or not at all: a pipe dying mid-frame raises
-    before any part is acted on, which is what makes replay-after-death
-    exact — a partially received batch was never counted as delivered.
-    """
-    header = conn.recv_bytes()
-    kind, channel, meta, has_payload, n_buffers = pickle.loads(header)
-    nbytes = len(header)
-    payload: Optional[bytes] = None
-    if has_payload:
-        payload = conn.recv_bytes()
-        nbytes += len(payload)
-    buffers: List[bytes] = []
-    for _ in range(n_buffers):
-        buf = conn.recv_bytes()
-        buffers.append(buf)
-        nbytes += len(buf)
-    return kind, channel, meta, payload, buffers, nbytes
 
 
 def _partition_worker_main(conn, node_index: int) -> None:
@@ -277,18 +216,18 @@ def _partition_worker_main(conn, node_index: int) -> None:
         if not produced:
             return
         payload, buffers, _ = dumps_records([swap_shared_out(r) for r in produced])
-        _send_frame(conn, _encode_frame(_RESULT, channel, payload=payload, buffers=buffers))
+        send_frame(conn, encode_frame(RESULT, channel, payload=payload, buffers=buffers))
 
     try:
         while True:
             try:
-                kind, channel, meta, payload, buffers, _ = _recv_frame(conn)
+                kind, channel, meta, payload, buffers, _ = recv_frame(conn)
             except (EOFError, OSError):
                 break
-            if kind == _SHUTDOWN:
+            if kind == SHUTDOWN:
                 break
             try:
-                if kind == _OPEN:
+                if kind == OPEN:
                     entry = _PARTITION_REGISTRY.get(meta)
                     if entry is None:
                         raise DistributedWorkerError(
@@ -297,7 +236,7 @@ def _partition_worker_main(conn, node_index: int) -> None:
                             "the 'fork' start method"
                         )
                     channels[channel] = entry[1].copy()
-                elif kind == _DATA:
+                elif kind == DATA:
                     if channel in dead_channels:
                         continue
                     entity = channels[channel]
@@ -305,22 +244,22 @@ def _partition_worker_main(conn, node_index: int) -> None:
                     for rec in loads_records(payload, buffers):
                         produced.extend(_feed(entity, resolve_shared_in(rec)))
                     send_results(channel, produced)
-                elif kind == _EOS:
+                elif kind == EOS:
                     entity = channels.pop(channel, None)
                     if entity is not None and channel not in dead_channels:
                         send_results(channel, _end(entity))
                     dead_channels.discard(channel)
-                    _send_frame(conn, _encode_frame(_EOS_ACK, channel))
+                    send_frame(conn, encode_frame(EOS_ACK, channel))
             except BaseException as exc:  # noqa: BLE001 - reported to the parent
                 # user exceptions are not guaranteed to pickle; ship a plain
                 # string with the remote traceback, like the pool engine
                 dead_channels.add(channel)
                 channels.pop(channel, None)
                 try:
-                    _send_frame(
+                    send_frame(
                         conn,
-                        _encode_frame(
-                            _ERROR,
+                        encode_frame(
+                            ERROR,
                             channel,
                             meta=(
                                 f"partition failed on compute node {node_index}: "
@@ -375,8 +314,8 @@ class _Channel:
         self.done = False
 
 
-class _NodeLink:
-    """Parent-side endpoint of one node worker: process, pipe, I/O threads.
+class _NodeLink(PipeLink):
+    """Parent-side endpoint of one node worker: a pipe link plus I/O threads.
 
     The sender thread drains an unbounded outbox so no engine thread ever
     blocks inside ``send`` while holding a lock (a full duplex pipe with
@@ -386,22 +325,15 @@ class _NodeLink:
     dead link never orphans bookkeeping.
     """
 
-    def __init__(self, transport: "PartitionTransport", index: int, ctx) -> None:
+    def __init__(self, transport: "PartitionTransport", index: int) -> None:
+        super().__init__(
+            functools.partial(_partition_worker_main, node_index=index),
+            name=f"dsnet-node-{index}",
+        )
         self.transport = transport
         self.index = index
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        self.process = ctx.Process(
-            target=_partition_worker_main,
-            args=(child_conn, index),
-            name=f"dsnet-node-{index}",
-            daemon=True,
-        )
-        self.process.start()
-        child_conn.close()
-        self.conn = parent_conn
         self._cv = threading.Condition()
         self._outbox: Deque[Optional[Sequence[bytes]]] = deque()
-        self.dead = False
         #: set (under the transport's fault lock) by the first
         #: failure-handling pass so send-failure and pipe-EOF — which both
         #: fire for one death — trigger exactly one failover
@@ -451,12 +383,12 @@ class _NodeLink:
                 parts = self._outbox.popleft()
             if parts is None:  # shutdown sentinel
                 try:
-                    _send_frame(self.conn, _encode_frame(_SHUTDOWN, 0))
+                    send_frame(self.conn, encode_frame(SHUTDOWN, 0))
                 except (OSError, ValueError):
                     pass
                 return
             try:
-                _send_frame(self.conn, parts)
+                send_frame(self.conn, parts)
             except (OSError, ValueError) as exc:
                 self.transport._handle_link_failure(
                     self, f"worker pipe closed while sending ({exc!r})"
@@ -467,15 +399,15 @@ class _NodeLink:
     def _receiver_loop(self) -> None:
         while True:
             try:
-                kind, channel, meta, payload, buffers, nbytes = _recv_frame(self.conn)
+                kind, channel, meta, payload, buffers, nbytes = recv_frame(self.conn)
             except (EOFError, OSError):
                 break
             self.transport._count_wire(nbytes)
-            if kind == _RESULT:
+            if kind == RESULT:
                 self.transport._deliver(self, channel, payload, buffers)
-            elif kind == _EOS_ACK:
+            elif kind == EOS_ACK:
                 self.transport._finish_channel(self, channel)
-            elif kind == _ERROR:
+            elif kind == ERROR:
                 self.transport._channel_error(self, channel, meta)
         self.transport._handle_link_failure(self, "worker process exited")
 
@@ -677,13 +609,12 @@ class PartitionTransport(Transport):
 
     # -- link lifecycle ------------------------------------------------------
     def _fork_links(self) -> None:
-        ctx = multiprocessing.get_context("fork")
         # fork every node worker before starting any I/O thread, so each
         # child inherits a quiescent parent (complete registries, no
         # frames); append one-by-one so a fork failing halfway leaves the
         # earlier links on self._links for teardown to reap
         for index in range(self.runtime.nodes):
-            self._links.append(_NodeLink(self, index, ctx))
+            self._links.append(_NodeLink(self, index))
         for link in self._links:
             link.start_io()
 
@@ -735,10 +666,9 @@ class PartitionTransport(Transport):
                     "is no longer alive; call teardown() and setup() to "
                     "rebuild the links (fault tolerance is disabled)"
                 )
-            ctx = multiprocessing.get_context("fork")
             for i in stale:
                 old = self._links[i]
-                fresh = _NodeLink(self, i, ctx)
+                fresh = _NodeLink(self, i)
                 fresh.start_io()
                 self._links[i] = fresh
                 self.recoveries += 1
@@ -771,8 +701,7 @@ class PartitionTransport(Transport):
             return None
         replacement: Optional[_NodeLink] = None
         try:
-            ctx = multiprocessing.get_context("fork")
-            replacement = _NodeLink(self, link.index, ctx)
+            replacement = _NodeLink(self, link.index)
             replacement.start_io()
         except OSError:  # pragma: no cover - fork exhaustion
             survivors = [l for l in self._links if l is not link and not l.dead]
@@ -795,12 +724,12 @@ class PartitionTransport(Transport):
         instead, which makes the merge idempotent.
         """
         ch.replay_skip = ch.delivered
-        link.post(_encode_frame(_OPEN, ch.id, meta=ch.key))
+        link.post(encode_frame(OPEN, ch.id, meta=ch.key))
         for batch in ch.journal:
             payload, buffers, _ = dumps_records([swap_shared_out(r) for r in batch])
-            link.post(_encode_frame(_DATA, ch.id, payload=payload, buffers=buffers))
+            link.post(encode_frame(DATA, ch.id, payload=payload, buffers=buffers))
         if ch.eos_sent:
-            link.post(_encode_frame(_EOS, ch.id))
+            link.post(encode_frame(EOS, ch.id))
 
     def _handle_link_failure(self, link: _NodeLink, reason: str) -> None:
         """One node worker is gone: re-dispatch its in-flight work or fail loudly.
@@ -910,7 +839,7 @@ class PartitionTransport(Transport):
     # -- outbound path -------------------------------------------------------
     def _post_data(self, ch: _Channel, batch: List[Record]) -> None:
         payload, buffers, _ = dumps_records([swap_shared_out(r) for r in batch])
-        parts = _encode_frame(_DATA, ch.id, payload=payload, buffers=buffers)
+        parts = encode_frame(DATA, ch.id, payload=payload, buffers=buffers)
         with self._fault_lock:
             if ch.done:
                 return
@@ -921,7 +850,7 @@ class PartitionTransport(Transport):
             self._note_dropped_frame(ch, link)
 
     def _post_eos(self, ch: _Channel) -> None:
-        parts = _encode_frame(_EOS, ch.id)
+        parts = encode_frame(EOS, ch.id)
         with self._fault_lock:
             if ch.done:
                 return
@@ -958,8 +887,7 @@ class PartitionTransport(Transport):
                 )
             self.runtime.nodes += 1
             if self._links:
-                ctx = multiprocessing.get_context("fork")
-                link = _NodeLink(self, len(self._links), ctx)
+                link = _NodeLink(self, len(self._links))
                 link.start_io()
                 self._links.append(link)
             return self.runtime.nodes
@@ -1152,7 +1080,7 @@ class PartitionTransport(Transport):
                 lambda: drain_stream(in_stream), f"dist-drain-{label}-ch{channel_id}"
             )
             return
-        if not link.post(_encode_frame(_OPEN, channel_id, meta=key)):
+        if not link.post(encode_frame(OPEN, channel_id, meta=key)):
             self._note_dropped_frame(ch, link)
         runtime.tracer.record(label, "partition-open", node=link.index, channel=channel_id)
         chunk = runtime.chunk_size

@@ -62,6 +62,7 @@ class FusedChain(PrimitiveEntity):
     """
 
     KIND = "fused"
+    CHILD_ATTRS = ("stages",)
 
     def __init__(self, stages: List[PrimitiveEntity], name: Optional[str] = None):
         if len(stages) < 2:

@@ -2,98 +2,58 @@
 
 :class:`ProcessRuntime` pairs the shared
 :class:`~repro.snet.runtime.core.EngineCore` with a :class:`PoolTransport`:
-the port graph and its scheduler are exactly those of the threaded engine
-(they live in the core), but instances of ``parallel_safe`` boxes are
-claimed by the transport and their records are executed on a
-``multiprocessing`` worker pool, so CPU-bound box code runs outside the GIL
-and a multi-core host delivers real wall-clock speedup (the paper's
-headline measurement, which the threaded runtime can only simulate).
+the port graph and its scheduler are exactly those of the threaded engine,
+but instances of ``parallel_safe`` boxes are claimed by the transport and
+their records run on forked worker processes, so CPU-bound box code runs
+outside the GIL (the paper's headline measurement, which the threaded
+runtime can only simulate).  The data plane — fork-shared box registry and
+payload broadcast, protocol-5 out-of-band batches, adaptive batch sizes —
+is described in DESIGN.md, "The process data plane".
 
-Design notes
-------------
+* **Fork-shared box registry.**  Box functions are typically closures and
+  not picklable: every ``parallel_safe`` box is registered before the
+  workers fork, and only records cross the boundary.  Star levels and
+  split replicas share the template's ``func``, so they resolve to its key.
+* **The link.**  Each worker is a :class:`~repro.snet.runtime.link.PipeLink`
+  (forked process, duplex pipe, sentinel) carrying the multipart frames of
+  :mod:`repro.snet.runtime.link`.  The scheduler thread drives every link
+  itself and no thread is started: a claimed box instance batches the
+  records of one turn and sends them when the turn ends, results are read
+  by a non-blocking :meth:`PoolTransport.poll` at every turn end and pushed
+  downstream at once (in the dynamic farm a solver result releases the
+  node token that admits the next input), and an idle scheduler sleeps in
+  one ``multiprocessing.connection.wait`` over the busy workers' pipes and
+  sentinels.
+* **Pull-style dispatch.**  A batch goes only to a worker that owes
+  nothing; the rest wait in the parent and go to whichever worker answers
+  first.  A worker that owes nothing is reading, so the parent never
+  blocks in ``send`` while the worker blocks sending a large result.
+  ``max_inflight`` bounds each box instance's outstanding batches.
+* **Errors.**  A box exception comes back as :class:`BoxWorkerError` with
+  the remote traceback and fails the box's port.  A worker that dies with
+  batches outstanding fires its sentinel, which fails the run at once.
+* **Warm lifecycle.**  :meth:`ProcessRuntime.setup` registers and forks
+  once, so a persistent service (:class:`repro.apps.service.RenderService`)
+  pays it per scene, not per frame; :meth:`ProcessRuntime.teardown` stops
+  and reaps the workers.  Before each warm run, a worker that died — or
+  that a failed run left owing results, which is stopped for it — is
+  replaced by a fresh fork, which inherits the registries like the first.
 
-* **Fork-shared box registry.**  Box functions are typically closures over a
-  backend object (see :class:`repro.apps.boxes.RayTracingBoxes`) and are not
-  picklable.  Before the pool is forked, the transport registers every
-  ``parallel_safe`` box of the network in a module-level registry; the forked
-  workers inherit it, so only *records* ever cross the process boundary
-  (:class:`~repro.snet.records.Record` pickles structurally).  Dynamically
-  instantiated replicas (star levels, index-split instances) are deep copies
-  whose ``func`` attribute is the *same* function object as the registered
-  template — pure boxes behave identically, so replicas resolve to the
-  template's registry key.
-* **Fork-shared payload broadcast (zero-copy layer 1).**  Large field values
-  of the run's *input records* (the scene and its BVH, in the paper's farm)
-  are registered in the shared broadcast registry
-  (:mod:`repro.snet.runtime.data_plane`) before the pool forks; they cross
-  the boundary as tiny :class:`SharedObjectRef` tokens and are resolved from
-  the fork-inherited registry in the workers.  The broadcast object is
-  pickled exactly zero times per run instead of once per batch.
-* **Out-of-band buffers (zero-copy layer 3).**  Batches are serialized
-  explicitly with pickle protocol 5 and ``buffer_callback`` in both
-  directions (:func:`~repro.snet.runtime.data_plane.dumps_records`), so
-  NumPy payloads that still must cross (model mode, custom boxes) travel as
-  out-of-band buffers instead of being copied into the pickle stream.
-  Every byte serialized either way is accumulated in
-  :attr:`ProcessRuntime.bytes_pickled` — the instrumentation behind the
-  data-plane benchmarks.
-* **Chunked batches, adaptively sized (layer 4).**  A claimed box instance
-  is a port on the scheduler: the records it receives during one scheduler
-  turn are batched to amortise pool dispatch overhead, and nothing ever
-  waits for a batch to fill, otherwise a feedback network (e.g. the token
-  loop of the dynamic ray-tracing farm) could starve itself.  Unless
-  ``chunk_size``/``max_inflight`` are pinned, a per-instance
-  :class:`BatchAutotuner` adapts them to the observed batch service time:
-  micro-boxes coalesce into large batches (dispatch-bound), expensive boxes
-  stay at one record per batch (load-balance-bound).  Batches go out with
-  ``apply_async``; their callbacks hand results to the scheduler's inbox.
-* **No result withholding.**  A completed batch is pushed downstream as
-  soon as it lands.  This is essential for cyclic dataflow: in the dynamic
-  farm a solver *result* releases the node token that admits the solver's
-  next *input*.
-* **Back-pressure.**  At most ``max_inflight`` batches are outstanding per
-  box instance; further records wait in the port until results return.
-* **Error surfacing.**  An exception raised by a box in a pool worker comes
-  back (as :class:`BoxWorkerError`, carrying the remote traceback) to the
-  box's port, which fails like any other port: its output closes and the
-  run reports the error.  A worker that *dies* never answers, so while
-  batches are outstanding the scheduler checks the workers' sentinels
-  each time it goes idle, and every
-  :attr:`PoolTransport.HEALTH_CHECK_INTERVAL` seconds while it stays idle,
-  and fails the run with :class:`BoxWorkerError` instead of waiting for
-  the deadline.
-
-* **Warm lifecycle (setup/teardown split).**  A one-shot :meth:`ProcessRuntime.run`
-  builds and tears down everything per call: box registration, payload
-  broadcast, pool fork, pool termination.  :meth:`ProcessRuntime.setup`
-  hoists that out of the per-run path — register once, fork once — so a
-  persistent service (:class:`repro.apps.service.RenderService`) can run many
-  jobs against one warm pool and pay the setup cost once per *scene*, not
-  once per *frame*.  :meth:`ProcessRuntime.teardown` restores the cold
-  state.  A warm pool that lost a worker between runs is replaced before
-  the next run: a worker killed while idle can die holding the task
-  queue's reader lock, which would block every other worker (and
-  ``Pool.terminate``) forever.
-
-Stateful primitives (synchrocells), filters, routing ports and boxes
-marked ``parallel_safe=False`` execute on the scheduler, exactly as on the
-threaded runtime.  On platforms without the ``fork`` start method the runtime
-degrades to threaded execution (same semantics, no extra processes) and
-says so with a :class:`RuntimeWarning`.
+Synchrocells, filters, routing ports and boxes marked
+``parallel_safe=False`` execute on the scheduler, exactly as on the
+threaded runtime.  Without the ``fork`` start method the runtime degrades
+to threaded execution and says so with a :class:`RuntimeWarning`.
 """
 
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import multiprocessing.connection
-import multiprocessing.pool
 import os
-import threading
 import time
 import traceback
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.snet.base import Entity
 from repro.snet.boxes import Box
@@ -111,15 +71,24 @@ from repro.snet.runtime.core import (
 from repro.snet.runtime.data_plane import (
     BROADCAST_MIN_BYTES,
     SharedObjectRef,
-    SharedPayloadMissing,
     broadcast_worthy,
     dumps_records,
     loads_records,
-    register_shared_inputs,
     register_shared_value,
     resolve_shared_in,
     swap_shared_out,
     unregister_shared,
+)
+from repro.snet.runtime.link import (
+    DATA,
+    ERROR,
+    RESULT,
+    SHUTDOWN,
+    PipeLink,
+    close_links,
+    encode_frame,
+    recv_frame,
+    send_frame,
 )
 from repro.snet.runtime.tracing import Tracer
 
@@ -129,7 +98,6 @@ __all__ = [
     "BoxWorkerError",
     "BatchAutotuner",
     "SharedObjectRef",
-    "run_process",
     "dumps_records",
     "loads_records",
 ]
@@ -140,34 +108,26 @@ class BoxWorkerError(RuntimeError_):
 
 
 #: template boxes visible to forked pool workers, keyed by registration id.
-#: Populated in the parent *before* the pool forks; fork-inherited children
+#: Populated in the parent *before* the workers fork; fork-inherited children
 #: therefore see every key registered for the current run.
 _BOX_REGISTRY: Dict[int, Box] = {}
 _registry_keys = itertools.count(1)
 
-# backwards-compatible aliases: the payload broadcast moved to the shared
-# data-plane module (the distributed engine uses the same registry); tests
-# and older call sites still reach it through this module
+# the payload broadcast registry lives in the shared data-plane module;
+# tests reach it through this module
 _SHARED_OBJECTS = data_plane._SHARED_OBJECTS
 _SHARED_BY_ID = data_plane._SHARED_BY_ID
-_swap_shared_out = swap_shared_out
-_resolve_shared_in = resolve_shared_in
 
 
-def _invoke_box_batch(
-    key: int, payload: bytes, buffers: Sequence[bytes]
-) -> Tuple[bytes, List[bytes], float]:
-    """Pool-worker entry point: run one box over a serialized batch.
+def _run_batch(key: int, payload: bytes, buffers: Sequence[bytes]) -> List[bytes]:
+    """Run the box registered under ``key`` over one serialized batch.
 
-    Returns the serialized produced records plus the measured box execution
-    time (serialization excluded), which feeds the parent's batch autotuner.
+    Returns the reply frame: ``RESULT`` with the produced records and the
+    measured box time (serialization excluded, it feeds the parent's batch
+    autotuner), or ``ERROR`` whose text carries the remote traceback — user
+    exceptions are not guaranteed to pickle.
     """
-    template = _BOX_REGISTRY.get(key)
-    if template is None:  # pragma: no cover - only reachable without fork
-        raise BoxWorkerError(
-            f"box registry key {key} missing in worker process; the process "
-            "runtime requires the 'fork' start method"
-        )
+    template = _BOX_REGISTRY.get(key)  # missing only without fork
     try:
         records = [resolve_shared_in(rec) for rec in loads_records(payload, buffers)]
         start = time.perf_counter()
@@ -178,16 +138,30 @@ def _invoke_box_batch(
         out_payload, out_buffers, _ = dumps_records(
             [swap_shared_out(rec) for rec in produced]
         )
-        return out_payload, out_buffers, elapsed
-    except (BoxWorkerError, SharedPayloadMissing):
-        raise
-    except BaseException as exc:
-        # user exceptions are not guaranteed to pickle; re-raise a plain-string
-        # error carrying the remote traceback instead
-        raise BoxWorkerError(
-            f"box {template.name!r} failed in worker process: "
-            f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
-        ) from None
+        return encode_frame(RESULT, key, elapsed, out_payload, out_buffers)
+    except Exception as exc:  # noqa: BLE001 - reported to the parent
+        name = template.name if template is not None else f"#{key} (not registered)"
+        return encode_frame(
+            ERROR,
+            key,
+            f"box {name!r} failed in worker process: "
+            f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}",
+        )
+
+
+def _pool_worker_main(conn) -> None:
+    """Entry point of one forked pool worker: answer batches until ``SHUTDOWN``."""
+    try:
+        while True:
+            try:
+                kind, key, _, payload, buffers, _ = recv_frame(conn)
+            except (EOFError, OSError):
+                return
+            if kind == SHUTDOWN:
+                return
+            send_frame(conn, _run_batch(key, payload, buffers))
+    finally:
+        conn.close()
 
 
 class BatchAutotuner:
@@ -243,82 +217,31 @@ class BatchAutotuner:
             self.max_inflight = (4 if deep else 2) * self._workers
 
 
-def _fork_pool(workers: int) -> multiprocessing.pool.Pool:
-    pool = multiprocessing.get_context("fork").Pool(processes=workers)
-    pool.forked_pids = {proc.pid for proc in pool._pool}
-    return pool
-
-
-def _lost_worker(pool: multiprocessing.pool.Pool) -> bool:
-    """Whether a worker ``pool`` forked with has died since (replaced or not)."""
-    workers = list(pool._pool)
-    return {proc.pid for proc in workers} != pool.forked_pids or bool(
-        multiprocessing.connection.wait([proc.sentinel for proc in workers], 0)
-    )
-
-
-def _close_pool(pool: multiprocessing.pool.Pool) -> None:
-    """Terminate ``pool``, also when a killed worker left it wedged.
-
-    An idle pool worker blocks reading the task queue while holding its
-    reader lock; SIGKILLed there, it takes the lock with it, and the other
-    workers and ``Pool.terminate`` (which drains the queue under the same
-    lock) then wait on it forever — as they do on the result queue's
-    writer lock if a worker died mid-reply.  So when a worker has died:
-    stop the pool from respawning workers, kill them all, let the task
-    handler (the one other taker of the writer lock) finish, and free both
-    locks — every worker is dead, so whoever still holds one is dead too —
-    before terminating.
-    """
-    if _lost_worker(pool):
-        handler = pool._worker_handler
-        handler._state = multiprocessing.pool.TERMINATE
-        pool._change_notifier.put(None)
-        handler.join()
-        workers = list(pool._pool)
-        for proc in workers:
-            proc.kill()
-        for proc in workers:
-            proc.join()
-        pool._task_handler.join(1.0)
-        for lock in (pool._inqueue._rlock, pool._outqueue._wlock):
-            lock.acquire(block=False)  # free: take it; held by the dead: no-op
-            lock.release()
-    pool.terminate()
-    pool.join()
-
-
 class PoolTransport(Transport):
-    """Offload ``parallel_safe`` box invocations to a forked worker pool.
+    """Offload ``parallel_safe`` box invocations to forked pool workers.
 
-    Owns the pool, the fork-shared registrations made on behalf of its
-    runtime, and the data-plane statistics.  The runtime's knobs (worker
-    count, batching, ``zero_copy``) are read from the owning
+    Owns one link per worker, the fork-shared registrations made on behalf
+    of its runtime, and the data-plane statistics; everything runs on the
+    scheduler's thread (see the module docstring).  The runtime's knobs
+    (worker count, batching, ``zero_copy``) are read from the owning
     :class:`ProcessRuntime`, which validates them.
     """
 
     name = "pool"
 
-    #: longest the scheduler sleeps, while batches are outstanding, before
-    #: re-checking that every pool worker is still alive
-    HEALTH_CHECK_INTERVAL = 0.1
-
     def __init__(self) -> None:
         super().__init__()
-        self._pool = None  # pool used by the current run (warm or cold)
-        self._cold_pool = None  # pool owned by the current cold run only
-        self._persistent_pool = None  # pool kept alive by setup()/teardown()
+        self._links: List[PipeLink] = []
         # _template_key(box) -> registry key; the key must survive Entity.copy
-        # (which deep-copies everything but function objects) AND distinguish
-        # boxes that share one function under different names/signatures
+        # (which shares function objects) AND distinguish boxes that share
+        # one function under different names/signatures
         self._box_keys: Dict[tuple, int] = {}
         self._registered: List[int] = []
         self._shared_registered: List[int] = []
-        self._ports: List["_PoolPort"] = []  # this run's claimed box instances
-        self._stats_lock = threading.Lock()
+        #: serialized batches waiting for a free worker: (port, frame, size)
+        self._backlog: Deque[Tuple["_PoolPort", List[bytes], int]] = deque()
         self._bytes_pickled = 0
         self.batches_dispatched = 0
-        self.records_offloaded = 0
         #: final per-box (chunk_size, max_inflight) after autotuning, keyed
         #: by box name — observability for tests and benchmark reports
         self.batch_plan: Dict[str, Tuple[int, int]] = {}
@@ -327,19 +250,6 @@ class PoolTransport(Transport):
     @property
     def bytes_pickled(self) -> int:
         return self._bytes_pickled
-
-    def _reset_stats(self) -> None:
-        with self._stats_lock:
-            self._bytes_pickled = 0
-            self.batches_dispatched = 0
-            self.records_offloaded = 0
-            self.batch_plan = {}
-
-    def _count_pickled(self, nbytes: int, batches: int = 0, records: int = 0) -> None:
-        with self._stats_lock:
-            self._bytes_pickled += nbytes
-            self.batches_dispatched += batches
-            self.records_offloaded += records
 
     # -- registration --------------------------------------------------------
     @staticmethod
@@ -369,131 +279,163 @@ class PoolTransport(Transport):
             "ProcessRuntime", "identical semantics, no wall-clock parallelism"
         )
 
+    # -- workers -------------------------------------------------------------
+    def _fork_link(self, index: int) -> PipeLink:
+        # forks after registration, so the child inherits the registries
+        return PipeLink(_pool_worker_main, name=f"snet-pool-{index}")
+
+    def _acquire(self, network: Entity, payloads: Iterable[Any]) -> None:
+        """Register the boxes and broadcast ``payloads``, then fork."""
+        runtime = self.runtime
+        if not runtime.fork_available():
+            self._warn_degraded()
+            return
+        self._register_boxes(network)
+        if not self._box_keys:
+            return
+        if runtime.zero_copy:
+            for value in payloads:
+                register_shared_value(
+                    value, self._shared_registered, runtime.BROADCAST_MIN_BYTES
+                )
+        # append one by one: a fork failing halfway leaves the earlier
+        # links for teardown to reap
+        for index in range(runtime.workers):
+            self._links.append(self._fork_link(index))
+
+    def _release(self) -> None:
+        links, self._links = self._links, []
+        close_links(links)
+        self._unregister_boxes()
+        unregister_shared(self._shared_registered)
+
+    def _lost(self, link: PipeLink) -> None:
+        link.dead = True
+        link.pending.clear()
+        raise BoxWorkerError(
+            f"pool worker {link.pid} died while box batches were outstanding"
+        )
+
+    @property
+    def worker_pids(self) -> List[int]:
+        """OS pids of the live pool workers (empty without workers)."""
+        return [link.pid for link in self._links if link.alive]
+
     # -- warm lifecycle ------------------------------------------------------
     def setup(self, network: Optional[Entity], broadcast: Sequence[Any] = ()) -> None:
-        runtime = self.runtime
-        if runtime.is_warm:
+        if self.runtime.is_warm:
             raise RuntimeError_(
                 "setup() called on an already-warm ProcessRuntime; call "
                 "teardown() first to rebuild the pool"
             )
-        if runtime.fork_available():
-            self._register_boxes(network)
-            if self._box_keys:
-                if runtime.zero_copy:
-                    for value in broadcast:
-                        register_shared_value(
-                            value, self._shared_registered, runtime.BROADCAST_MIN_BYTES
-                        )
-                # the pool MUST fork after registration so children inherit
-                # the registries from a quiescent parent
-                self._persistent_pool = _fork_pool(runtime.workers)
-        else:
-            self._warn_degraded()
-
-    @property
-    def worker_pids(self) -> List[int]:
-        """OS pids of the current pool's live workers (empty without a pool)."""
-        pool = self._pool if self._pool is not None else self._persistent_pool
-        if pool is None:
-            return []
-        return [proc.pid for proc in list(pool._pool) if proc.exitcode is None]
+        self._acquire(network, broadcast)
 
     def teardown(self) -> None:
-        pool, self._persistent_pool = self._persistent_pool, None
-        if pool is not None:
-            _close_pool(pool)
-        self._unregister_boxes()
-        unregister_shared(self._shared_registered)
+        self._release()
 
     # -- per-run lifecycle ---------------------------------------------------
     def begin_run(
         self, network: Entity, inputs: Sequence[Record], timeout: Optional[float]
     ) -> Entity:
-        self._ports = []
-        self._reset_stats()
-        runtime = self.runtime
-        if runtime.is_warm:
-            # warm path: the pool and both registries were built by setup()
-            # and survive this run; nothing is registered or torn down here —
-            # except a pool that lost a worker since it forked, which may be
-            # wedged (see _close_pool): fork a fresh one, which inherits the
-            # registries like the first
-            if self._persistent_pool is not None and _lost_worker(self._persistent_pool):
-                _close_pool(self._persistent_pool)
-                self._persistent_pool = _fork_pool(runtime.workers)
-            self._pool = self._persistent_pool
+        self._bytes_pickled = self.batches_dispatched = 0
+        self.batch_plan = {}
+        if self.runtime.is_warm:
+            # warm path: the workers and both registries were built by
+            # setup() and survive this run; a worker that died since (or
+            # was stopped owing a failed run's results) is replaced by a
+            # fresh fork, which inherits the registries like the first
+            for index, link in enumerate(self._links):
+                if not link.alive:
+                    close_links([link])
+                    self._links[index] = self._fork_link(index)
             return network
-        if runtime.fork_available():
-            self._register_boxes(network)
-            if self._box_keys:
-                if runtime.zero_copy:
-                    register_shared_inputs(
-                        inputs, self._shared_registered, runtime.BROADCAST_MIN_BYTES
-                    )
-                # the pool MUST fork after registration and before any worker
-                # thread starts, so children inherit the registries from a
-                # quiescent parent
-                self._cold_pool = self._pool = _fork_pool(runtime.workers)
-        else:
-            self._warn_degraded()
+        self._acquire(network, (rec[label] for rec in inputs for label in rec.fields()))
         return network
 
     def end_run(self) -> None:
-        pool, self._cold_pool = self._cold_pool, None
-        self._pool = None
-        self._ports = []
-        if pool is not None:
-            _close_pool(pool)
-        if not self.runtime.is_warm:
-            self._unregister_boxes()
-            unregister_shared(self._shared_registered)
+        self._backlog.clear()
+        if self.runtime.is_warm:
+            # a worker still owing results of this (failed) run would hand
+            # them to the next one: stop it; begin_run replaces it
+            for link in self._links:
+                if link.pending or link.dead:
+                    link.stop()
+            return
+        self._release()
 
     # -- compilation seam ----------------------------------------------------
     def compile_entity(self, entity: Entity, out: PortWriter) -> Optional[Port]:
         if not self.claims_entity(entity):
             # filters, synchrocells, non-offloadable boxes: scheduler ports
             return None
-        port = _PoolPort(self, entity, self._box_keys[self._template_key(entity)], out)
-        self._ports.append(port)
-        return port
+        return _PoolPort(self, entity, self._box_keys[self._template_key(entity)], out)
 
     def claims_entity(self, entity: Entity) -> bool:
         """Mirror of :meth:`compile_entity`'s claim condition (no side effects)."""
         return (
-            self._pool is not None
+            bool(self._links)
             and isinstance(entity, Box)
             and entity.parallel_safe
             and self._box_keys.get(self._template_key(entity)) is not None
         )
 
-    def idle_check(self) -> Optional[float]:
-        """Fail the run fast if a pool worker died with batches outstanding.
+    # -- the link, driven from the scheduler ---------------------------------
+    def dispatch(self, port: "_PoolPort", frame: List[bytes], size: int) -> None:
+        """Queue one serialized batch and send what free workers can take."""
+        self._backlog.append((port, frame, size))
+        self._pump()
 
-        A batch handed to a worker that dies never completes, and a worker
-        killed while waiting for tasks can take the task queue's lock with
-        it, wedging every other worker; either way waiting longer is futile.
-        """
-        if self._pool is None or not any(
-            port.inflight and not port.failed for port in self._ports
-        ):
-            return None
-        if _lost_worker(self._pool):
-            raise BoxWorkerError(
-                "a pool worker process died while box batches were outstanding"
-            )
-        return self.HEALTH_CHECK_INTERVAL
+    def _pump(self) -> None:
+        backlog = self._backlog
+        for link in self._links:
+            if not backlog:
+                return
+            if link.pending or link.dead:
+                continue
+            port, frame, size = backlog.popleft()
+            link.pending.append((port, size))
+            try:
+                send_frame(link.conn, frame)
+            except OSError:
+                self._lost(link)
+
+    def poll(self) -> List[Tuple[Port, Any, Any]]:
+        landed = []
+        for link in self._links:
+            while link.pending and link.conn.poll():
+                try:
+                    kind, _, meta, payload, buffers, _ = recv_frame(link.conn)
+                except (EOFError, OSError):
+                    self._lost(link)
+                port, size = link.pending.popleft()
+                if kind == ERROR:
+                    landed.append((port, port._failed, BoxWorkerError(meta)))
+                else:
+                    landed.append((port, port._landed, (payload, buffers, meta, size)))
+        if landed:
+            self._pump()
+        return landed
+
+    def wait(self, timeout: Optional[float]) -> bool:
+        """Sleep until a worker answers or dies; a death fails the run at once."""
+        busy = [link for link in self._links if link.pending]
+        if not busy:
+            return False
+        ready = multiprocessing.connection.wait(
+            [link.conn for link in busy] + [link.sentinel for link in busy], timeout
+        )
+        for link in busy:
+            if link.sentinel in ready:
+                self._lost(link)
+        return True
 
 
 class _PoolPort(_PrimitivePort):
-    """A claimed ``parallel_safe`` box instance: batches on the worker pool.
+    """A claimed ``parallel_safe`` box instance: batches on the pool workers.
 
-    Records pushed during one scheduler turn wait in the port; at the end
-    of the turn they go out in batches of the autotuned ``chunk_size``, at
-    most ``max_inflight`` batches at a time (the rest wait for results).
-    Results come back through the scheduler's inbox and are pushed
-    downstream as soon as they land — in the dynamic farm a solver
-    *result* releases the node token that admits the solver's next input.
+    Records pushed during one scheduler turn go out when it ends, in
+    batches of the autotuned ``chunk_size``, at most ``max_inflight``
+    batches at a time; the rest wait in the port for results.
     """
 
     def __init__(self, transport: PoolTransport, entity: Box, key: int, out: PortWriter):
@@ -501,7 +443,6 @@ class _PoolPort(_PrimitivePort):
         super().__init__(runtime, entity, out)
         self.transport = transport
         self.key = key
-        self.pool = transport._pool
         self.batcher = BatchAutotuner(
             runtime.workers,
             chunk_size=runtime.chunk_size,
@@ -537,20 +478,16 @@ class _PoolPort(_PrimitivePort):
     def _submit(self, batch: List[Record]) -> None:
         """Serialize one batch (payloads swapped for refs) and dispatch it."""
         payload, buffers, nbytes = dumps_records([swap_shared_out(r) for r in batch])
-        self.transport._count_pickled(nbytes, batches=1, records=len(batch))
+        self.transport._bytes_pickled += nbytes
+        self.transport.batches_dispatched += 1
         self.inflight += 1
-        size, sched = len(batch), self.sched
-        self.pool.apply_async(
-            _invoke_box_batch,
-            (self.key, payload, buffers),
-            callback=lambda result: sched.deliver(self, self._landed, (result, size)),
-            error_callback=lambda exc: sched.deliver(self, self._failed, exc),
-        )
+        frame = encode_frame(DATA, self.key, payload=payload, buffers=buffers)
+        self.transport.dispatch(self, frame, len(batch))
 
-    def _landed(self, landed: Tuple[Tuple[bytes, List[bytes], float], int]) -> None:
-        (payload, buffers, elapsed), size = landed
+    def _landed(self, landed: Tuple[bytes, List[bytes], float, int]) -> None:
+        payload, buffers, elapsed, size = landed
         self.inflight -= 1
-        self.transport._count_pickled(len(payload) + sum(len(b) for b in buffers))
+        self.transport._bytes_pickled += len(payload) + sum(len(b) for b in buffers)
         self.batcher.observe(size, elapsed)
         self._emit(resolve_shared_in(rec) for rec in loads_records(payload, buffers))
         if self.waiting:
@@ -565,11 +502,10 @@ class _PoolPort(_PrimitivePort):
     def _finish(self) -> None:
         self._emit(self.entity.flush())  # boxes are stateless: usually []
         self.out.close()
-        with self.transport._stats_lock:
-            self.transport.batch_plan[self.name] = (
-                self.batcher.chunk_size,
-                self.batcher.max_inflight,
-            )
+        self.transport.batch_plan[self.name] = (
+            self.batcher.chunk_size,
+            self.batcher.max_inflight,
+        )
 
 
 class ProcessRuntime(EngineCore):
@@ -648,30 +584,6 @@ class ProcessRuntime(EngineCore):
         return self.transport.batches_dispatched
 
     @property
-    def records_offloaded(self) -> int:
-        """Records shipped to pool workers during the last run."""
-        return self.transport.records_offloaded
-
-    @property
     def worker_pids(self) -> List[int]:
         """OS pids of the live pool workers (empty before fork/after teardown)."""
         return self.transport.worker_pids
-
-
-def run_process(
-    network: Entity,
-    inputs: Sequence[Record],
-    workers: Optional[int] = None,
-    tracer: Optional[Tracer] = None,
-    stream_capacity: int = 256,
-    chunk_size: Optional[int] = None,
-    timeout: Optional[float] = 60.0,
-) -> List[Record]:
-    """Convenience wrapper: run ``network`` on a fresh process runtime."""
-    runtime = ProcessRuntime(
-        workers=workers,
-        tracer=tracer,
-        stream_capacity=stream_capacity,
-        chunk_size=chunk_size,
-    )
-    return runtime.run(network, inputs, timeout=timeout)

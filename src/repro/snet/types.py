@@ -23,12 +23,12 @@ broken non-deterministically by the runtime).
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.snet.errors import TypeError_
 from repro.snet.records import BTag, Field, Label, LabelLike, Record, Tag, as_label
 
-__all__ = ["Variant", "RecordType", "TypeSignature", "match_score", "best_variant"]
+__all__ = ["Variant", "RecordType", "TypeSignature"]
 
 
 class Variant:
@@ -38,10 +38,13 @@ class Variant:
     superset of the empty set); it is the type of pure bypass filters.
     """
 
-    __slots__ = ("_labels",)
+    __slots__ = ("_labels", "_accepts")
 
     def __init__(self, labels: Iterable[LabelLike] = ()):  # noqa: D401
         self._labels: FrozenSet[Label] = frozenset(as_label(l) for l in labels)
+        #: memo of :meth:`accepts` by record label set (exact: it reads
+        #: nothing else of the record)
+        self._accepts: Dict[FrozenSet[Label], bool] = {}
 
     @property
     def labels(self) -> FrozenSet[Label]:
@@ -70,10 +73,6 @@ class Variant:
             return NotImplemented
         return self._labels == other._labels
 
-    def __deepcopy__(self, memo: Dict[int, Any]) -> "Variant":
-        # immutable: entity copies (Entity.copy) may share it
-        return self
-
     def __hash__(self) -> int:
         return hash(self._labels)
 
@@ -84,11 +83,22 @@ class Variant:
 
     def accepts(self, rec: Record) -> bool:
         """True if ``rec`` (viewed as a variant) is a subtype of this variant."""
+        labels = rec.label_set
+        try:
+            return self._accepts[labels]
+        except KeyError:
+            accepted = self._accepts[labels] = self._covered_by(labels)
+            return accepted
+
+    def _covered_by(self, labels: FrozenSet[Label]) -> bool:
         for label in self._labels:
-            if label in rec:
+            if label in labels:
                 continue
             # a tag pattern is satisfied by either a plain or binding tag
-            if not (isinstance(label, Tag) and rec.has_tag(label.name)):
+            if not (
+                isinstance(label, Tag)
+                and (Tag(label.name) in labels or BTag(label.name) in labels)
+            ):
                 return False
         return True
 
@@ -117,7 +127,7 @@ class Variant:
 class RecordType:
     """A (multi-)variant record type: a disjunction of :class:`Variant` s."""
 
-    __slots__ = ("_variants",)
+    __slots__ = ("_variants", "_scores")
 
     def __init__(self, variants: Iterable[Union[Variant, Iterable[LabelLike]]] = ()):  # noqa: D401
         vs: List[Variant] = []
@@ -136,6 +146,8 @@ class RecordType:
                 seen.add(v)
                 unique.append(v)
         self._variants: Tuple[Variant, ...] = tuple(unique)
+        #: memo of :meth:`match_score` by record label set
+        self._scores: Dict[FrozenSet[Label], Optional[int]] = {}
 
     @classmethod
     def parse(cls, text: str) -> "RecordType":
@@ -163,10 +175,6 @@ class RecordType:
             return NotImplemented
         return set(self._variants) == set(other._variants)
 
-    def __deepcopy__(self, memo: Dict[int, Any]) -> "RecordType":
-        # immutable: entity copies (Entity.copy) may share it
-        return self
-
     def __hash__(self) -> int:
         return hash(frozenset(self._variants))
 
@@ -183,6 +191,14 @@ class RecordType:
 
     def match_score(self, rec: Record) -> Optional[int]:
         """Best (lowest) match score over all variants, or ``None``."""
+        labels = rec.label_set
+        try:
+            return self._scores[labels]
+        except KeyError:
+            score = self._scores[labels] = self._best_score(rec)
+            return score
+
+    def _best_score(self, rec: Record) -> Optional[int]:
         scores = [s for s in (v.match_score(rec) for v in self._variants) if s is not None]
         return min(scores) if scores else None
 
@@ -273,10 +289,6 @@ class TypeSignature:
             return NotImplemented
         return self._input == other._input and self._output == other._output
 
-    def __deepcopy__(self, memo: Dict[int, Any]) -> "TypeSignature":
-        # immutable: entity copies (Entity.copy) may share it
-        return self
-
     def __hash__(self) -> int:
         return hash((self._input, self._output))
 
@@ -296,13 +308,3 @@ def _coerce_record_type(
             "string types must be parsed explicitly with RecordType.parse()"
         )
     return RecordType([Variant(value)])
-
-
-def match_score(record_type: RecordType, rec: Record) -> Optional[int]:
-    """Module-level convenience wrapper around :meth:`RecordType.match_score`."""
-    return record_type.match_score(rec)
-
-
-def best_variant(record_type: RecordType, rec: Record) -> Optional[Variant]:
-    """Module-level convenience wrapper around :meth:`RecordType.best_variant`."""
-    return record_type.best_variant(rec)

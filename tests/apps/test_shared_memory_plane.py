@@ -6,8 +6,6 @@ observationally identical to the threaded record-passing oracle: same
 pixels (atol 1e-9), same ray accounting, no leaked shared-memory segments.
 """
 
-import os
-
 import numpy as np
 import pytest
 
@@ -22,29 +20,10 @@ from repro.raytracer.image import FrameChunkRef, ImageChunk, SharedFrameBuffer
 from repro.snet.runtime import ProcessRuntime
 
 
-def _shm_segments():
-    """Names of live POSIX shared-memory segments (Linux)."""
-    try:
-        return {f for f in os.listdir("/dev/shm") if f.startswith("psm_")}
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return set()
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_segments():
-    """Every test must release the shared segments it creates.
-
-    A leaked ``SharedMemory`` segment survives the process and silently
-    eats ``/dev/shm`` until the host reboots; failing the test that leaked
-    it beats discovering a full tmpfs three CI runs later.
-    """
-    before = _shm_segments()
-    yield
-    import gc
-
-    gc.collect()
-    leaked = _shm_segments() - before
-    assert not leaked, f"test leaked shared-memory segments: {sorted(leaked)}"
+# every test must reap its workers and release the shared segments it
+# creates: a leaked ``SharedMemory`` segment survives the process and
+# silently eats ``/dev/shm`` until the host reboots
+pytestmark = pytest.mark.usefixtures("no_process_leaks")
 
 
 class TestSharedFrameBuffer:

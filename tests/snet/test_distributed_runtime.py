@@ -443,11 +443,11 @@ class TestSetupFailureCleanup:
         real_init = distributed_engine._NodeLink.__init__
         calls = {"n": 0}
 
-        def flaky_init(self, transport, index, ctx):
+        def flaky_init(self, transport, index):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise OSError("fork failed (test)")
-            real_init(self, transport, index, ctx)
+            real_init(self, transport, index)
 
         monkeypatch.setattr(distributed_engine._NodeLink, "__init__", flaky_init)
         runtime = DistributedRuntime(nodes=2)

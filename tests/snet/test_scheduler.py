@@ -10,6 +10,8 @@ and the scheduler, prompt failure on a raising box and on a dead pool
 worker.
 """
 
+import collections
+import copy
 import os
 import signal
 import sys
@@ -39,6 +41,9 @@ from repro.snet.runtime import (
     get_runtime,
 )
 from repro.snet.synchrocell import SyncroCell
+from repro.snet.types import RecordType, Variant
+
+pytestmark = pytest.mark.usefixtures("no_process_leaks")
 
 fork_only = pytest.mark.skipif(
     not ProcessRuntime.fork_available(), reason="needs the fork start method"
@@ -112,10 +117,47 @@ class TestCostModel:
             expected_outputs, expected_image = sequential_frame(small_scene, tasks)
             assert multiset(outputs) == multiset(expected_outputs)
             np.testing.assert_array_equal(image, expected_image)
-        # a cold process run forks a pool (its helper threads); nothing else
-        assert started[8] == started[32] == started[64], started
-        if runtime_name == "threaded":
-            assert started[8] == 0
+        # the pool's links are driven from the scheduler thread: no thread
+        # at all, whatever the backend
+        assert started[8] == started[32] == started[64] == 0, started
+
+    @pytest.mark.parametrize("tasks, steps_before", [(8, 480), (32, 5364)])
+    def test_star_hops_neither_deep_copy_nor_rematch_types(
+        self, tasks, steps_before, small_scene, monkeypatch
+    ):
+        deep_copies = [0]
+        deepcopy = copy.deepcopy
+
+        def counting_deepcopy(*args, **kwargs):
+            deep_copies[0] += 1
+            return deepcopy(*args, **kwargs)
+
+        checks = collections.Counter()
+        checked = []  # keeps every checked type alive, so ids stay unique
+
+        def counting(compute):
+            def wrapper(self, arg):
+                labels = arg if isinstance(arg, frozenset) else arg.label_set
+                checks[(id(self), labels)] += 1
+                checked.append(self)
+                return compute(self, arg)
+
+            return wrapper
+
+        monkeypatch.setattr(copy, "deepcopy", counting_deepcopy)
+        monkeypatch.setattr(Variant, "_covered_by", counting(Variant._covered_by))
+        monkeypatch.setattr(RecordType, "_best_score", counting(RecordType._best_score))
+        outputs, image, runtime = dynamic_frame("threaded", small_scene, tasks)
+        # star levels and split replicas are instantiated structurally
+        assert deep_copies[0] == 0
+        # type checks are memoized on the record's label set
+        assert checks and max(checks.values()) == 1
+        # the step count of the thread-per-entity-free scheduler, not more
+        assert runtime.observability()["steps"] <= steps_before
+        monkeypatch.undo()
+        expected_outputs, expected_image = sequential_frame(small_scene, tasks)
+        assert multiset(outputs) == multiset(expected_outputs)
+        np.testing.assert_array_equal(image, expected_image)
 
     def test_deep_star_runs_without_recursion(self):
         # far deeper than the interpreter's recursion limit: each level is
@@ -192,8 +234,8 @@ class TestSemantics:
 @fork_only
 class TestInbox:
     def test_pool_results_handed_in_from_other_threads_are_never_lost(self):
-        # results land on the pool's result-handler thread and reach the
-        # scheduler through its inbox while it is running or asleep; more
+        # results land on the workers' pipes while the scheduler is running
+        # (read at a turn end) or asleep (woken by the link's wait); more
         # workers than cores and a short switch interval interleave the two
         @box("(a) -> (<n>, a)")
         def start(a):
@@ -270,3 +312,96 @@ class TestPoolWorkerDeath:
             assert victim not in runtime.worker_pids
         finally:
             runtime.teardown()
+
+
+class _Unpicklable(Exception):
+    """An exception pickle cannot rebuild: it carries a lambda."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.hook = lambda: None
+
+
+@fork_only
+class TestPipeLink:
+    def test_unpicklable_box_exception_surfaces_with_the_remote_traceback(self):
+        @box("(a) -> (b)", name="grumpy")
+        def grumpy(a):
+            raise _Unpicklable(f"cannot take {a}")
+
+        with pytest.raises(RuntimeError_) as excinfo:
+            ProcessRuntime(workers=1).run(grumpy, [Record({"a": 3})], timeout=30.0)
+        cause = excinfo.value.__cause__
+        assert isinstance(cause, BoxWorkerError)
+        assert "_Unpicklable: cannot take 3" in str(cause)
+        assert "Traceback (most recent call last)" in str(cause)
+        assert 'raise _Unpicklable(f"cannot take {a}")' in str(cause)
+
+    def test_worker_killed_with_a_batch_queued_fails_fast_then_runs_warm(self):
+        @box("(a) -> (b)", name="stall")
+        def stall(a):
+            if a == 0:
+                time.sleep(30.0)
+            return {"b": a}
+
+        runtime = ProcessRuntime(workers=1, chunk_size=1, max_inflight=2)
+        try:
+            runtime.setup(stall)
+            (victim,) = runtime.worker_pids
+            killed = []
+
+            def kill():
+                killed.append(time.monotonic())
+                os.kill(victim, signal.SIGKILL)
+
+            # one batch runs on the only worker, the other waits behind it
+            timer = threading.Timer(0.3, kill)
+            timer.start()
+            try:
+                with pytest.raises(RuntimeError_) as excinfo:
+                    runtime.run(stall, [Record({"a": 0}), Record({"a": 1})], timeout=30.0)
+                failed = time.monotonic()
+            finally:
+                timer.join()
+            assert isinstance(excinfo.value.__cause__, BoxWorkerError)
+            assert runtime.batches_dispatched == 2
+            assert failed - killed[0] < 0.5
+            outputs = runtime.run(stall, [Record({"a": i}) for i in (1, 2, 3)], timeout=30.0)
+            assert sorted(r.field("b") for r in outputs) == [1, 2, 3]
+            assert runtime.is_warm
+            assert len(runtime.worker_pids) == 1 and victim not in runtime.worker_pids
+        finally:
+            runtime.teardown()
+
+    def test_chunked_results_larger_than_a_socket_buffer_never_deadlock(self):
+        # 256x256 planes: every batch of four is ~6 MB each way, so a worker
+        # sending its result and a parent sending the next batch would both
+        # block if the parent ever sent to a worker that still owes it
+        @box("(a) -> (plane)", parallel_safe=False)
+        def make(a):
+            return {"plane": np.full((256, 256, 3), float(a))}
+
+        @box("(plane) -> (plane)", name="brighten")
+        def brighten(plane):
+            return {"plane": plane + 1.0}
+
+        inputs = [Record({"a": i}) for i in range(24)]
+        runtime = ProcessRuntime(workers=2, chunk_size=4, max_inflight=4)
+        outputs = runtime.run(Serial(make, brighten), inputs, timeout=60.0)
+        assert sorted(r.field("plane")[5, 7, 1] for r in outputs) == [i + 1.0 for i in range(24)]
+        assert runtime.bytes_pickled > 2 * 24 * 256 * 256 * 3 * 8
+
+    def test_setup_and_teardown_start_no_threads_and_leave_no_children(
+        self, count_thread_starts, live_children
+    ):
+        net = _suicidal_box()
+        runtime = ProcessRuntime(workers=2)
+        runtime.setup(net)
+        pids = set(runtime.worker_pids)
+        assert len(pids) == 2 and pids <= live_children()
+        outputs = runtime.run(net, [Record({"a": i}) for i in range(4)], timeout=30.0)
+        assert sorted(r.field("b") for r in outputs) == [1, 2, 3, 4]
+        runtime.teardown()
+        assert count_thread_starts[0] == 0
+        assert not pids & live_children()
+        assert runtime.worker_pids == []

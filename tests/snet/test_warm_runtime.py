@@ -24,6 +24,8 @@ from repro.snet.errors import RuntimeError_
 from repro.snet.records import Record
 from repro.snet.runtime import DistributedRuntime, ProcessRuntime, ThreadedRuntime
 
+pytestmark = pytest.mark.usefixtures("no_process_leaks")
+
 fork_only = pytest.mark.skipif(
     not ProcessRuntime.fork_available(),
     reason="warm pool tests need the fork start method",
