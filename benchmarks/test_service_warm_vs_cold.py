@@ -17,8 +17,9 @@ is exactly what a one-shot service sees), warm jobs hit the scene cache.
 
 Each job's clock covers the farm call or service request only: the test
 builds the fresh scene object before starting it, in both arms.  Building
-a 2000-sphere scene takes ~0.05 s, a constant in both arms that belongs to
-neither path.  The warm arm's clock does include hashing that fresh object
+a 2000-sphere scene takes ~0.05 s (re-measured with the level-synchronous
+BVH build and the array content key: 0.050 s), a constant in both arms
+that belongs to neither path.  The warm arm's clock does include hashing that fresh object
 to find the cached slot.  The two arms alternate job by job, and each is
 summarised by its median: with all cold jobs first, a slow minute on a
 shared host charged one arm alone.
@@ -28,11 +29,15 @@ Acceptance bars:
 * the warm-served image is pixel-identical (``atol=1e-9``) to the one-shot
   ``run_raytracing_farm`` image;
 * warm jobs are at least 1.3x faster than cold one-shot runs, comparing
-  the medians of ``JOBS`` jobs per arm (measured 1.8-2.2x on a 2-vCPU
-  container, cold 0.17-0.46 s and warm 0.09-0.23 s as the host's load
-  varied, and 1.5-1.9x with two or three CPU-bound processes competing
-  for its vCPUs; with the insertion-built BVH this repository used before
-  the top-down build, cold jobs took 2.7 s and the ratio read 10.9x);
+  the medians of ``JOBS`` jobs per arm.  On a 2-vCPU container, with the
+  per-node SAH build and per-object content key, it read 1.35-2.41x
+  (cold 0.23-0.33 s, warm 0.12-0.17 s).  The level-synchronous build and
+  the array key take most of the scene preparation out of the cold arm,
+  and the warm arm's hash of the fresh object gets faster too.  Four runs
+  then read 1.56-2.09x (cold 0.155-0.182 s, warm 0.083-0.112 s).  A faster
+  cold path shrinks this ratio, and the bar stays where it is.  With the
+  insertion-built BVH this repository used before the top-down build,
+  cold jobs took 2.7 s and the ratio read 10.9x;
 * the service metrics actually account for the cache: one cold build,
   ``JOBS`` warm hits, nonzero setup seconds saved.
 

@@ -92,7 +92,7 @@ class Sphere(Primitive):
         super().__init__(material)
         if radius <= 0:
             raise ValueError(f"sphere radius must be positive, got {radius}")
-        self.center = np.asarray(center, dtype=np.float64)
+        self.center = np.ascontiguousarray(center, dtype=np.float64)
         self.radius = float(radius)
 
     def intersect(self, ray: Ray, t_min: float = 1e-6, t_max: float = np.inf) -> Optional[float]:
@@ -155,7 +155,7 @@ class Plane(Primitive):
         self, point: Vector, normal: Vector, material: Optional[Material] = None
     ):
         super().__init__(material)
-        self.point = np.asarray(point, dtype=np.float64)
+        self.point = np.ascontiguousarray(point, dtype=np.float64)
         self.normal = normalize(np.asarray(normal, dtype=np.float64))
 
     def intersect(self, ray: Ray, t_min: float = 1e-6, t_max: float = np.inf) -> Optional[float]:
@@ -209,9 +209,9 @@ class Triangle(Primitive):
         material: Optional[Material] = None,
     ):
         super().__init__(material)
-        self.v0 = np.asarray(v0, dtype=np.float64)
-        self.v1 = np.asarray(v1, dtype=np.float64)
-        self.v2 = np.asarray(v2, dtype=np.float64)
+        self.v0 = np.ascontiguousarray(v0, dtype=np.float64)
+        self.v1 = np.ascontiguousarray(v1, dtype=np.float64)
+        self.v2 = np.ascontiguousarray(v2, dtype=np.float64)
         self._normal = normalize(cross(self.v1 - self.v0, self.v2 - self.v0))
 
     def intersect(self, ray: Ray, t_min: float = 1e-6, t_max: float = np.inf) -> Optional[float]:

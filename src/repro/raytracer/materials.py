@@ -2,13 +2,27 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from repro.raytracer.vec import Vector, vec3
+from repro.raytracer.vec import Vector, flat_floats, vec3
 
-__all__ = ["Material"]
+__all__ = ["MATERIAL_FIELDS", "Material", "material_table"]
+
+#: the columns of :func:`material_table`: ``color`` (three) then the scalars
+MATERIAL_FIELDS = ("color", "ambient", "diffuse", "specular", "shininess", "reflectivity",
+                   "transparency", "ior")
+_scalars = operator.attrgetter(*MATERIAL_FIELDS[1:])
+
+
+def material_table(materials: Sequence["Material"]) -> np.ndarray:
+    """The ``(n, 10)`` rows of :data:`MATERIAL_FIELDS` of ``materials``."""
+    color = flat_floats([m.color for m in materials]).reshape(-1, 3)
+    scalars = flat_floats(list(map(_scalars, materials))).reshape(-1, 7)
+    return np.concatenate((color, scalars), axis=1)
 
 
 @dataclass
@@ -42,7 +56,7 @@ class Material:
     ior: float = 1.5
 
     def __post_init__(self) -> None:
-        self.color = np.asarray(self.color, dtype=np.float64)
+        self.color = np.ascontiguousarray(self.color, dtype=np.float64)
 
     @classmethod
     def matte(cls, r: float, g: float, b: float) -> "Material":

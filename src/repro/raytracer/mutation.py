@@ -22,7 +22,10 @@ This module makes mutation explicit instead of forbidden:
     and drops exactly the derived caches the edit invalidates otherwise
     (packet material arrays on material, the whole index on add/remove),
   - updates the memoised :func:`scene_content_key` in **O(changed objects)**
-    — per-object digests are cached, only touched objects are re-hashed —
+    — the key is one SHA-256 over per-object rows gathered into arrays
+    (type codes, geometry floats, a material table) plus the settings
+    digest; a commit re-reads only the touched objects' rows, then
+    re-digests the arrays in microseconds —
   - bumps ``scene.edit_epoch`` and records an :class:`EditEntry` in the
     scene's :class:`MutationJournal`.
 
@@ -59,7 +62,9 @@ True
 from __future__ import annotations
 
 import hashlib
+import operator
 import pickle
+import weakref
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
@@ -68,8 +73,8 @@ import numpy as np
 
 from repro.raytracer.flatbvh import FlatBVH
 from repro.raytracer.geometry.primitives import Plane, Primitive, Sphere, Triangle
-from repro.raytracer.materials import Material
-from repro.raytracer.vec import cross, normalize
+from repro.raytracer.materials import Material, material_table
+from repro.raytracer.vec import cross, flat_floats, normalize
 
 __all__ = [
     "EditOp",
@@ -84,101 +89,120 @@ __all__ = [
 # -- scene content hashing ----------------------------------------------------
 #
 # Moved here from repro.apps.service so the incremental update (commit-time
-# digest maintenance) and the from-scratch definition live side by side; the
+# row patching) and the from-scratch definition live side by side; the
 # service re-exports :func:`scene_content_key` unchanged.
 
 _KEY_ATTR = "_repro_content_key"
-_DIGEST_ATTR = "_repro_digest_map"
+#: each keyed scene's :class:`_KeyRows`, held beside the scene rather than
+#: on it so that pickling or broadcasting a keyed scene does not ship them
+_ROWS: "weakref.WeakKeyDictionary[Any, _KeyRows]" = weakref.WeakKeyDictionary()
 _SETTINGS_ATTR = "_repro_settings_digest"
 _SCALAR_TYPES = (type(None), bool, int, float, str, bytes)
 
+#: per-type geometry attributes, in key-row order (also the editor's
+#: whitelist of geometry edits; material is editable everywhere)
+_GEOMETRY_ATTRS = {Sphere: ("center", "radius"), Triangle: ("v0", "v1", "v2"),
+                   Plane: ("point", "normal")}
+
 
 def _canonical(value: Any) -> Any:
-    """A picklable, content-deterministic description of one scene value.
+    """A picklable, content-deterministic description of one settings value.
 
     NumPy arrays hash by shape/dtype/bytes; objects with a ``__dict__``
-    (primitives, materials, lights, cameras) hash by their sorted attributes
-    with the global ``primitive_id`` counter excluded — two scenes built from
-    the same description must produce the same key even though their
-    primitive ids differ.
+    (lights, cameras) hash by their sorted public attributes.
     """
-    # scalars first: they are most of the leaves (a scene key visits ~12
-    # values per primitive, so the branch order is measurable)
     if isinstance(value, _SCALAR_TYPES):
         return value
     if isinstance(value, np.ndarray):
         return ("nd", value.shape, value.dtype.str, value.tobytes())
     if isinstance(value, (list, tuple)):
         return tuple([_canonical(item) for item in value])
-    if isinstance(value, Material) or hasattr(value, "__dict__"):
-        return (
-            type(value).__name__,
-            tuple([
-                (name, _canonical(attr))
-                for name, attr in sorted(vars(value).items())
-                if name != "primitive_id" and not name.startswith("_")
-            ]),
-        )
+    if hasattr(value, "__dict__"):
+        attrs = sorted((name, attr) for name, attr in vars(value).items() if name[0] != "_")
+        return type(value).__name__, tuple([(name, _canonical(attr)) for name, attr in attrs])
     return repr(value)
-
-
-def _object_digest(obj: Any) -> bytes:
-    """32-byte content digest of one primitive (geometry + material)."""
-    return hashlib.sha256(pickle.dumps(_canonical(obj), protocol=5)).digest()
 
 
 def _settings_digest(scene: Any) -> bytes:
     """Digest of everything outside the object list that shapes the image."""
-    description = (
-        tuple(_canonical(light) for light in scene.lights),
-        _canonical(scene.background),
-        scene.max_ray_depth,
-        scene.use_bvh,
-        _canonical(getattr(scene, "camera", None)),
-    )
-    return hashlib.sha256(pickle.dumps(description, protocol=5)).digest()
+    settings = (scene.lights, scene.background, scene.max_ray_depth, scene.use_bvh,
+                getattr(scene, "camera", None))
+    return hashlib.sha256(pickle.dumps(_canonical(settings), protocol=5)).digest()
 
 
-def _digest_map(scene: Any) -> Dict[int, bytes]:
-    """Per-object digest cache keyed by ``primitive_id`` (built on demand).
+def _object_rows(objects: Sequence[Primitive]) -> Tuple[Any, ...]:
+    """``(types, codes, geometry, material)`` key rows of ``objects``.
 
-    A length mismatch (an ``add`` outside the editor) rebuilds the map; edits
-    through :class:`SceneEditor` keep it current in O(changed objects).
+    ``types`` are the distinct object types in first-appearance order and
+    ``codes`` each object's position in it.  A geometry row is the
+    attributes :data:`_GEOMETRY_ATTRS` lists for the type (or its nearest
+    listed base) flattened and zero-padded to nine floats; a material row is
+    :data:`~repro.raytracer.materials.MATERIAL_FIELDS`, ten floats.  Each
+    column is read for all objects of a type at once.
     """
-    cached = getattr(scene, _DIGEST_ATTR, None)
-    if cached is None or len(cached) != len(scene.objects):
-        cached = {obj.primitive_id: _object_digest(obj) for obj in scene.objects}
-        setattr(scene, _DIGEST_ATTR, cached)
-    return cached
+    classes = list(map(type, objects))
+    types = tuple(dict.fromkeys(classes))
+    codes = np.fromiter(map(types.index, classes), np.int64, len(classes))
+    geometry = np.zeros((len(objects), 9))
+    for code, cls in enumerate(types):
+        attrs = next((_GEOMETRY_ATTRS[c] for c in cls.__mro__ if c in _GEOMETRY_ATTRS), None)
+        if attrs is None:
+            raise TypeError(f"scene_content_key has no geometry rows for {cls.__name__}")
+        group = [obj for obj, obj_cls in zip(objects, classes) if obj_cls is cls]
+        values = [flat_floats(list(map(operator.attrgetter(name), group))) for name in attrs]
+        values = np.concatenate([v.reshape(len(group), -1) for v in values], axis=1)
+        geometry[codes == code, : values.shape[1]] = values
+    return types, codes, geometry, material_table([obj.material for obj in objects])
 
 
-def _combine_key(scene: Any) -> str:
-    """Fold the cached digests into the 16-hex-char scene key (no re-hash)."""
-    digests = _digest_map(scene)
-    settings = getattr(scene, _SETTINGS_ATTR, None)
-    if settings is None:
-        settings = _settings_digest(scene)
-        setattr(scene, _SETTINGS_ATTR, settings)
-    blob = b"".join(digests[obj.primitive_id] for obj in scene.objects) + settings
-    key = hashlib.sha256(blob).hexdigest()[:16]
-    setattr(scene, _KEY_ATTR, key)
-    return key
+class _KeyRows:
+    """A scene's objects gathered for hashing: one row per object, in order.
+
+    ``prefix`` digests the type header, the codes and the material table, so
+    a geometry edit re-hashes only the geometry rows; ``row_of`` maps
+    ``primitive_id`` to row and is built by the first patch.
+    """
+
+    def __init__(self, objects: Sequence[Primitive]):
+        self.types, self.codes, self.geometry, self.material = _object_rows(objects)
+        self.row_of: Optional[Dict[int, int]] = None
+        self.prefix: Optional[bytes] = None  # stale after a material edit
+
+    def patch(self, objects: List[Any], edited: List[Primitive], material: bool) -> None:
+        """Re-read the rows of ``edited``, members of ``objects`` edited in place."""
+        if self.row_of is None:
+            self.row_of = {obj.primitive_id: row for row, obj in enumerate(objects)}
+        at = [self.row_of[obj.primitive_id] for obj in edited]
+        _, _, self.geometry[at], self.material[at] = _object_rows(edited)
+        self.prefix = None if material else self.prefix
+
+    def key(self, settings: bytes) -> str:
+        if self.prefix is None:
+            names = [f"{cls.__module__}.{cls.__qualname__}" for cls in self.types]
+            blob = repr((names, self.codes.size)).encode() + self.codes.tobytes()
+            self.prefix = hashlib.sha256(blob + self.material.tobytes()).digest()
+        return hashlib.sha256(self.prefix + self.geometry.tobytes() + settings).hexdigest()[:16]
 
 
 def scene_content_key(scene: Any) -> str:
     """Content hash of a scene: equal for content-identical scene objects.
 
     The key covers everything that determines the rendered image — objects
-    (geometry + material), lights, background, recursion depth, camera and
-    the acceleration-structure choice — and deliberately excludes derived
-    state (the lazily built BVH) and the process-global ``primitive_id``
-    counters.
+    (type, geometry and material), lights, background, recursion depth,
+    camera and the acceleration-structure choice — and deliberately
+    excludes derived state (the lazily built BVH) and the process-global
+    ``primitive_id`` counters.  The objects enter as per-object rows
+    gathered into arrays — type codes, geometry floats and a material
+    table — and the key is one SHA-256 over them and the settings digest
+    (the type header, codes and material table pre-digested, so a geometry
+    edit re-hashes the geometry rows alone).
 
     The key is memoised on the scene object.  Mutating a scene through
     :meth:`Scene.begin_edit <repro.raytracer.scene.Scene.begin_edit>`
-    updates the memo incrementally in O(changed objects): per-object digests
-    are cached and only edited objects are re-canonicalised; ad-hoc mutation
-    outside the editor remains unsupported (the memo would go stale).
+    keeps the rows current in O(changed objects) — only edited objects are
+    re-read, then the arrays are re-digested (microseconds); ad-hoc
+    mutation outside the editor remains unsupported (the memo would go
+    stale).
 
     >>> from repro.raytracer.scene import random_scene
     >>> a, b = random_scene(num_spheres=3), random_scene(num_spheres=3)
@@ -187,10 +211,20 @@ def scene_content_key(scene: Any) -> str:
     >>> scene_content_key(random_scene(num_spheres=4)) == scene_content_key(a)
     False
     """
-    cached = getattr(scene, _KEY_ATTR, None)
-    if cached is not None:
-        return cached
-    return _combine_key(scene)
+    key = getattr(scene, _KEY_ATTR, None)
+    if key is None:
+        settings = getattr(scene, _SETTINGS_ATTR, None)
+        if settings is None:
+            settings = _settings_digest(scene)
+            setattr(scene, _SETTINGS_ATTR, settings)
+        # the key rows: gathered on demand, patched by commits, re-gathered
+        # on a length mismatch (an ``add`` outside the editor)
+        rows = _ROWS.get(scene)
+        if rows is None or rows.codes.size != len(scene.objects):
+            rows = _ROWS[scene] = _KeyRows(scene.objects)
+        key = rows.key(settings)
+        setattr(scene, _KEY_ATTR, key)
+    return key
 
 
 def invalidate_content_key(scene: Any, *, settings: bool = False) -> None:
@@ -207,12 +241,6 @@ GLOBAL_KINDS = frozenset({"light", "camera", "background", "max_ray_depth"})
 #: ops that change the object list (BVH rebuild — leaf order may change)
 STRUCTURAL_KINDS = frozenset({"add", "remove"})
 
-#: per-type geometry attribute whitelists (material is allowed everywhere)
-_GEOMETRY_ATTRS = {
-    Sphere: frozenset({"center", "radius"}),
-    Triangle: frozenset({"v0", "v1", "v2"}),
-    Plane: frozenset({"point", "normal"}),
-}
 _VECTOR_ATTRS = frozenset({"center", "point", "normal", "v0", "v1", "v2"})
 _LIGHT_ATTRS = frozenset({"position", "color", "intensity"})
 
@@ -330,7 +358,7 @@ def _prims_by_id(scene: Any) -> Dict[int, Primitive]:
 
 def _coerce(prim: Primitive, name: str, value: Any) -> Any:
     if name in _VECTOR_ATTRS:
-        value = np.asarray(value, dtype=np.float64)
+        value = np.ascontiguousarray(value, dtype=np.float64)
         if name == "normal":
             value = normalize(value)
         return value
@@ -411,13 +439,7 @@ def _invalidate_caches(scene: Any, flags: Dict[str, bool], ops: Sequence[EditOp]
     if flags["structural"]:
         scene._index = None  # full rebuild (leaf order may change)
         scene._packet_data = None
-        digests = getattr(scene, _DIGEST_ATTR, None)
-        if digests is not None:
-            for op in ops:
-                if op.kind == "add":
-                    digests[op.payload.primitive_id] = _object_digest(op.payload)
-                elif op.kind == "remove":
-                    digests.pop(op.target, None)
+        _ROWS.pop(scene, None)  # re-gathered with the next key
     elif flags["geometry"] and isinstance(scene._index, FlatBVH):
         # moved bounded primitives: the flat BVH holds SoA geometry copies,
         # so it is replaced by its refit (leaf order preserved), and the
@@ -436,13 +458,11 @@ def _invalidate_caches(scene: Any, flags: Dict[str, bool], ops: Sequence[EditOp]
                 scene._packet_data = replace(data, index=scene._index)
     if flags["material"]:
         scene._packet_data = None  # packet material arrays are stale
-    if flags["geometry"] or flags["material"]:
-        digests = getattr(scene, _DIGEST_ATTR, None)
-        if digests is not None:
-            prims = _prims_by_id(scene)
-            for op in ops:
-                if op.kind == "update":
-                    digests[op.target] = _object_digest(prims[op.target])
+    rows = _ROWS.get(scene)
+    if rows is not None and not flags["structural"] and (flags["geometry"] or flags["material"]):
+        prims = _prims_by_id(scene)
+        edited = [prims[op.target] for op in ops if op.kind == "update"]
+        rows.patch(scene.objects, edited, flags["material"])
     invalidate_content_key(scene, settings=flags["settings"])
 
 
@@ -500,7 +520,7 @@ class SceneEditor:
             raise ValueError("update() needs at least one attribute")
         if primitive.primitive_id not in _prims_by_id(self._scene):
             raise KeyError("primitive is not part of this scene")
-        allowed = _GEOMETRY_ATTRS.get(type(primitive), frozenset())
+        allowed = _GEOMETRY_ATTRS.get(type(primitive), ())
         geometry = False
         for name, value in attrs.items():
             if name in allowed:

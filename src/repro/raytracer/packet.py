@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Any, List, Tuple
 import numpy as np
 
 from repro.raytracer.geometry.primitives import Primitive
+from repro.raytracer.materials import material_table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.raytracer.scene import Scene
@@ -89,22 +90,10 @@ def scene_packet_data(scene: "Scene") -> ScenePacketData:
         return cached
     indexed = index.packet_primitives
     primitives = list(indexed) + list(scene.unbounded_objects)
-    materials = [p.material for p in primitives]
-    data = ScenePacketData(
-        index=index,
-        primitives=primitives,
-        primitive_id=np.array([p.primitive_id for p in primitives], dtype=np.int64),
-        color=np.array([m.color for m in materials], dtype=np.float64).reshape(
-            len(materials), 3
-        ),
-        ambient=np.array([m.ambient for m in materials], dtype=np.float64),
-        diffuse=np.array([m.diffuse for m in materials], dtype=np.float64),
-        specular=np.array([m.specular for m in materials], dtype=np.float64),
-        shininess=np.array([m.shininess for m in materials], dtype=np.float64),
-        reflectivity=np.array([m.reflectivity for m in materials], dtype=np.float64),
-        transparency=np.array([m.transparency for m in materials], dtype=np.float64),
-        ior=np.array([m.ior for m in materials], dtype=np.float64),
-    )
+    table = material_table([p.material for p in primitives])
+    ids = np.array([p.primitive_id for p in primitives], dtype=np.int64)
+    columns = np.ascontiguousarray(table[:, 3:].T)  # one row per scalar field
+    data = ScenePacketData(index, primitives, ids, np.ascontiguousarray(table[:, :3]), *columns)
     scene._packet_data = data
     return data
 

@@ -6,7 +6,9 @@ helpers here keep the geometry code short and allocation-light.
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+import itertools
+import struct
+from typing import Any, Iterable, List, Union
 
 import numpy as np
 
@@ -18,6 +20,7 @@ __all__ = [
     "dot",
     "row_dot",
     "broadcast_tmax",
+    "flat_floats",
     "cross",
     "reflect",
     "refract",
@@ -102,3 +105,16 @@ def refract(direction: Vector, normal: Vector, ior_ratio: float) -> Union[Vector
         return None
     cos_transmitted = np.sqrt(1.0 - sin2_transmitted)
     return ior_ratio * direction + (ior_ratio * cos_incident - cos_transmitted) * normal
+
+
+def flat_floats(values: List[Any]) -> np.ndarray:
+    """``values`` — C-contiguous float64 arrays of one shape, floats, or
+    tuples of floats — as one flat float64 array, read at C speed (a gather
+    of per-object attributes: ``np.array`` of a list of small arrays is
+    several times slower).  The primitive and material constructors and
+    the scene editor store their vectors C-contiguous for this."""
+    if values and isinstance(values[0], np.ndarray):
+        return np.frombuffer(b"".join(values))
+    if values and isinstance(values[0], tuple):
+        values = list(itertools.chain.from_iterable(values))
+    return np.frombuffer(struct.pack(f"{len(values)}d", *values))

@@ -1,5 +1,6 @@
-"""Builder invariants of the flat SAH BVH, and its scalar queries against
-the brute-force oracle."""
+"""Builder invariants of the flat SAH BVH, the level-synchronous builder
+against the per-node one, and its scalar queries against the brute-force
+oracle."""
 
 import math
 import pickle
@@ -16,6 +17,8 @@ from repro.raytracer.ray import Ray
 from repro.raytracer.scene import random_scene
 from repro.raytracer.tracer import render_section
 from repro.raytracer.vec import vec3
+
+from oracles import assert_same_tree
 
 
 def grid_spheres(n=4, spacing=2.0, radius=0.4):
@@ -191,6 +194,52 @@ class TestDeterminism:
         for seed, stats, rays in self._per_ray("fused"):
             per_ray = (stats.node_visits + stats.primitive_tests) / rays
             assert per_ray <= self.PACKET_WORK_PER_RAY, (seed, per_ray)
+
+
+class TestPerNodeOracle:
+    """The level-synchronous builder reproduces the per-node builder exactly:
+    every node array, every kernel row and the leaf order, including every
+    tie it has to break the same way (``tests/oracles.py``)."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_determinism_seeds_at_1000_spheres(self, seed):
+        prims = random_scene(num_spheres=1000, seed=seed).bounded_objects
+        assert_same_tree(FlatBVH.build(prims), prims)
+
+    def test_grid_with_centroid_ties_on_every_axis(self):
+        # a 5 x 4 x 3 lattice of equal spheres: every axis sort meets ties,
+        # and equal-cost cuts across axes exercise the tie rule
+        spheres = [
+            Sphere(vec3(float(i), float(j), float(-k)), 0.3)
+            for k in range(3)
+            for j in range(4)
+            for i in range(5)
+        ]
+        assert_same_tree(FlatBVH.build(spheres), spheres)
+        assert_same_tree(FlatBVH.build(spheres[::-1]), spheres[::-1])
+
+    def test_collinear_spheres(self):
+        spheres = [Sphere(vec3(float(i) * 2.0, 0.0, 0.0), 0.5) for i in range(2000)]
+        assert_same_tree(FlatBVH.build(spheres), spheres)
+
+    def test_coincident_centres(self):
+        # all centroids equal: every cut is priced alike down a one-sided spine
+        equal = [Sphere(vec3(1.0, -2.0, -6.0), 0.5) for _ in range(40)]
+        nested = [Sphere(vec3(1.0, -2.0, -6.0), 0.1 + 0.05 * (i % 7)) for i in range(40)]
+        for spheres in (equal, nested):
+            assert_same_tree(FlatBVH.build(spheres), spheres)
+
+    def test_mixed_spheres_and_triangles(self):
+        rng = np.random.default_rng(4)
+        prims = random_scene(num_spheres=200, seed=4).bounded_objects
+        for i in range(30):
+            prims.insert(7 * i, Triangle(*(rng.uniform(-3, 3, 3) for _ in range(3))))
+        assert_same_tree(FlatBVH.build(prims), prims)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tiny_scenes(self, n):
+        spheres = [Sphere(vec3(0.5 * i, 0.0, -4.0 - i), 0.4) for i in range(n)]
+        assert_same_tree(FlatBVH.build(spheres), spheres)
 
 
 class TestQueries:

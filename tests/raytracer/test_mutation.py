@@ -2,9 +2,10 @@
 
 The three invariants PR 10 rides on:
 
-* the **incrementally maintained** content key (per-object digest cache
-  updated at commit time) always equals the **from-scratch** key of the
-  same scene state — pinned for arbitrary random edit sequences;
+* the **incrementally maintained** content key (key rows patched at
+  commit time) always equals the **from-scratch** key of the same scene
+  state — pinned for arbitrary random edit sequences — and two keys are
+  equal exactly when the per-object ``_canonical`` oracle's are;
 * a geometry commit refits the scene's flat BVH: tree topology and leaf
   order are preserved while every internal box stays the exact union of
   its children, so traversal tie-breaks cannot flip and intersections
@@ -13,19 +14,23 @@ The three invariants PR 10 rides on:
   fork-copy of the scene on byte-identical state.
 """
 
+import itertools
 import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.raytracer.camera import Camera
 from repro.raytracer.flatbvh import FlatBVH
 from repro.raytracer.coherence import _cones_overlap, _cones_overlap_block
-from repro.raytracer.geometry.primitives import Sphere, Triangle
-from repro.raytracer.materials import Material
+from repro.raytracer.geometry.primitives import Plane, Sphere, Triangle
+from repro.raytracer.materials import MATERIAL_FIELDS, Material
 from repro.raytracer.mutation import (
     EditEntry,
     MutationJournal,
+    _GEOMETRY_ATTRS,
+    _ROWS,
     apply_edits,
     scene_content_key,
 )
@@ -33,26 +38,32 @@ from repro.raytracer.scene import Light, Scene, random_scene
 from repro.raytracer.tracer import RayTracer
 from repro.raytracer.vec import vec3
 
+from oracles import reference_content_key
+
 _MEMO_ATTRS = (
     "_repro_content_key",
-    "_repro_digest_map",
     "_repro_settings_digest",
     "_repro_prims_by_id",
 )
 
 
 def from_scratch_key(scene):
-    """The content key recomputed with every memo dropped."""
+    """The content key recomputed with every memo dropped, the key rows
+    held beside the scene included; the memos are put back afterwards."""
     saved = {}
     for attr in _MEMO_ATTRS:
         if attr in scene.__dict__:
             saved[attr] = scene.__dict__.pop(attr)
+    rows = _ROWS.pop(scene, None)
     try:
         return scene_content_key(scene)
     finally:
         for attr in _MEMO_ATTRS:
             scene.__dict__.pop(attr, None)
         scene.__dict__.update(saved)
+        _ROWS.pop(scene, None)
+        if rows is not None:
+            _ROWS[scene] = rows
 
 
 def small_scene(num_spheres=6, seed=3):
@@ -127,6 +138,15 @@ class TestIncrementalContentKey:
             edit.commit()
         assert scene_content_key(scene) == from_scratch_key(scene)
 
+    def test_pickled_scene_carries_no_key_rows(self):
+        # the rows are held beside the scene: a keyed scene pickles (and
+        # broadcasts) at its unkeyed size plus the key and settings digest
+        scene = small_scene(num_spheres=200)
+        unkeyed = len(pickle.dumps(scene))
+        key = scene_content_key(scene)
+        assert len(pickle.dumps(scene)) - unkeyed < 256
+        assert scene_content_key(pickle.loads(pickle.dumps(scene))) == key
+
     def test_abort_leaves_key_untouched(self):
         scene = small_scene()
         key = scene_content_key(scene)
@@ -141,6 +161,118 @@ class TestIncrementalContentKey:
         key = scene_content_key(scene)
         assert scene.begin_edit().commit() == 0
         assert scene.edit_epoch == 0 and scene_content_key(scene) == key
+
+
+# -- the key against the per-object oracle ------------------------------------
+class PlainSphere(Sphere):
+    """A sphere subclass with no attribute of its own: keys apart by type."""
+
+
+def _state(scene):
+    """``(incremental key, per-object oracle key)`` of the scene as it is;
+    the incremental key must equal the from-scratch one."""
+    key = scene_content_key(scene)
+    assert key == from_scratch_key(scene)
+    return key, reference_content_key(scene)
+
+
+def _assert_keys_agree(states):
+    """Keys are equal exactly when the oracle's are, over every pair."""
+    for (key_a, ref_a), (key_b, ref_b) in itertools.combinations(states, 2):
+        assert (key_a == key_b) == (ref_a == ref_b), (key_a, key_b, ref_a, ref_b)
+
+
+def _committed(scene, stage):
+    edit = scene.begin_edit()
+    stage(edit, scene)
+    edit.commit()
+    return scene
+
+
+class TestKeyAgainstOracle:
+    def test_corpus_keys_agree_with_oracle(self):
+        lights = [Light(vec3(0, 4, 0))]
+        states = [_state(small_scene()), _state(small_scene()), _state(small_scene(seed=4))]
+        # material-only edits: a new material, then an equal copy of the old one
+        scene = small_scene()
+        original = scene.bounded_objects[1].material
+        _committed(scene, lambda e, s: e.update(s.bounded_objects[1], material=Material.mirror(0.7)))
+        states.append(_state(scene))
+        copy = Material(original.color.copy(), original.ambient, original.diffuse,
+                        original.specular, original.shininess, original.reflectivity,
+                        original.transparency, original.ior)
+        _committed(scene, lambda e, s: e.update(s.bounded_objects[1], material=copy))
+        states.append(_state(scene))  # back to the content twin's key
+        # a subclass twin, and a one-sphere twin of each
+        for cls in (Sphere, PlainSphere, Sphere, PlainSphere):
+            states.append(_state(Scene([cls(vec3(0, 0, -5), 1.0)], lights)))
+        # settings edits, each on a fresh twin
+        for stage in (
+            lambda e, s: e.set_light(0, intensity=0.4),
+            lambda e, s: e.set_light(1, position=vec3(1.0, 2.0, 3.0)),
+            lambda e, s: e.set_camera(Camera(width=32, height=24)),
+            lambda e, s: e.set_background(vec3(0.2, 0.2, 0.2)),
+            lambda e, s: e.set_max_ray_depth(2),
+        ):
+            states.append(_state(_committed(small_scene(), stage)))
+        # an add/remove chain that returns to the start
+        scene = small_scene()
+        extra = Sphere(vec3(0.5, 0.5, -6.0), 0.3, Material.matte(0.5, 0.5, 0.5))
+        _committed(scene, lambda e, s: e.add(extra))
+        states.append(_state(scene))
+        removed = scene.bounded_objects[2]
+        _committed(scene, lambda e, s: e.remove(removed))
+        states.append(_state(scene))
+        _committed(scene, lambda e, s: e.remove(extra))
+        states.append(_state(scene))
+        _committed(scene, lambda e, s: e.add(removed))  # same content, new position
+        states.append(_state(scene))
+        # mixed object kinds, plane included
+        tri = Triangle(vec3(0, 0, -3), vec3(1, 0, -3), vec3(0, 1, -3))
+        for objects in ([tri], [tri, Plane(vec3(0, -1, 0), vec3(0, 1, 0))]):
+            states.append(_state(Scene(objects, lights)))
+        _assert_keys_agree(states)
+        assert len({key for key, _ in states}) == len({ref for _, ref in states}) > 10
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_random_edit_chains_agree_with_oracle(self, data):
+        scene = small_scene(num_spheres=4, seed=11)
+        states = [_state(scene)]
+        for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+            spheres = [o for o in scene.bounded_objects if isinstance(o, Sphere)]
+            target = data.draw(st.sampled_from(spheres))
+            kind = data.draw(st.sampled_from(["move", "unmove", "recolor", "add", "remove"]))
+            edit = scene.begin_edit()
+            if kind in ("move", "unmove"):
+                step = data.draw(st.sampled_from([0.0, 0.5]))
+                sign = 1.0 if kind == "move" else -1.0
+                edit.update(target, center=target.center + sign * step)
+            elif kind == "recolor":
+                grey = data.draw(st.sampled_from([0.25, 0.5]))
+                edit.update(target, material=Material.matte(grey, grey, grey))
+            elif kind == "add":
+                edit.add(Sphere(vec3(0.0, 0.0, -6.0), 0.3, Material.matte(0.5, 0.5, 0.5)))
+            elif len(spheres) > 1:
+                edit.remove(target)
+            edit.commit()
+            states.append(_state(scene))
+        _assert_keys_agree(states)
+
+    def test_key_covers_every_public_attribute(self):
+        # a new public attribute on a keyed type must be added to the key's
+        # rows, or two scenes differing only in it would share a key
+        for obj in (
+            Sphere(vec3(0, 0, -5), 1.0),
+            Triangle(vec3(0, 0, -3), vec3(1, 0, -3), vec3(0, 1, -3)),
+            Plane(vec3(0, -1, 0), vec3(0, 1, 0)),
+        ):
+            public = {name for name in vars(obj) if not name.startswith("_")}
+            assert public - {"primitive_id", "material"} == set(_GEOMETRY_ATTRS[type(obj)])
+        material = Material()
+        assert {name for name in vars(material) if not name.startswith("_")} == set(
+            MATERIAL_FIELDS
+        )
 
 
 # -- the journal --------------------------------------------------------------

@@ -23,6 +23,8 @@ from repro.snet.runtime import ThreadedRuntime
 from repro.snet.types import RecordType, TypeSignature, Variant
 from repro.mpisim.datatypes import payload_bytes
 
+from oracles import assert_same_tree
+
 # -- strategies ---------------------------------------------------------------
 
 label_names = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=6)
@@ -580,6 +582,19 @@ class TestFlatBVHMixedSceneProperties:
             flat_scene.index.any_hit_packet(origins, directions, t_max=tmax),
             brute_scene.index.any_hit_packet(origins, directions, t_max=tmax),
         )
+
+
+class TestLevelBuilderMatchesPerNodeBuilder:
+    @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
+    @given(sphere_lists, triangle_lists, st.integers(0, 3))
+    def test_mixed_scene_trees_are_identical(self, raw, raw_tris, duplicate):
+        # duplicated primitives add exact centroid ties to the generated ones
+        objects = [Sphere(vec3(x, y, z), r) for x, y, z, r in raw] + [
+            Triangle(vec3(*t[:3]), vec3(*t[3:6]), vec3(*t[6:])) for t in raw_tris
+        ]
+        objects += [Sphere(obj.center, obj.radius) for obj in objects[:duplicate]
+                    if isinstance(obj, Sphere)]
+        assert_same_tree(FlatBVH.build(objects), objects)
 
 
 # -- linearization transparency ---------------------------------------------------
