@@ -1,8 +1,9 @@
 """Reproduce a slice of the paper's evaluation on the simulated cluster.
 
-Runs the five Fig. 6 variants on 2 and 8 simulated nodes (the full sweep
-lives in ``benchmarks/``) and prints the runtimes next to the values the
-paper reports, plus the Fig. 5 token sweep for 64 tasks.
+Runs the five Fig. 6 variants on 2 and 8 simulated nodes (the full sweeps,
+with the paper's shape assertions, are ``tests/bench/test_figures.py``) and
+prints the runtimes next to the values the paper reports, plus the Fig. 5
+token sweep for 64 tasks.
 
 Run with:  python examples/cluster_experiment.py
 """

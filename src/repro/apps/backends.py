@@ -446,12 +446,9 @@ class RealRenderBackend(RenderBackend):
     correctness oracle); both produce the same image to within
     ``atol=1e-9``.
 
-    ``copy_on_merge`` controls the merge box: ``False`` (the default)
-    mutates the single live accumulator in place — O(chunk) per merge —
-    which is safe because the merger's ``pic`` token is linear in the
-    dataflow.  ``True`` restores the paper's copy-per-merge behaviour
-    (O(H·W) per merge), useful when callers want to hold on to
-    intermediate accumulator states.
+    The merge box mutates the single live accumulator in place — O(chunk)
+    per merge instead of the paper's O(H·W) copy — which is safe because
+    the merger's ``pic`` token is linear in the dataflow.
     """
 
     def __init__(
@@ -459,11 +456,9 @@ class RealRenderBackend(RenderBackend):
         scene: Scene,
         camera: Camera,
         render_mode: Optional[str] = None,
-        copy_on_merge: bool = False,
     ):
         super().__init__(scene, camera)
         self.render_mode = check_render_mode(render_mode)
-        self.copy_on_merge = copy_on_merge
 
     def render_section(self, section: Section) -> ImageChunk:
         edits = getattr(section, "edits", ())
@@ -499,13 +494,11 @@ class RealRenderBackend(RenderBackend):
 
     def merge(self, picture: np.ndarray, chunk: ImageChunk) -> np.ndarray:
         self.absorb_chunk_stats(chunk)
-        return merge_chunk_into(picture, chunk, copy=self.copy_on_merge)
+        return merge_chunk_into(picture, chunk, copy=False)
 
     def merge_cost(self, chunk: Any) -> float:
         # the in-place merge writes only the chunk's rows
-        return self.chunk_copy_cost(chunk) if not self.copy_on_merge else (
-            self.picture_copy_cost() + self.chunk_copy_cost(chunk)
-        )
+        return self.chunk_copy_cost(chunk)
 
     def write_image(self, picture: np.ndarray) -> None:
         # keep both the raw array (for assertions) and the PPM encoding

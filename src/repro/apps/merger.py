@@ -35,7 +35,7 @@ chunk, each merge consumes it and emits its sole successor).  The merge box
 body may therefore mutate the accumulator in place (O(chunk) per merge
 instead of the paper's O(H·W) copy) or reduce to pure bookkeeping when the
 pixels live in a shared frame buffer; see
-:class:`repro.apps.backends.RealRenderBackend` (``copy_on_merge``) and
+:class:`repro.apps.backends.RealRenderBackend` and
 :class:`repro.apps.backends.SharedFrameRenderBackend`.
 """
 

@@ -9,7 +9,9 @@
 * :mod:`repro.bench.reporting` -- plain-text/CSV table rendering in the same
   layout as the paper's figures;
 * :mod:`repro.bench.paper_data` -- the numbers read off the paper's Fig. 6,
-  used by EXPERIMENTS.md and by the shape assertions in the benchmarks.
+  printed next to the simulated ones by ``examples/cluster_experiment.py``
+  and ``format_fig6_table``; ``tests/bench/test_figures.py`` asserts the
+  figures' shapes.
 """
 
 from repro.bench.experiments import (

@@ -8,7 +8,7 @@ from repro.bench.experiments import VariantResult
 from repro.bench.figures import Fig5Cell
 from repro.bench.paper_data import PAPER_FIG6_RUNTIMES
 
-__all__ = ["format_fig5_table", "format_fig6_table", "format_speedup_table", "to_csv"]
+__all__ = ["format_fig5_table", "format_fig6_table", "to_csv"]
 
 _VARIANT_LABELS = {
     "snet_static": "S-Net Static",
@@ -59,21 +59,6 @@ def format_fig6_table(
                 value = per_node.get(nodes)
                 row += f"{value:>10.1f}" if value is not None else f"{'-':>10}"
             lines.append(row)
-    return "\n".join(lines)
-
-
-def format_speedup_table(speedups: Dict[str, Dict[int, float]]) -> str:
-    """Render the Fig. 6 (right) speed-up chart as a table."""
-    node_counts = sorted({n for per_variant in speedups.values() for n in per_variant})
-    header = f"{'variant':<24}" + "".join(f"{n:>5} nodes" for n in node_counts)
-    lines = ["Speed-up versus MPI 2 Processes/Node", header]
-    for variant, per_node in speedups.items():
-        label = _VARIANT_LABELS.get(variant, variant)
-        row = f"{label:<24}"
-        for nodes in node_counts:
-            value = per_node.get(nodes)
-            row += f"{value:>10.2f}" if value is not None else f"{'-':>10}"
-        lines.append(row)
     return "\n".join(lines)
 
 

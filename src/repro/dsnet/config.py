@@ -91,8 +91,9 @@ class DSNetConfig:
         additionally flows through splitter, merger chain and genImg under
         runtime control) without penalising the multi-node runs, where those
         costs overlap with remote rendering.  The full ~45 % single-node gap
-        of Fig. 6 is *not* reproduced — see EXPERIMENTS.md for the
-        discussion.
+        of Fig. 6 is *not* reproduced: ``tests/bench/test_figures.py``
+        asserts only its direction, and ``examples/cluster_experiment.py``
+        prints the simulated runtimes next to the paper's.
         """
         return cls(marshal_bandwidth=40e6, record_overhead=0.0002, box_overhead=0.001)
 

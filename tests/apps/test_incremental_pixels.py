@@ -21,7 +21,8 @@ Pinned here:
 * the "everything dirty" fallback: a camera edit reuses zero tiles and
   still renders correctly;
 * honest accounting: ``rays_cast`` counts only rays actually traced;
-  avoided work is reported separately as ``tiles_reused``/``rays_saved``.
+  avoided work is reported separately as ``tiles_reused``/``rays_saved``,
+  and after an edit local to a few sections the two add up to the frame.
 """
 
 import os
@@ -41,7 +42,7 @@ from repro.raytracer.camera import Camera
 from repro.raytracer.geometry.primitives import Sphere
 from repro.raytracer.image import ImageChunk
 from repro.raytracer.materials import Material
-from repro.raytracer.scene import random_scene
+from repro.raytracer.scene import Light, Scene, random_scene
 from repro.raytracer.vec import vec3
 from repro.snet.runtime.process_engine import ProcessRuntime
 
@@ -340,6 +341,50 @@ def test_counters_report_saved_work_separately():
             "tiles_reused": TASKS,
             "rays_saved": first.rays_cast,
         }
+
+
+def cloud_and_movers(cloud=200, movers=8, seed=5):
+    """A matte cloud up top, a mover band at the bottom, the lights between.
+
+    Lights sit in the vertical gap, so the shadow-cone test can prove the
+    cloud's tiles clean when only the movers move (all matte: a mirror
+    would spawn secondary rays that dirty every tile they leave).
+    """
+    rng = np.random.RandomState(seed)
+    objects = []
+    for count, x, y, z, radius in (
+        (cloud, (-6.0, 6.0), (0.5, 4.5), (-14.0, -6.0), (0.12, 0.30)),
+        (movers, (-2.0, 2.0), (-4.3, -3.95), (-10.3, -9.7), (0.07, 0.12)),
+    ):
+        for _ in range(count):
+            centre = vec3(rng.uniform(*x), rng.uniform(*y), rng.uniform(*z))
+            r, g, b = rng.uniform(0.2, 0.9, size=3)
+            objects.append(Sphere(centre, rng.uniform(*radius), Material.matte(r, g, b)))
+    lights = [Light(vec3(-3.0, -1.5, -8.0), intensity=0.9),
+              Light(vec3(3.0, -1.0, -12.0), intensity=0.6)]
+    scene = Scene(objects, lights, camera=Camera(width=SIZE, height=SIZE))
+    return scene, objects[cloud:]
+
+
+def test_local_edit_reuses_most_tiles_and_conserves_rays():
+    # moving the bottom band re-traces only its own sections: every pixel
+    # is either traced or reused, and the image is the cold oracle's
+    scene, movers = cloud_and_movers()
+    rng = np.random.RandomState(17)
+    tasks = 8
+    with RenderService(width=SIZE, height=SIZE, render_mode="fused") as service:
+        for frame in range(3):
+            edit = scene.begin_edit()
+            for mover in movers:
+                step = rng.uniform(-0.04, 0.04, size=3) if frame else 0.0
+                edit.update(mover, center=mover.center + step)
+            edit.commit()
+            result = service.render(RenderJob(scene, nodes=2, tasks=tasks), timeout=60.0)
+            np.testing.assert_allclose(result.image, cold_oracle(scene), atol=1e-9)
+            if frame:
+                assert result.tiles_reused >= tasks // 2
+                assert 0 < result.rays_cast < SIZE * SIZE
+                assert result.rays_cast + result.rays_saved == SIZE * SIZE
 
 
 @pytest.mark.parametrize("backend_cls", [RealRenderBackend, SharedFrameRenderBackend])

@@ -6,7 +6,6 @@ never be mistaken for a closed job stream (blocking ``get() -> None`` after
 ``close()``), and closing must drain — not drop — already-accepted jobs.
 """
 
-import glob
 import threading
 import time
 from concurrent.futures import CancelledError
@@ -267,8 +266,7 @@ def test_close_cancel_pending_cancels_queued_jobs(scene):
     not ProcessRuntime.fork_available(),
     reason="process service needs the fork start method",
 )
-def test_process_service_warm_jobs_metadata_only(scene):
-    segments_before = set(glob.glob("/dev/shm/psm_*"))
+def test_process_service_warm_jobs_metadata_only(scene, live_segments):
     svc = RenderService(
         "process", width=SIZE, height=SIZE, render_mode="fused",
         runtime_options={"workers": 2},
@@ -288,7 +286,7 @@ def test_process_service_warm_jobs_metadata_only(scene):
         np.testing.assert_allclose(second.image, oneshot.image, atol=1e-9)
     finally:
         svc.close(timeout=60.0)
-    assert set(glob.glob("/dev/shm/psm_*")) == segments_before
+    assert not live_segments()
 
 
 # -- observability ------------------------------------------------------------

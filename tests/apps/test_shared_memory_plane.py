@@ -119,25 +119,6 @@ class TestInPlaceMerge:
             assert id(pic) == accumulator_id
         np.testing.assert_allclose(pic[6:8], 0.3)
 
-    def test_copy_on_merge_escape_hatch(self):
-        scene = random_scene(num_spheres=2, seed=5)
-        backend = RealRenderBackend(
-            scene, Camera(width=8, height=8), copy_on_merge=True
-        )
-        pic = backend.init_picture(ImageChunk(0, np.full((2, 8, 3), 0.1)))
-        merged = backend.merge(pic, ImageChunk(2, np.full((2, 8, 3), 0.2)))
-        assert merged is not pic
-        assert pic[2:4].sum() == 0.0  # original untouched
-
-    def test_merge_cost_reflects_strategy(self):
-        scene = random_scene(num_spheres=2, seed=5)
-        chunk = ImageChunk(0, np.zeros((2, 8, 3)))
-        in_place = RealRenderBackend(scene, Camera(width=8, height=8))
-        copying = RealRenderBackend(
-            scene, Camera(width=8, height=8), copy_on_merge=True
-        )
-        assert in_place.merge_cost(chunk) <= copying.merge_cost(chunk)
-
 
 @pytest.mark.skipif(
     not ProcessRuntime.fork_available(), reason="needs fork start method"

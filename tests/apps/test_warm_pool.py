@@ -9,12 +9,11 @@ at the bottom pins this through a real process-runtime service, mirroring
 """
 
 import gc
-import os
 import threading
 
 import pytest
 
-from repro.apps import RenderJob, RenderService, WarmPoolManager
+from repro.apps import RenderJob, RenderService, WarmPoolManager, tenant_job_storm
 from repro.raytracer import random_scene
 
 
@@ -120,6 +119,28 @@ class TestEviction:
         pool.release(b)
         pool.close()
 
+    def test_pool_beats_a_single_slot_on_a_tenant_storm(self):
+        # four skewed tenants rotating through six scenes: a six-slot pool
+        # builds each scene once, a single slot only hits on back-to-back
+        # repeats of one scene
+        storm = tenant_job_storm(
+            {"heavy": 8.0, "steady": 3.0, "bursty": 2.0, "light": 1.0},
+            requests_total=60, scene_specs=[{"frame": i} for i in range(6)], seed=9,
+        )
+        hit_rates = {}
+        for capacity in (6, 1):
+            pool = WarmPoolManager(capacity=capacity)
+            for request in storm:
+                key = request.scene["frame"]
+                slot, _ = pool.acquire(key, make_build([], key))
+                pool.release(slot)
+            stats = pool.stats()
+            pool.close()
+            assert stats["warm_hits"] + stats["cold_builds"] == len(storm)
+            hit_rates[capacity] = stats["warm_hits"] / len(storm)
+        assert hit_rates[6] == (len(storm) - 6) / len(storm)
+        assert hit_rates[6] > hit_rates[1]
+
     def test_ttl_sweep_with_fake_clock(self):
         log = []
         now = [0.0]
@@ -206,14 +227,6 @@ class TestTeardownContract:
         pool.close()
 
 
-def _shm_segments():
-    """Names of live POSIX shared-memory segments (Linux)."""
-    try:
-        return {f for f in os.listdir("/dev/shm") if f.startswith("psm_")}
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return set()
-
-
 class TestServiceEvictionReleasesSharedMemory:
     """Regression: LRU eviction frees ``/dev/shm`` *before* ``close()``.
 
@@ -224,8 +237,7 @@ class TestServiceEvictionReleasesSharedMemory:
     because eviction and replacement were fused; the pool must keep it).
     """
 
-    def test_lru_eviction_releases_segments_before_close(self):
-        baseline = _shm_segments()
+    def test_lru_eviction_releases_segments_before_close(self, live_segments):
         service = RenderService(
             "process",
             width=16,
@@ -237,12 +249,12 @@ class TestServiceEvictionReleasesSharedMemory:
             with service:
                 job_a = RenderJob(random_scene(num_spheres=4, seed=1), tasks=2)
                 service.submit(job_a).result(timeout=120.0)
-                after_a = _shm_segments() - baseline
+                after_a = live_segments()
                 assert after_a, "process service should hold a frame segment"
 
                 job_b = RenderJob(random_scene(num_spheres=4, seed=2), tasks=2)
                 service.submit(job_b).result(timeout=120.0)
-                after_b = _shm_segments() - baseline
+                after_b = live_segments()
                 # scene A's slot was evicted: its segment is gone *now*,
                 # while the service is still running and serving scene B
                 assert not (after_a & after_b), (
@@ -254,5 +266,5 @@ class TestServiceEvictionReleasesSharedMemory:
         finally:
             service.close()
         gc.collect()
-        leaked = _shm_segments() - baseline
+        leaked = live_segments()
         assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"

@@ -12,10 +12,11 @@ from repro.raytracer.bvh import BruteForceIndex
 from repro.raytracer.camera import Camera
 from repro.raytracer.flatbvh import FlatBVH
 from repro.raytracer.geometry import Plane, Sphere, Triangle
+from repro.raytracer.image import image_rms_difference
 from repro.raytracer.materials import Material
 from repro.raytracer.ray import Ray
 from repro.raytracer.scene import random_scene
-from repro.raytracer.tracer import render_section
+from repro.raytracer.tracer import render, render_section
 from repro.raytracer.vec import vec3
 
 from oracles import assert_same_tree
@@ -304,6 +305,25 @@ class TestQueries:
             brute.intersect(ray)
         assert 0 < flat.stats.primitive_tests < brute.stats.primitive_tests
         assert flat.stats.node_visits > 0
+
+    def test_same_hits_with_under_half_the_primitive_tests(self):
+        # 400 random rays through a 120-sphere clustered scene
+        spheres = random_scene(num_spheres=120, clustering=0.4, seed=3).bounded_objects
+        flat = FlatBVH.build(spheres)
+        brute = BruteForceIndex(spheres)
+        rng = np.random.default_rng(1)
+        rays = [Ray(vec3(0, 1, 5), vec3(*(rng.random(3) * 2 - 1))) for _ in range(400)]
+        flat_hits = [flat.intersect(ray)[0] for ray in rays]
+        brute_hits = [brute.intersect(ray)[0] for ray in rays]
+        assert all(f is b for f, b in zip(flat_hits, brute_hits))
+        assert any(hit is not None for hit in flat_hits)
+        assert flat.stats.primitive_tests < brute.stats.primitive_tests * 0.5
+
+    def test_bvh_renders_identical_image(self):
+        camera = Camera(position=vec3(0, 0.5, 4), look_at=vec3(0, 0, -2), width=16, height=16)
+        with_bvh = render(random_scene(num_spheres=30, seed=11, use_bvh=True), camera)
+        without_bvh = render(random_scene(num_spheres=30, seed=11, use_bvh=False), camera)
+        assert image_rms_difference(with_bvh, without_bvh) < 1e-12
 
 
 class TestBruteForce:

@@ -3,8 +3,13 @@
 import json
 import warnings
 
+import numpy as np
 import pytest
 
+from repro.apps.networks import build_static_network
+from repro.apps.runner import build_farm_backend, farm_inputs
+from repro.apps.workloads import extract_image
+from repro.raytracer.scene import paper_scene
 from repro.snet.analysis import (
     AbsRec,
     AnalysisReport,
@@ -254,6 +259,35 @@ class TestRuntimeCheckKnob:
             out = runtime.run(net, [Record({"x": 1})], timeout=10)
         assert len(out) == 1  # the run still happened
         assert any("analyzer failed" in str(w.message) for w in caught)
+
+
+    def test_farm_is_analyzed_once_over_many_runs(self, monkeypatch):
+        # the verdict is cached per network object: warm jobs pay a
+        # dictionary lookup, and checking changes no pixel (check="off"
+        # still analyzes once, to prove the network safe to fuse)
+        import repro.snet.analysis as analysis_pkg
+
+        analyzed = []
+
+        def counting(network, **kwargs):
+            analyzed.append(network)
+            return analyze_network(network, **kwargs)
+
+        monkeypatch.setattr(analysis_pkg, "analyze_network", counting)
+        scene = paper_scene(num_spheres=50)
+        images = {}
+        for check in ("off", "error"):
+            analyzed.clear()
+            backend = build_farm_backend(scene, 24, 24, "records", "fused")
+            network = build_static_network(backend, render_mode="fused")
+            runtime = ThreadedRuntime(check=check)
+            for _ in range(5):
+                backend.begin_job()
+                runtime.run(network, farm_inputs("static", scene, nodes=1, tasks=4),
+                            timeout=60)
+            images[check] = extract_image(backend)
+            assert analyzed == [network], check
+        np.testing.assert_allclose(images["error"], images["off"], atol=1e-9)
 
 
 class TestInferredInputType:

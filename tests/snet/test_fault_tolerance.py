@@ -13,14 +13,19 @@ and elastic ``add_node()``/``remove_node()`` resizing.
 import os
 import signal
 
+import numpy as np
 import pytest
 
+from repro.apps.networks import build_static_network
+from repro.apps.runner import build_farm_backend, farm_inputs
+from repro.apps.workloads import extract_image
+from repro.raytracer.scene import paper_scene
 from repro.snet.boxes import box
 from repro.snet.combinators import Parallel, Serial
 from repro.snet.errors import RuntimeError_
 from repro.snet.placement import StaticPlacement, placed_split
 from repro.snet.records import Record
-from repro.snet.runtime import DistributedRuntime
+from repro.snet.runtime import DistributedRuntime, ThreadedRuntime
 from repro.snet.synchrocell import SyncroCell
 
 fork_only = pytest.mark.skipif(
@@ -191,3 +196,44 @@ class TestElasticity:
         runtime = DistributedRuntime(nodes=1)
         with pytest.raises(RuntimeError_, match="last compute node"):
             runtime.remove_node()
+
+
+class TestHappyPath:
+    @fork_only
+    def test_journal_adds_no_wire_bytes_and_no_recoveries(self):
+        """The in-flight journal holds references: nothing extra crosses.
+
+        The same warm 1000-sphere 64x64 farm frame on two node workers, with
+        fault tolerance off and on: both match the threaded oracle, neither
+        recovers anything, and the wire volumes agree within 2% (batch
+        boundaries may shift with thread timing).
+        """
+        scene = paper_scene(num_spheres=1000)
+        scene.prepare_for_broadcast()
+
+        def farm():
+            backend = build_farm_backend(scene, 64, 64, "records", "fused")
+            network = build_static_network(backend, render_mode="fused")
+            return backend, network, farm_inputs("static", scene, nodes=2, tasks=8)
+
+        def render(runtime, backend, network, inputs):
+            backend.begin_job()
+            runtime.run(network, list(inputs), timeout=150.0)
+            return extract_image(backend)
+
+        oracle = render(ThreadedRuntime(), *farm())
+        wire = {}
+        for fault_tolerance in (False, True):
+            backend, network, inputs = farm()
+            runtime = DistributedRuntime(nodes=2, fault_tolerance=fault_tolerance)
+            runtime.setup(network, broadcast=(scene,))
+            try:
+                for _ in range(2):  # the second frame is a warm steady state
+                    image = render(runtime, backend, network, inputs)
+                    np.testing.assert_allclose(image, oracle, atol=1e-9)
+                assert runtime.recoveries == 0
+                wire[fault_tolerance] = runtime.bytes_pickled
+            finally:
+                runtime.teardown()
+        assert wire[False] > 0 and wire[True] > 0
+        assert wire[True] <= 1.02 * wire[False], wire

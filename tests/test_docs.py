@@ -1,11 +1,14 @@
-"""Markdown documentation checks: links resolve, the architecture tour exists.
+"""Markdown documentation checks: links and paths resolve, the tour exists.
 
 A cheap, deterministic link check over the repo's markdown: every relative
 link target must exist on disk (external URLs are not fetched — CI must not
-depend on the network).  Also pins the documentation-overhaul invariants:
+depend on the network), and so must every backticked repository path
+(under ``tests/``, ``src/``, ``examples/`` or ``benchmarks/``, or a
+``BENCH_N.json``).  Also pins the documentation-overhaul invariants:
 ``docs/architecture.md`` exists and is reachable from the README.
 """
 
+import glob
 import pathlib
 import re
 
@@ -38,6 +41,25 @@ def test_relative_links_resolve(doc):
         if not (doc.parent / target).exists()
     ]
     assert not missing, f"{doc.name}: broken relative link(s): {missing}"
+
+
+#: `path` spans naming a repository file or directory, optionally followed
+#: by a ``::test`` id or a ``:line`` number
+_PATH = re.compile(
+    r"`((?:benchmarks|tests|src|examples)/[^`\s:]*|BENCH_\d+\.json)(?:::[^`\s]*|:\d+)?`"
+)
+
+
+@pytest.mark.parametrize("doc", DOC_FILES, ids=lambda p: str(p.relative_to(REPO_ROOT)))
+def test_backticked_paths_exist(doc):
+    missing = sorted(
+        {
+            path
+            for path in _PATH.findall(doc.read_text())
+            if not glob.glob(str(REPO_ROOT / path))
+        }
+    )
+    assert not missing, f"{doc.name}: backticked path(s) that do not exist: {missing}"
 
 
 def test_architecture_doc_exists_and_is_linked_from_readme():
