@@ -264,7 +264,9 @@ class RenderGateway:
 
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop: Optional[asyncio.Event] = None
-        self._conn_tasks: "set[asyncio.Task]" = set()
+        # open connections (handler task -> its writer) and in-flight requests
+        self._connections: "Dict[asyncio.Task, asyncio.StreamWriter]" = {}
+        self._in_flight: "set[asyncio.Task]" = set()
         self._thread: Optional[threading.Thread] = None
         self._startup_error: Optional[BaseException] = None
 
@@ -317,10 +319,18 @@ class RenderGateway:
         started.set()
         async with server:
             await self._stop.wait()
-        # graceful drain: connections already accepted finish their replies
-        pending = [task for task in self._conn_tasks if not task.done()]
-        if pending:
-            await asyncio.wait(pending, timeout=self._drain_timeout)
+            server.close()  # stop accepting
+            # graceful drain: in-flight requests finish their replies, then
+            # every connection is closed from this end.  Waiting for the
+            # client's EOF instead could take the whole timeout: a node
+            # worker forked while a connection was open holds a copy of the
+            # client's socket, so a client that closed it sends no EOF.
+            if self._in_flight:
+                await asyncio.wait(set(self._in_flight), timeout=self._drain_timeout)
+            for writer in self._connections.values():
+                writer.close()  # the reader sees EOF; buffered replies still go out
+            if self._connections:
+                await asyncio.wait(set(self._connections), timeout=self._drain_timeout)
 
     # -- connection handling ---------------------------------------------------
     async def _handle(
@@ -328,8 +338,8 @@ class RenderGateway:
     ) -> None:
         task = asyncio.current_task()
         if task is not None:
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
+            self._connections[task] = writer
+            task.add_done_callback(lambda done: self._connections.pop(done, None))
         write_lock = asyncio.Lock()
         request_tasks: "set[asyncio.Task]" = set()
         try:
@@ -357,8 +367,9 @@ class RenderGateway:
                 sub = asyncio.ensure_future(
                     self._serve_line(line, writer, write_lock)
                 )
-                request_tasks.add(sub)
-                sub.add_done_callback(request_tasks.discard)
+                for tasks in (request_tasks, self._in_flight):
+                    tasks.add(sub)
+                    sub.add_done_callback(tasks.discard)
         except (ConnectionResetError, asyncio.IncompleteReadError):
             pass
         finally:

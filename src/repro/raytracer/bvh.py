@@ -100,7 +100,8 @@ class BruteForceIndex:
         return best_index, best_t
 
     def any_hit_packet(
-        self, origins: np.ndarray, directions: np.ndarray, t_min: float = 1e-6, t_max=np.inf
+        self, origins: np.ndarray, directions: np.ndarray, t_min: float = 1e-6, t_max=np.inf,
+        wave: Optional[int] = None,  # a scan has no traversal waves
     ) -> np.ndarray:
         n = origins.shape[0]
         occluded = np.zeros(n, dtype=bool)

@@ -50,10 +50,6 @@ class Camera:
         self._half_height = float(np.tan(np.radians(self.fov_degrees) / 2.0))
         self._half_width = self._half_height * (self.width / self.height)
 
-    @property
-    def aspect_ratio(self) -> float:
-        return self.width / self.height
-
     def primary_ray(self, px: int, py: int) -> Ray:
         """The primary ray through the centre of pixel ``(px, py)``.
 

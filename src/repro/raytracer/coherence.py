@@ -42,7 +42,6 @@ keeping output pixel-identical by construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -194,41 +193,6 @@ def _box_rows(
     return lo, hi
 
 
-def _cones_overlap(
-    light_pos: np.ndarray,
-    hit_min: np.ndarray,
-    hit_max: np.ndarray,
-    box_min: np.ndarray,
-    box_max: np.ndarray,
-) -> bool:
-    """Can ``box`` intersect any segment light→p for p in the hit region?
-
-    Bounding-sphere cones: if a segment from the light to a hit point passes
-    through the box, the direction to the crossing point lies within the
-    box's cone *and* within the hit region's cone (it is the direction to
-    the hit point itself), so the cone axes subtend at most the sum of the
-    half-angles; and the crossing point is no farther than the farthest hit
-    point.  Both conditions are necessary, so testing them is conservative.
-    """
-    hit_center = 0.5 * (hit_min + hit_max)
-    hit_radius = 0.5 * float(np.linalg.norm(hit_max - hit_min))
-    box_center = 0.5 * (box_min + box_max)
-    box_radius = 0.5 * float(np.linalg.norm(box_max - box_min))
-    to_hit = hit_center - light_pos
-    to_box = box_center - light_pos
-    dist_hit = float(np.linalg.norm(to_hit))
-    dist_box = float(np.linalg.norm(to_box))
-    if dist_box <= box_radius + 1e-12 or dist_hit <= hit_radius + 1e-12:
-        return True  # the light sits inside one of the spheres
-    if dist_box - box_radius > dist_hit + hit_radius:
-        return False  # the blocker is entirely beyond every hit point
-    cos_axis = float(np.dot(to_hit, to_box)) / (dist_hit * dist_box)
-    axis_angle = math.acos(min(1.0, max(-1.0, cos_axis)))
-    half_hit = math.asin(min(1.0, hit_radius / dist_hit))
-    half_box = math.asin(min(1.0, box_radius / dist_box))
-    return axis_angle <= half_hit + half_box
-
-
 def _cones_overlap_block(
     light_pos: np.ndarray,
     hit_min: np.ndarray,
@@ -236,14 +200,11 @@ def _cones_overlap_block(
     box_centers: np.ndarray,
     box_radii: np.ndarray,
 ) -> bool:
-    """Vectorised :func:`_cones_overlap`: any hit bucket (U) vs any box (B).
-
-    Same maths as the scalar reference, evaluated on a (U, B) grid in a
-    handful of numpy ops — the planner calls this once per (section, light)
-    instead of U*B times per section, which is what keeps planning cost
-    negligible next to the render it saves (a 2000-edit frame over 24
-    sections is ~50k scalar cone tests otherwise).
-    """
+    """Rule (d): can a segment from the light to any hit bucket (U) cross any
+    box (B)?  Both tests are necessary conditions: the two bounding-sphere
+    cones overlap, and the box is not entirely beyond the hits.  One (U, B)
+    grid per (section, light) keeps planning cheap next to the render it
+    saves (a 2000-edit frame over 24 sections is ~50k one-pair tests)."""
     hit_centers = 0.5 * (hit_min + hit_max)  # (U, 3)
     hit_radii = 0.5 * np.linalg.norm(hit_max - hit_min, axis=1)  # (U,)
     to_hit = hit_centers - light_pos  # (U, 3)

@@ -132,10 +132,6 @@ class SectionCostModel:
         """Relative per-row weights (length = image height)."""
         return self._row_weights.copy()
 
-    def row_seconds(self) -> np.ndarray:
-        """Per-row cost in reference seconds."""
-        return self._row_weights * self._seconds_per_weight
-
     def section_cost(self, y_start: int, y_end: int) -> float:
         """Cost of rendering rows ``[y_start, y_end)`` in reference seconds."""
         if not 0 <= y_start <= y_end <= self.camera.height:

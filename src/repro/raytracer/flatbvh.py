@@ -256,6 +256,8 @@ class FlatBVH:
         self.parent = np.zeros(0, dtype=np.int64)
         self.leaf_node = np.zeros(0, dtype=np.int64)
         self._slot_by_prim: Optional[Dict[int, int]] = None
+        # the traversal's batch rule, memoised per leaf budget
+        self._batch_rules: Dict[int, np.ndarray] = {}
         # per-kind leaf parameter arrays + prefix counts over leaf slots
         self.sphere_center = np.zeros((0, 3))
         self.sphere_r2 = np.zeros(0)
@@ -274,6 +276,7 @@ class FlatBVH:
         # not preserve; the unpickled copy rebuilds it lazily
         state = self.__dict__.copy()
         state["_slot_by_prim"] = None
+        state["_batch_rules"] = {}
         return state
 
     # -- construction --------------------------------------------------------
@@ -596,24 +599,32 @@ class FlatBVH:
         bound: np.ndarray,
         slot: Optional[np.ndarray] = None,
         occluded: Optional[np.ndarray] = None,
+        wave: Optional[int] = None,
     ) -> None:
         """The wavefront walk both packet queries share.
 
         Closest hit (``slot`` given): hits fold into the per-ray
         lexicographic minimum of ``(t, leaf slot)``, held in ``bound`` and
         ``slot``.  Any hit (``occluded`` given): a hit flags its ray, which
-        then leaves the frontier.
+        then leaves the frontier.  Rays enter in waves of ``wave`` (at most
+        ``WAVE_RAYS``) rays, or all at once by :meth:`_dense` when every
+        wave's root is a batch node.
         """
+        n = origins.shape[0]
+        wave = min(self.WAVE_RAYS, wave or n)
+        if self.num_primitives <= self.BATCH_WORK // wave:
+            self.stats.node_visits += n  # one root visit per ray
+            self._dense(origins, directions, t_min, bound, slot, occluded)
+            return
         org = np.ascontiguousarray(origins.T)
         inv, deg = self._packet_inverse(directions)
-        # a subtree of k leaves spans the 2k - 1 nodes [i, skip[i])
-        span = self.skip - np.arange(self.skip.size)
-        n = origins.shape[0]
-        for w0 in range(0, n, self.WAVE_RAYS):
-            rays = np.arange(w0, min(n, w0 + self.WAVE_RAYS))
-            nodes = np.zeros((1, rays.size), dtype=np.int64)
+        for w0 in range(0, n, wave):
+            rays = np.arange(w0, min(n, w0 + wave))
             leaves = max(1, self.BATCH_WORK // rays.size)
-            batch_node = span < 2 * leaves
+            batch_node = self._batch_rules.get(leaves)
+            if batch_node is None:
+                batch_node = self._batch_rules[leaves] = self.leaf_end - self.first_leaf <= leaves
+            nodes = np.zeros((1, rays.size), dtype=np.int64)
             while rays.size:
                 self.stats.node_visits += int(nodes.size)
                 keep = self._slab(rays, nodes, org, inv, deg, t_min, bound[rays]).ravel()
@@ -643,6 +654,23 @@ class FlatBVH:
                 rays, nodes = rays[inner], nodes[inner]
                 nodes = np.concatenate((nodes + 1, self.left[nodes])).reshape(2, -1)
 
+    def _dense(self, origins: np.ndarray, directions: np.ndarray, t_min: float, bound: np.ndarray,
+               slot: Optional[np.ndarray], occluded: Optional[np.ndarray]) -> None:
+        """Every ray against every leaf, no box tests: the frontier's one
+        batch step minus the root slab test, which only skips missing pairs
+        (``argmin`` keeps the lowest slot among exact-``t`` ties)."""
+        n, k = origins.shape[0], self.num_primitives
+        pr = np.repeat(np.arange(n), k)
+        t = self._pair_t(pr, np.arange(pr.size) % k, origins, directions, t_min, bound[pr])
+        t = t.reshape(n, k)
+        if occluded is not None:
+            occluded[:] = (t < np.inf).any(axis=1)
+            return
+        best = t.argmin(axis=1)
+        best_t = t[np.arange(n), best]
+        hit = best_t < np.inf
+        bound[hit], slot[hit] = best_t[hit], best[hit]
+
     def intersect_packet(
         self, origins: np.ndarray, directions: np.ndarray, t_min: float = 1e-6
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -660,15 +688,18 @@ class FlatBVH:
         return np.where(slot == _NO_SLOT, -1, slot), best_t
 
     def any_hit_packet(
-        self, origins: np.ndarray, directions: np.ndarray, t_min: float = 1e-6, t_max=np.inf
+        self, origins: np.ndarray, directions: np.ndarray, t_min: float = 1e-6, t_max=np.inf,
+        wave: Optional[int] = None,
     ) -> np.ndarray:
-        """Vectorized occlusion query; ``t_max`` may be per-ray."""
+        """Vectorized occlusion query; ``t_max`` may be per-ray.  A packet of
+        several lights' shadow rays passes its rays per light as ``wave``, so
+        each wave meets the batch rule a one-light packet would."""
         n = origins.shape[0]
         occluded = np.zeros(n, dtype=bool)
         if self.num_primitives and n:
             tmax = broadcast_tmax(t_max, n)
             with np.errstate(over="ignore", invalid="ignore"):
-                self._traverse(origins, directions, t_min, tmax, occluded=occluded)
+                self._traverse(origins, directions, t_min, tmax, occluded=occluded, wave=wave)
         return occluded
 
 

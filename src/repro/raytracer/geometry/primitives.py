@@ -170,16 +170,15 @@ class Plane(Primitive):
     def intersect_block(
         self, origins: np.ndarray, directions: np.ndarray, t_min: float = 1e-6, t_max=np.inf
     ) -> np.ndarray:
+        n = origins.shape[0]
+        if n == 1:  # BLAS rounds a one-row `@` apart from a longer one's rows
+            return self.intersect_block(origins.repeat(2, 0), directions.repeat(2, 0), t_min,
+                                        broadcast_tmax(t_max, 1).repeat(2))[:1]
         denom = directions @ self.normal
-        t = np.full(denom.shape, np.inf)
         valid = np.abs(denom) >= 1e-12
-        if not valid.any():
-            return t
-        candidate = ((self.point - origins[valid]) @ self.normal) / denom[valid]
-        tmax = broadcast_tmax(t_max, origins.shape[0])[valid]
-        ok = (candidate >= t_min) & (candidate <= tmax)
-        t[valid] = np.where(ok, candidate, np.inf)
-        return t
+        candidate = ((self.point - origins) @ self.normal) / np.where(valid, denom, 1.0)
+        ok = valid & (candidate >= t_min) & (candidate <= broadcast_tmax(t_max, n))
+        return np.where(ok, candidate, np.inf)
 
     def normal_at(self, point: Vector) -> Vector:
         return self.normal

@@ -13,10 +13,11 @@ module renders whole image sections as *packets*:
   every pair's node box at once and the leaf pairs with pair-list NumPy
   kernels (scalar fallback for primitives without a vectorized kernel);
 * direct lighting is shaded for the whole packet at once
-  (:func:`repro.raytracer.shading.shade_block`);
-* secondary rays (reflection, refraction) are gathered into smaller packets
-  and traced recursively, so the whole image is rendered without a single
-  per-pixel Python loop.
+  (:func:`repro.raytracer.shading.shade_block`), one shadow packet for all
+  lights;
+* the secondary rays (reflection, refraction) are gathered into one smaller
+  packet and traced recursively, so the whole image is rendered without a
+  single per-pixel Python loop.
 
 The traversal ``index`` is always
 :func:`~repro.raytracer.flatbvh.scene_flat_index` of the scene (a
@@ -30,12 +31,14 @@ tests pin this); the scalar path remains the correctness oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, List, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
 import numpy as np
 
+from repro.raytracer.flatbvh import FlatBVH
 from repro.raytracer.geometry.primitives import Primitive
 from repro.raytracer.materials import material_table
+from repro.raytracer.vec import broadcast_tmax
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.raytracer.scene import Scene
@@ -65,6 +68,8 @@ class ScenePacketData:
     primitives: List[Primitive]
     #: ``Primitive.primitive_id`` per row (tile touch capture)
     primitive_id: np.ndarray
+    #: a :class:`FlatBVH` sphere's row in ``index.sphere_center``, else -1
+    sphere_row: np.ndarray
     color: np.ndarray
     ambient: np.ndarray
     diffuse: np.ndarray
@@ -92,8 +97,12 @@ def scene_packet_data(scene: "Scene") -> ScenePacketData:
     primitives = list(indexed) + list(scene.unbounded_objects)
     table = material_table([p.material for p in primitives])
     ids = np.array([p.primitive_id for p in primitives], dtype=np.int64)
+    sphere_row = np.full(len(primitives), -1, dtype=np.int64)
+    if isinstance(index, FlatBVH):
+        sphere_row[index.sphere_slot] = np.arange(index.sphere_slot.size)
     columns = np.ascontiguousarray(table[:, 3:].T)  # one row per scalar field
-    data = ScenePacketData(index, primitives, ids, np.ascontiguousarray(table[:, :3]), *columns)
+    color = np.ascontiguousarray(table[:, :3])
+    data = ScenePacketData(index, primitives, ids, sphere_row, color, *columns)
     scene._packet_data = data
     return data
 
@@ -124,12 +133,12 @@ def occluded_packet(
     origins: np.ndarray,
     directions: np.ndarray,
     max_distance: np.ndarray,
+    wave: Optional[int] = None,
 ) -> np.ndarray:
-    """Vectorized :meth:`RayTracer.occluded` for a packet of shadow rays."""
-    occluded = index.any_hit_packet(origins, directions, 1e-6, max_distance)
-    tmax = np.broadcast_to(
-        np.asarray(max_distance, dtype=np.float64), (origins.shape[0],)
-    )
+    """Vectorized :meth:`RayTracer.occluded` for a packet of shadow rays
+    (``wave``: see :meth:`FlatBVH.any_hit_packet`)."""
+    occluded = index.any_hit_packet(origins, directions, 1e-6, max_distance, wave)
+    tmax = broadcast_tmax(max_distance, origins.shape[0])
     for obj in scene.unbounded_objects:
         active = (~occluded).nonzero()[0]
         if active.size == 0:
@@ -148,6 +157,8 @@ def trace_packet(
 ) -> np.ndarray:
     """Vectorized :meth:`RayTracer.trace`: colours for a whole ray packet.
 
+    One traversal, then one ``shade_block`` call for the hits, which sends
+    its one secondary packet back through here at ``depth + 1``.
     ``directions`` must be normalized (as
     :meth:`Camera.primary_ray_block_into` and the secondary-ray spawning in
     ``shade_block`` guarantee).

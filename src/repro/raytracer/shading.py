@@ -95,28 +95,26 @@ def shade_block(
     t: np.ndarray,
     depth: int,
 ) -> np.ndarray:
-    """Vectorized :func:`shade` for a packet of hits.
+    """Vectorized :func:`shade` for a packet of hits, one packet per stage.
 
-    ``indices`` selects each ray's hit primitive in ``data.primitives``; the
-    material parameters are gathered from the pre-flattened arrays of
-    :class:`~repro.raytracer.packet.ScenePacketData`.  The direct-lighting
-    terms (ambient, Phong diffuse/specular, shadow attenuation) are computed
-    for the whole packet at once; reflection and refraction gather the rays
-    that spawn secondary rays into smaller packets and recurse through
-    :func:`~repro.raytracer.packet.trace_packet`; shadow and secondary
-    packets traverse the same ``index`` as the primary packet.  The
-    arithmetic follows the scalar path operation-for-operation so both
-    produce the same pixels.
+    ``indices`` selects each ray's hit primitive in ``data.primitives``
+    (material rows of :class:`~repro.raytracer.packet.ScenePacketData`;
+    sphere normals are one gather of the flat index's centres).  A call
+    sends two packets into ``index``, whatever the light count: one any-hit
+    packet with the shadow rays of all ``L`` lights, light-major, after
+    which the Phong terms are ``(L, n)`` arrays; and one
+    :func:`~repro.raytracer.packet.trace_packet` with the reflection rows
+    followed by the transmission rows (refraction, or reflection on total
+    internal reflection), whose colours are split back.  Each pixel keeps
+    the scalar path's arithmetic and summation order — ambient, light ``0``
+    … ``L - 1``, reflection, transmission.
     """
     from repro.raytracer.packet import occluded_packet, trace_packet
 
     scene = tracer.scene
+    n = t.shape[0]
     points = origins + t[:, None] * directions
-
-    normals = np.empty_like(points)
-    for prim_id in np.unique(indices):
-        selected = indices == prim_id
-        normals[selected] = data.primitives[prim_id].normal_block(points[selected])
+    normals = _hit_normals(data, index, indices, points)
 
     # flip normals when hitting a surface from the inside (refraction exit)
     inside = row_dot(directions, normals) > 0
@@ -126,8 +124,14 @@ def shade_block(
     m_color = data.color[indices]
     color = data.ambient[indices][:, None] * m_color
 
-    for light in scene.lights:
-        to_light = light.position - surface
+    lights = scene.lights
+    count = len(lights)
+    if count:
+        position = np.array([light.position for light in lights])
+        light_color = np.array([light.color for light in lights])[:, None]
+        intensity = np.array([light.intensity for light in lights], dtype=np.float64)[:, None]
+        # every (light, hit) row at once, light-major
+        to_light = (position[:, None] - surface).reshape(-1, 3)
         distance = np.sqrt(row_dot(to_light, to_light))
         positive = distance > 0.0
         light_dir = np.where(
@@ -136,61 +140,64 @@ def shade_block(
             to_light,
         )
         # shadow packet: the scalar path re-normalizes inside Ray.__init__
-        lit = ~occluded_packet(
-            scene, index, surface, normalize_rows(light_dir), distance
-        )
-        lambert = np.maximum(0.0, row_dot(oriented, light_dir))
-        contribution = (data.diffuse[indices] * lambert * light.intensity)[
-            :, None
-        ] * (m_color * light.color)
-        half_vector = normalize_rows(light_dir - directions)
-        highlight = (
-            np.maximum(0.0, row_dot(oriented, half_vector)) ** data.shininess[indices]
-        )
-        contribution += (data.specular[indices] * highlight * light.intensity)[
-            :, None
-        ] * light.color
-        color = color + np.where(lit[:, None], contribution, 0.0)
+        lit = ~occluded_packet(scene, index, np.concatenate((surface,) * count),
+                               normalize_rows(light_dir), distance, wave=n)
+        facing = np.concatenate((oriented,) * count)
+        lambert = np.maximum(0.0, row_dot(facing, light_dir)).reshape(count, n)
+        diffuse = data.diffuse[indices] * lambert * intensity
+        contribution = diffuse[..., None] * (m_color * light_color)
+        half_vector = normalize_rows(light_dir - np.concatenate((directions,) * count))
+        highlight = np.maximum(0.0, row_dot(facing, half_vector)).reshape(count, n)
+        highlight = highlight ** data.shininess[indices]
+        contribution += (data.specular[indices] * highlight * intensity)[..., None] * light_color
+        contribution = np.where(lit.reshape(count, n, 1), contribution, 0.0)
+        for term in contribution:  # light by light, as the scalar path sums
+            color = color + term
 
-    reflectivity = data.reflectivity[indices]
+    reflectivity, transparency = data.reflectivity[indices], data.transparency[indices]
     reflecting = (reflectivity > 0.0).nonzero()[0]
-    if reflecting.size:
-        d = directions[reflecting]
-        n = oriented[reflecting]
-        reflected_dir = d - 2.0 * row_dot(d, n)[:, None] * n
-        reflected = trace_packet(
-            tracer,
-            index,
-            surface[reflecting],
-            normalize_rows(reflected_dir),
-            depth + 1,
-        )
-        color[reflecting] += reflectivity[reflecting][:, None] * reflected
-
-    transparency = data.transparency[indices]
     transmitting = (transparency > 0.0).nonzero()[0]
-    if transmitting.size:
-        d = directions[transmitting]
-        n = oriented[transmitting]
-        ior = data.ior[indices][transmitting]
-        ratio = np.where(inside[transmitting], ior, 1.0 / ior)
-        cos_incident = -row_dot(d, n)
-        sin2_transmitted = ratio * ratio * (1.0 - cos_incident * cos_incident)
-        total_internal = sin2_transmitted > 1.0
-        cos_transmitted = np.sqrt(np.maximum(0.0, 1.0 - sin2_transmitted))
-        refracted_dir = (
-            ratio[:, None] * d + (ratio * cos_incident - cos_transmitted)[:, None] * n
-        )
-        reflected_dir = d - 2.0 * row_dot(d, n)[:, None] * n
-        secondary_dir = np.where(total_internal[:, None], reflected_dir, refracted_dir)
-        secondary_origin = np.where(
-            total_internal[:, None],
-            surface[transmitting],
-            points[transmitting] - n * EPSILON,
-        )
-        contribution = trace_packet(
-            tracer, index, secondary_origin, normalize_rows(secondary_dir), depth + 1
-        )
-        color[transmitting] += transparency[transmitting][:, None] * contribution
-
+    if reflecting.size + transmitting.size == 0:
+        return np.clip(color, 0.0, 1.0)
+    reflected_dir = directions - 2.0 * row_dot(directions, oriented)[:, None] * oriented
+    d, nrm = directions[transmitting], oriented[transmitting]
+    ior = data.ior[indices][transmitting]
+    ratio = np.where(inside[transmitting], ior, 1.0 / ior)
+    cos_incident = -row_dot(d, nrm)
+    sin2_transmitted = ratio * ratio * (1.0 - cos_incident * cos_incident)
+    total_internal = (sin2_transmitted > 1.0)[:, None]
+    cos_transmitted = np.sqrt(np.maximum(0.0, 1.0 - sin2_transmitted))
+    refracted_dir = ratio[:, None] * d + (ratio * cos_incident - cos_transmitted)[:, None] * nrm
+    # one secondary packet: the reflection rows, then the transmission rows
+    secondary_origin = np.concatenate((
+        surface[reflecting],
+        np.where(total_internal, surface[transmitting], points[transmitting] - nrm * EPSILON),
+    ))
+    secondary_dir = np.concatenate((
+        reflected_dir[reflecting],
+        np.where(total_internal, reflected_dir[transmitting], refracted_dir),
+    ))
+    traced = trace_packet(tracer, index, secondary_origin, normalize_rows(secondary_dir), depth + 1)
+    color[reflecting] += reflectivity[reflecting][:, None] * traced[: reflecting.size]
+    color[transmitting] += transparency[transmitting][:, None] * traced[reflecting.size :]
     return np.clip(color, 0.0, 1.0)
+
+
+def _hit_normals(
+    data: "ScenePacketData", index: Any, indices: np.ndarray, points: np.ndarray
+) -> np.ndarray:
+    """:meth:`Primitive.normal_block` of every hit row: sphere rows gather
+    the flat index's centres (refits keep them current), other rows ask
+    their primitive."""
+    rows = data.sphere_row[indices]
+    normals = np.empty_like(points)
+    spheres = (rows >= 0).nonzero()[0]
+    if spheres.size:
+        offsets = points[spheres] - index.sphere_center[rows[spheres]]
+        norms = np.sqrt(row_dot(offsets, offsets))
+        normals[spheres] = offsets / np.where(norms == 0.0, 1.0, norms)[:, None]
+    others = (rows < 0).nonzero()[0]
+    for prim_id in set(indices[others].tolist()):
+        selected = others[indices[others] == prim_id]
+        normals[selected] = data.primitives[prim_id].normal_block(points[selected])
+    return normals

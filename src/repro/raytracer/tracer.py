@@ -219,19 +219,15 @@ class RayTracer:
         """
         self._check_rows(y_start, y_end)
         width = self.camera.width
-        pixels = np.empty((y_end - y_start, width, 3), dtype=np.float64)
         index = scene_flat_index(self.scene)
         tile_rows = max(1, self.MAX_PACKET_RAYS // max(1, width))
-        for tile_start in range(y_start, y_end, tile_rows):
-            tile_end = min(y_end, tile_start + tile_rows)
-            origins, directions = self.camera.primary_ray_block_into(
-                tile_start, tile_end, *_tile_scratch((tile_end - tile_start) * width)
-            )
-            colors = trace_packet(self, index, origins, directions)
-            pixels[tile_start - y_start : tile_end - y_start] = colors.reshape(
-                -1, width, 3
-            )
-        return pixels
+        tiles = [np.empty((0, width, 3))]
+        for start in range(y_start, y_end, tile_rows):
+            end = min(y_end, start + tile_rows)
+            scratch = _tile_scratch((end - start) * width)
+            rays = self.camera.primary_ray_block_into(start, end, *scratch)
+            tiles.append(trace_packet(self, index, *rays).reshape(-1, width, 3))
+        return tiles[1] if len(tiles) == 2 else np.concatenate(tiles)
 
     def render_pixel(self, px: int, py: int) -> Vector:
         """Render a single pixel (used by tests and the cost calibrator)."""

@@ -68,7 +68,8 @@ def broadcast_tmax(t_max, n: int) -> np.ndarray:
     Shared by every packet intersection kernel: closest-hit traversal passes
     each ray's current best hit as its individual upper bound.
     """
-    return np.broadcast_to(np.asarray(t_max, dtype=np.float64), (n,))
+    t_max = np.asarray(t_max, dtype=np.float64)
+    return t_max if t_max.shape == (n,) else np.full(n, t_max)
 
 
 def normalize_rows(v: np.ndarray) -> np.ndarray:

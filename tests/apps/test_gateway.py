@@ -9,6 +9,7 @@ the merged gateway/service metrics document.
 import json
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -267,3 +268,38 @@ class TestServiceBackpressure:
                            overflow="reject") as svc:
             with pytest.raises(ValueError, match="service_kwargs"):
                 RenderGateway(svc, width=32)
+
+
+class TestClose:
+    def test_close_drains_in_flight_but_not_idle_connections(self):
+        """``close`` waits for the requests in flight, not for clients.
+
+        The idle connection stands for a client whose EOF never arrives: a
+        node worker forked while it was open holds a copy of its socket, so
+        the client's ``close`` sends nothing.  Waiting for its EOF used to
+        cost the whole ``drain_timeout``.
+        """
+        gateway = RenderGateway(width=16, height=16, drain_timeout=30.0).start()
+        gate, entered = gate_first_execution(gateway.service)
+        idle = GatewayClient(gateway.host, gateway.port)
+        busy = GatewayClient(gateway.host, gateway.port)
+        try:
+            assert idle.ping()["pong"]
+            busy.send({"op": "render", "scene": SCENE})
+            assert entered.wait(30.0)
+            start = time.monotonic()
+            closer = threading.Thread(target=gateway.close)
+            closer.start()
+            while not gateway._stop.is_set():
+                time.sleep(0.005)
+            gate.set()  # the request in flight finishes after the stop
+            closer.join(10.0)
+            assert not closer.is_alive()
+            assert time.monotonic() - start < 5.0
+            assert busy.recv()["status"] == "ok"
+            with pytest.raises(ConnectionError):
+                idle.recv()
+        finally:
+            gate.set()
+            idle.close()
+            busy.close()

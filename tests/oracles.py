@@ -9,19 +9,40 @@
   :func:`repro.raytracer.mutation.scene_content_key` replaced by one digest
   over gathered arrays: every object is canonicalised attribute by
   attribute, hashed on its own, and the digests are folded.
+* :func:`reference_cones_overlap` is the one-pair shadow-cone test that
+  :func:`repro.raytracer.coherence._cones_overlap_block` evaluates on a
+  whole (hit bucket, moved box) grid.
+* :func:`reference_shade_block` / :func:`reference_trace_packet` are the
+  packet shader that :func:`repro.raytracer.shading.shade_block` replaced
+  by one packet per stage: one shadow packet per light, one secondary
+  packet per kind (reflection, then transmission), and hit normals asked
+  of each hit primitive in turn.
 
-Both are deliberately slow and self-contained: nothing here calls the code
-they check.
+All are deliberately slow and self-contained: nothing here calls the code
+they check (the shading oracle shares only the traversal queries it
+sends its packets to).
 """
 
 import hashlib
+import math
 import pickle
 
 import numpy as np
 
 from repro.raytracer.geometry.primitives import Sphere, Triangle
+from repro.raytracer.packet import cast_packet, occluded_packet, scene_packet_data
+from repro.raytracer.shading import EPSILON
+from repro.raytracer.vec import normalize_rows, row_dot
 
-__all__ = ["assert_same_tree", "reference_content_key", "reference_tree"]
+__all__ = [
+    "assert_same_tree",
+    "reference_cones_overlap",
+    "reference_content_key",
+    "reference_render_section",
+    "reference_shade_block",
+    "reference_trace_packet",
+    "reference_tree",
+]
 
 
 # -- the per-node SAH builder -------------------------------------------------
@@ -169,3 +190,155 @@ def reference_content_key(scene):
     blob = b"".join(_digest(obj) for obj in scene.objects)
     blob += hashlib.sha256(pickle.dumps(settings, protocol=5)).digest()
     return hashlib.sha256(blob).hexdigest()[:16]
+
+
+# -- the per-light, per-kind packet shader ------------------------------------
+def reference_trace_packet(tracer, index, origins, directions, depth=0):
+    """:func:`repro.raytracer.packet.trace_packet` over the reference shader."""
+    scene = tracer.scene
+    n = origins.shape[0]
+    colors = np.repeat(scene.background[None, :], n, axis=0)
+    if n == 0 or depth >= scene.max_ray_depth:
+        return colors
+    tracer.rays_cast += n
+    touch = tracer.touch
+    if touch is not None and depth > 0:
+        touch.secondary = True
+    data = scene_packet_data(scene)
+    indices, t = cast_packet(scene, index, origins, directions)
+    hits = (indices >= 0).nonzero()[0]
+    if hits.size == 0:
+        return colors
+    rows = (origins[hits], directions[hits], indices[hits], t[hits])
+    if touch is not None:
+        touch.note_packet(data, *rows, hits, n, depth)
+    colors[hits] = reference_shade_block(tracer, data, index, *rows, depth)
+    return colors
+
+
+def reference_shade_block(tracer, data, index, origins, directions, indices, t, depth):
+    """The packet shader with one shadow packet per light and one secondary
+    packet per kind, recursing through :func:`reference_trace_packet`."""
+    scene = tracer.scene
+    points = origins + t[:, None] * directions
+
+    normals = np.empty_like(points)
+    for prim_id in np.unique(indices):
+        selected = indices == prim_id
+        normals[selected] = data.primitives[prim_id].normal_block(points[selected])
+
+    inside = row_dot(directions, normals) > 0
+    oriented = np.where(inside[:, None], -normals, normals)
+    surface = points + oriented * EPSILON
+
+    m_color = data.color[indices]
+    color = data.ambient[indices][:, None] * m_color
+
+    for light in scene.lights:
+        to_light = light.position - surface
+        distance = np.sqrt(row_dot(to_light, to_light))
+        positive = distance > 0.0
+        light_dir = np.where(
+            positive[:, None],
+            to_light / np.where(positive, distance, 1.0)[:, None],
+            to_light,
+        )
+        lit = ~occluded_packet(scene, index, surface, normalize_rows(light_dir), distance)
+        lambert = np.maximum(0.0, row_dot(oriented, light_dir))
+        contribution = (data.diffuse[indices] * lambert * light.intensity)[:, None] * (
+            m_color * light.color
+        )
+        half_vector = normalize_rows(light_dir - directions)
+        highlight = np.maximum(0.0, row_dot(oriented, half_vector)) ** data.shininess[indices]
+        contribution += (data.specular[indices] * highlight * light.intensity)[
+            :, None
+        ] * light.color
+        color = color + np.where(lit[:, None], contribution, 0.0)
+
+    reflectivity = data.reflectivity[indices]
+    reflecting = (reflectivity > 0.0).nonzero()[0]
+    if reflecting.size:
+        d = directions[reflecting]
+        n = oriented[reflecting]
+        reflected_dir = d - 2.0 * row_dot(d, n)[:, None] * n
+        reflected = reference_trace_packet(
+            tracer, index, surface[reflecting], normalize_rows(reflected_dir), depth + 1
+        )
+        color[reflecting] += reflectivity[reflecting][:, None] * reflected
+
+    transparency = data.transparency[indices]
+    transmitting = (transparency > 0.0).nonzero()[0]
+    if transmitting.size:
+        d = directions[transmitting]
+        n = oriented[transmitting]
+        ior = data.ior[indices][transmitting]
+        ratio = np.where(inside[transmitting], ior, 1.0 / ior)
+        cos_incident = -row_dot(d, n)
+        sin2_transmitted = ratio * ratio * (1.0 - cos_incident * cos_incident)
+        total_internal = sin2_transmitted > 1.0
+        cos_transmitted = np.sqrt(np.maximum(0.0, 1.0 - sin2_transmitted))
+        refracted_dir = (
+            ratio[:, None] * d + (ratio * cos_incident - cos_transmitted)[:, None] * n
+        )
+        reflected_dir = d - 2.0 * row_dot(d, n)[:, None] * n
+        secondary_dir = np.where(total_internal[:, None], reflected_dir, refracted_dir)
+        secondary_origin = np.where(
+            total_internal[:, None],
+            surface[transmitting],
+            points[transmitting] - n * EPSILON,
+        )
+        contribution = reference_trace_packet(
+            tracer, index, secondary_origin, normalize_rows(secondary_dir), depth + 1
+        )
+        color[transmitting] += transparency[transmitting][:, None] * contribution
+
+    return np.clip(color, 0.0, 1.0)
+
+
+def reference_render_section(scene, camera, y_start, y_end, touch=False):
+    """``render_section(..., mode="fused")`` over the reference shader, as
+    one packet: ``(pixels, rays_cast, summary)``."""
+    from repro.raytracer.coherence import TileTouch
+    from repro.raytracer.tracer import RayTracer
+
+    tracer = RayTracer(scene, camera)
+    if touch:
+        tracer.touch = TileTouch(camera.width)
+    n = (y_end - y_start) * camera.width
+    origins, directions = camera.primary_ray_block_into(
+        y_start, y_end, np.empty((n, 3)), np.empty(n)
+    )
+    colors = reference_trace_packet(tracer, scene.index, origins, directions)
+    pixels = colors.reshape(y_end - y_start, camera.width, 3)
+    summary = tracer.touch.summary(tracer.rays_cast) if touch else None
+    return pixels, tracer.rays_cast, summary
+
+
+# -- the planner's one-pair shadow-cone test ----------------------------------
+def reference_cones_overlap(
+    light_pos: np.ndarray,
+    hit_min: np.ndarray,
+    hit_max: np.ndarray,
+    box_min: np.ndarray,
+    box_max: np.ndarray,
+) -> bool:
+    """Can ``box`` intersect any segment light→p for p in the hit region?
+
+    The one-pair form of the planner's bounding-sphere cone test."""
+    hit_center = 0.5 * (hit_min + hit_max)
+    hit_radius = 0.5 * float(np.linalg.norm(hit_max - hit_min))
+    box_center = 0.5 * (box_min + box_max)
+    box_radius = 0.5 * float(np.linalg.norm(box_max - box_min))
+    to_hit = hit_center - light_pos
+    to_box = box_center - light_pos
+    dist_hit = float(np.linalg.norm(to_hit))
+    dist_box = float(np.linalg.norm(to_box))
+    if dist_box <= box_radius + 1e-12 or dist_hit <= hit_radius + 1e-12:
+        return True  # the light sits inside one of the spheres
+    if dist_box - box_radius > dist_hit + hit_radius:
+        return False  # the blocker is entirely beyond every hit point
+    cos_axis = float(np.dot(to_hit, to_box)) / (dist_hit * dist_box)
+    axis_angle = math.acos(min(1.0, max(-1.0, cos_axis)))
+    half_hit = math.asin(min(1.0, hit_radius / dist_hit))
+    half_box = math.asin(min(1.0, box_radius / dist_box))
+    return axis_angle <= half_hit + half_box

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.raytracer.camera import Camera
 from repro.raytracer.flatbvh import FlatBVH
-from repro.raytracer.coherence import _cones_overlap, _cones_overlap_block
+from repro.raytracer.coherence import _cones_overlap_block
 from repro.raytracer.geometry.primitives import Plane, Sphere, Triangle
 from repro.raytracer.materials import MATERIAL_FIELDS, Material
 from repro.raytracer.mutation import (
@@ -38,7 +38,7 @@ from repro.raytracer.scene import Light, Scene, random_scene
 from repro.raytracer.tracer import RayTracer
 from repro.raytracer.vec import vec3
 
-from oracles import reference_content_key
+from oracles import reference_cones_overlap, reference_content_key
 
 _MEMO_ATTRS = (
     "_repro_content_key",
@@ -376,7 +376,7 @@ class TestConesOverlapBlock:
     """The (U, B)-grid shadow-cone kernel must agree with the scalar reference.
 
     ``plan_tiles`` calls the vectorised kernel once per (section, light);
-    a divergence from :func:`_cones_overlap` would silently re-render too
+    a divergence from ``reference_cones_overlap`` would silently re-render too
     much (slow) or too little (wrong pixels), so the equivalence is pinned
     over random sphere configurations including the degenerate branches
     (light inside a sphere, blocker entirely beyond the hits).
@@ -401,7 +401,7 @@ class TestConesOverlapBlock:
         hits = boxes(data.draw(st.integers(1, 4)), -6.0, 6.0, 3.0)
         moved = boxes(data.draw(st.integers(1, 4)), -6.0, 6.0, 1.0)
         expected = any(
-            _cones_overlap(light, h_min, h_max, b_min, b_max)
+            reference_cones_overlap(light, h_min, h_max, b_min, b_max)
             for h_min, h_max in hits
             for b_min, b_max in moved
         )
