@@ -101,7 +101,7 @@ class BruteForceIndex:
 
     def any_hit_packet(
         self, origins: np.ndarray, directions: np.ndarray, t_min: float = 1e-6, t_max=np.inf,
-        wave: Optional[int] = None,  # a scan has no traversal waves
+        wave: Optional[int] = None, seed: Optional[np.ndarray] = None,  # a scan needs neither
     ) -> np.ndarray:
         n = origins.shape[0]
         occluded = np.zeros(n, dtype=bool)

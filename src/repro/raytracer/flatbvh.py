@@ -44,21 +44,29 @@ compile step.  One structure is built (:meth:`Scene.build_index
   :meth:`FlatBVH.refitted` read leaf boxes and kernel rows through one
   per-kind reader, :func:`_read_leaves`.
 * **Packet traversal** (the ``fused`` render path) is a wavefront: a
-  frontier of ``(ray, node)`` pairs held as int arrays, walked one tree
-  level per step.  Each step slab-tests every pair in one gathered
-  ``(3, pairs)`` NumPy expression, sends the surviving pairs whose node
-  fits the batch rule (``BATCH_WORK``) to a pair-list leaf kernel over
-  gathered ``(ray, primitive)`` rows, and replaces the other survivors by
-  their two children — so the Python steps per packet follow the tree
-  depth, not the number of nodes visited.  Rays enter in waves of
-  ``WAVE_RAYS``, which bounds the frontier and its peak memory.  The leaf
-  kernels reproduce :meth:`Sphere.intersect_block` /
+  frontier of ``(ray, node)`` pairs held as int arrays, walked two tree
+  levels per step.  Each step slab-tests every pair in one gathered
+  ``(3, nodes, rays)`` NumPy expression, sends the surviving pairs whose
+  node fits the batch rule (``BATCH_WORK``) to a pair-list leaf kernel
+  over gathered ``(ray, primitive)`` rows, and replaces each other
+  survivor by its up to four grandchildren (a child that fits the batch
+  rule stays as itself) — so the Python steps per packet follow half the
+  tree depth, not the number of nodes visited.  A packet (a shadow
+  packet: one light's group) splits into interleaved classes of at most
+  ``WAVE_RAYS`` rays, which bounds the frontier and its peak memory.  A
+  class is walked after its neighbours: each ray is first tested against
+  the leaves its nearest walked neighbours hit, and a shadow ray against
+  its own hit (``seed``), so it starts with a bound or is already
+  occluded.  The leaf kernels reproduce :meth:`Sphere.intersect_block` /
   :meth:`Triangle.intersect_block` operation-for-operation; their dot
   products must be ``einsum("ij,ij->i")`` (the reduction order of the
   block kernels) — a hand-written ``x*x + y*y + z*z`` rounds differently.
   The closest hit per ray is the lexicographic minimum of ``(t, leaf
   slot)``, so exact-``t`` ties resolve to the lower leaf slot whatever
-  order the frontier meets them in.
+  order the frontier and the seeds meet them in.  ``stats.node_visits``
+  counts the ray-box tests made (the frontier's padding is not counted;
+  the dense path counts one root visit per ray) and
+  ``stats.primitive_tests`` the ray-primitive tests, seeds included.
 * **Scalar traversal** (the ``scalar`` oracle mode) walks the same arrays
   in layout order with one ray and tests each leaf with the primitive's own
   scalar ``intersect``, so it checks the batched kernels independently and
@@ -224,18 +232,26 @@ class FlatBVH:
     index.
     """
 
-    #: the batch rule: a node whose ``subtree_leaves * rays_in_wave`` fits
+    #: the batch rule: a node whose ``subtree_leaves * rays_in_class`` fits
     #: this budget is not descended — once its box passes, the ray is paired
-    #: with every leaf under it.  A small scene is then a frontier whose first
-    #: step is a batch, while a 512-ray wave descends to 2-leaf subtrees,
-    #: whose boxes prune far better than brute-forcing larger ones.  1024 is
-    #: the best of a sweep (1 .. 8192) on the benchmark workloads' packets;
-    #: 1 tests every leaf box
+    #: with every leaf under it.  A small scene is then one batch, while a
+    #: 512-ray class descends to 2-leaf subtrees, whose boxes prune far
+    #: better than brute-forcing larger ones.  1024 is the best of a sweep
+    #: (1 .. 8192) on the benchmark workloads' packets.  Re-swept (256 ..
+    #: 4096) under the seeded two-level walk: 2048 and 4096 cut the walk
+    #: steps of a ``frame_heavy`` frame by 16 and 24 % but add 81 and 249 %
+    #: primitive tests; 2048 rendered the ``frame_heavy`` frames ~5 %
+    #: faster and the 600-sphere ``cold_scene`` frames ~6 % slower (min of
+    #: 24 runs each), so 1024 stays; 1 tests every leaf box
     BATCH_WORK = 1024
 
-    #: rays per wave: the frontier walks at most this many rays at once,
+    #: rays per class: the frontier walks at most this many rays at once,
     #: which bounds its peak size (and the process's peak memory) whatever
-    #: the packet size; 512 was the fastest of 256 .. 2048
+    #: the packet size; 512 was the fastest of 256 .. 2048.  Re-swept under
+    #: the seeded walk: 256 makes a ``frame_heavy`` frame take 51 % more
+    #: walk steps, 1024 takes 33 % fewer steps but makes 26 % more box
+    #: tests (half the rays walk unseeded), 2048 leaves a 2048-ray section
+    #: no neighbour seeds; none beat 512 beyond the host's noise
     WAVE_RAYS = 512
 
     def __init__(self) -> None:
@@ -445,16 +461,26 @@ class FlatBVH:
     ) -> np.ndarray:
         """Slab test of ray ``rays[k]`` against nodes ``nodes[:, k]``.
 
-        ``nodes`` is ``(c, k)``: the frontier holds both children of a node
-        for the same ray, so each ray row is gathered once and broadcast
-        over its ``c`` nodes.  ``org``/``inv``/``deg`` are ``(3, n)``
+        ``nodes`` is ``(c, k)``: the frontier holds up to four nodes below a
+        node for the same ray, so each ray row is gathered once and
+        broadcast over its ``c`` nodes.  ``org``/``inv``/``deg`` are ``(3, n)``
         per-packet rows and the gathered blocks ``(3, c, k)``, so the whole
         test is a dozen NumPy calls whatever the pair count.  Returns the
         ``(c, k)`` accept mask within ``[t_min, hi[k]]`` — the accept set of
         the scalar ``slab_hit``, including the parallel-ray rule: a
         degenerate axis leaves the interval unconstrained when the origin
         lies inside the slab and rejects the ray outright when it does not.
+        A wide frontier is tested ``2 * WAVE_RAYS`` columns at a time, which
+        bounds the ``(3, c, columns)`` temporaries and so a step's peak
+        memory.
         """
+        span = 2 * self.WAVE_RAYS
+        if rays.size > span:
+            return np.concatenate([
+                self._slab(rays[i : i + span], nodes[:, i : i + span], org, inv, deg, t_min,
+                           hi[i : i + span])
+                for i in range(0, rays.size, span)
+            ], axis=1)
         o = org.take(rays, axis=1)[:, None]
         iv = inv.take(rays, axis=1)[:, None]
         t0 = self.box_min.take(nodes, axis=1)
@@ -488,8 +514,8 @@ class FlatBVH:
         if count.max() == 1:
             return rays, first
         total = int(count.sum())
-        start = np.repeat(first - (np.cumsum(count) - count), count)
-        return np.repeat(rays, count), start + np.arange(total)
+        start = (first - (count.cumsum() - count)).repeat(count)
+        return rays.repeat(count), start + np.arange(total)
 
     def _pair_t(
         self,
@@ -544,19 +570,21 @@ class FlatBVH:
 
         ``einsum("ij,ij->i")`` is the reduction :meth:`Sphere.intersect_block`
         uses (``row_dot``); a hand-written ``x*x + y*y + z*z`` sums in another
-        order and moves pixels by ~1e-9.
+        order and moves pixels by ~1e-9.  The root preference is the block
+        kernel's in fewer calls: the near root when it is past ``t_min``,
+        else the far one, kept if inside ``[t_min, tm]`` (``far >= near``,
+        so a near root past ``tm`` leaves no far one).  A miss has a
+        negative discriminant and NaN roots, which fail every range test
+        (the traversal runs under ``errstate(invalid="ignore")``).
         """
         oc = origins.take(rays, axis=0) - self.sphere_center.take(rows, axis=0)
         half_b = np.einsum("ij,ij->i", oc, directions.take(rays, axis=0))
         c = np.einsum("ij,ij->i", oc, oc) - self.sphere_r2[rows]
-        disc = half_b * half_b - c
-        valid = disc >= 0.0
-        sqrt_d = np.sqrt(np.where(valid, disc, 0.0))
-        near = -half_b - sqrt_d
-        far = -half_b + sqrt_d
-        near_ok = valid & (near >= t_min) & (near <= tm)
-        far_ok = valid & (far >= t_min) & (far <= tm)
-        return np.where(near_ok, near, np.where(far_ok, far, np.inf))
+        sqrt_d = np.sqrt(half_b * half_b - c)
+        half_b = -half_b
+        near = half_b - sqrt_d
+        root = np.where(near >= t_min, near, half_b + sqrt_d)
+        return np.where((root >= t_min) & (root <= tm), root, np.inf)
 
     def _triangle_t(
         self,
@@ -591,6 +619,56 @@ class FlatBVH:
         )
         return np.where(ok, cand, np.inf)
 
+    def _batch_rule(self, size: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The batch rule of a class of ``size`` rays and its two-level step.
+
+        The class size is first rounded up to a power of four, at most
+        ``WAVE_RAYS``, so that a handful of rules is ever memoised (six
+        with the defaults), whatever sizes the packets have.  Returns
+        ``(batch_node, below)``: the mask of nodes whose subtree fits the
+        leaf budget ``BATCH_WORK // rounded size``, and the ``(4, m)`` table of what
+        replaces a surviving non-batch node in the frontier: each of its two
+        children, or that child's two children when the child is not a
+        batch node itself (``-1`` pads).
+        """
+        bucket = 1
+        while bucket < size:
+            bucket *= 4
+        leaves = max(1, self.BATCH_WORK // min(bucket, self.WAVE_RAYS))
+        rule = self._batch_rules.get(leaves)
+        if rule is None:
+            batch_node = self.leaf_end - self.first_leaf <= leaves
+            below = np.full((4, batch_node.size), -1, dtype=np.int32)
+            inner = (~batch_node).nonzero()[0]  # internal nodes, never leaves
+            for row, child in ((0, inner + 1), (2, self.left[inner])):
+                stays = batch_node[child]
+                below[row, inner] = np.where(stays, child, child + 1)
+                below[row + 1, inner] = np.where(stays, -1, self.left[child])
+            rule = self._batch_rules[leaves] = (batch_node, below)
+        return rule
+
+    def _fold(self, pr: np.ndarray, ps: np.ndarray, t: np.ndarray, bound: np.ndarray,
+              found: np.ndarray, occluded: Optional[np.ndarray]) -> None:
+        """Fold the hits among ``(ray, leaf slot)`` pairs with parameters
+        ``t`` into the per-ray state: the lexicographic minimum of ``(t,
+        slot)`` in ``bound``/``found``, or (any hit) the ``occluded`` flag
+        and the occluder's slot in ``found``."""
+        hit = (t < np.inf).nonzero()[0]
+        if hit.size == 0:
+            return
+        pr, ps, t = pr[hit], ps[hit], t[hit]
+        if occluded is not None:
+            occluded[pr] = True
+            found[pr] = ps
+            return
+        # lowest t first, then the lowest slot among its ties
+        before = bound[pr]
+        np.minimum.at(bound, pr, t)
+        after = bound[pr]
+        found[pr[after < before]] = _NO_SLOT
+        tie = t == after
+        np.minimum.at(found, pr[tie], ps[tie])
+
     def _traverse(
         self,
         origins: np.ndarray,
@@ -600,59 +678,99 @@ class FlatBVH:
         slot: Optional[np.ndarray] = None,
         occluded: Optional[np.ndarray] = None,
         wave: Optional[int] = None,
+        seed: Optional[np.ndarray] = None,
     ) -> None:
         """The wavefront walk both packet queries share.
 
         Closest hit (``slot`` given): hits fold into the per-ray
         lexicographic minimum of ``(t, leaf slot)``, held in ``bound`` and
         ``slot``.  Any hit (``occluded`` given): a hit flags its ray, which
-        then leaves the frontier.  Rays enter in waves of ``wave`` (at most
-        ``WAVE_RAYS``) rays, or all at once by :meth:`_dense` when every
-        wave's root is a batch node.
+        then leaves the frontier.  The packet splits into groups of
+        ``wave`` rays (one light's shadow rays), each group of ``g`` rays
+        into ``s = ceil(g / WAVE_RAYS)`` interleaved classes ``i % s == c``,
+        walked in turn.  Before its walk a class tests each ray against the
+        leaf slots its seeds name — its own ``seed`` row and the hits of its
+        nearest walked neighbours ``i - 1`` and ``i + s - c`` — so it enters
+        the tree with a bound, or already occluded.  When every class's root
+        is a batch node the packet goes to :meth:`_dense` instead.
         """
         n = origins.shape[0]
-        wave = min(self.WAVE_RAYS, wave or n)
-        if self.num_primitives <= self.BATCH_WORK // wave:
+        group = min(n, wave or n)
+        size = -(-group // -(-group // self.WAVE_RAYS))  # the largest class
+        if self.num_primitives <= max(1, self.BATCH_WORK // size):  # a batch root
             self.stats.node_visits += n  # one root visit per ray
             self._dense(origins, directions, t_min, bound, slot, occluded)
             return
+        rule = self._batch_rule(size)  # no batch root: the dense test above
         org = np.ascontiguousarray(origins.T)
         inv, deg = self._packet_inverse(directions)
-        for w0 in range(0, n, wave):
-            rays = np.arange(w0, min(n, w0 + wave))
-            leaves = max(1, self.BATCH_WORK // rays.size)
-            batch_node = self._batch_rules.get(leaves)
-            if batch_node is None:
-                batch_node = self._batch_rules[leaves] = self.leaf_end - self.first_leaf <= leaves
-            nodes = np.zeros((1, rays.size), dtype=np.int64)
-            while rays.size:
-                self.stats.node_visits += int(nodes.size)
-                keep = self._slab(rays, nodes, org, inv, deg, t_min, bound[rays]).ravel()
-                if nodes.shape[0] == 2:
-                    rays = np.concatenate((rays, rays))
-                nodes = nodes.ravel()
-                batch = batch_node[nodes]
-                leaf = (keep & batch).nonzero()[0]
-                if leaf.size:
-                    pr, ps = self._leaf_pairs(rays[leaf], nodes[leaf])
-                    t = self._pair_t(pr, ps, origins, directions, t_min, bound[pr])
-                    hit = (t < np.inf).nonzero()[0]
-                    pr, ps, t = pr[hit], ps[hit], t[hit]
-                    if hit.size and occluded is not None:
-                        occluded[pr] = True
-                        keep &= ~occluded[rays]
-                    elif hit.size:
-                        # lowest t first, then the lowest slot among its ties
-                        before = bound[pr]
-                        np.minimum.at(bound, pr, t)
-                        after = bound[pr]
-                        slot[pr[after < before]] = _NO_SLOT
-                        tie = t == after
-                        np.minimum.at(slot, pr[tie], ps[tie])
-                # both children of a surviving node share its ray: (2, k)
-                inner = (keep > batch).nonzero()[0]
-                rays, nodes = rays[inner], nodes[inner]
-                nodes = np.concatenate((nodes + 1, self.left[nodes])).reshape(2, -1)
+        # each ray's hit slot, the seed of its neighbours in later classes
+        found = slot if occluded is None else np.full(n, _NO_SLOT, dtype=np.int64)
+        if seed is not None:
+            seed = np.where((seed >= 0) & (seed < self.num_primitives), seed, _NO_SLOT)
+        for g0 in range(0, n, group):
+            g1 = min(n, g0 + group)
+            classes = -(-(g1 - g0) // self.WAVE_RAYS)
+            for c in range(classes):
+                rays = np.arange(g0 + c, g1, classes)
+                seeds = [] if seed is None else [seed[rays]]
+                if c:
+                    right = rays + (classes - c)
+                    seeds += [found[rays - 1], found[np.where(right < g1, right, rays - c)]]
+                if seeds:
+                    rays = self._seed(rays, np.array(seeds), origins, directions, t_min,
+                                      bound, found, occluded)
+                self._walk(rays, rule, origins, directions, org, inv, deg, t_min,
+                           bound, found, occluded)
+
+    def _seed(self, rays: np.ndarray, seeds: np.ndarray, origins: np.ndarray,
+              directions: np.ndarray, t_min: float, bound: np.ndarray, found: np.ndarray,
+              occluded: Optional[np.ndarray]) -> np.ndarray:
+        """Test ray ``rays[k]`` against leaf slots ``seeds[:, k]`` (repeats
+        and out-of-range slots skipped) in one pair-kernel call and fold the
+        hits; returns the rays still to walk."""
+        keep = seeds < self.num_primitives
+        keep[1:] &= seeds[1:] != seeds[:-1]
+        pick = keep.nonzero()
+        if pick[0].size:
+            pr, ps = rays[pick[1]], seeds[pick]
+            t = self._pair_t(pr, ps, origins, directions, t_min, bound[pr])
+            self._fold(pr, ps, t, bound, found, occluded)
+            if occluded is not None:
+                return rays[~occluded[rays]]
+        return rays
+
+    def _walk(self, rays: np.ndarray, rule: Tuple[np.ndarray, np.ndarray],
+              origins: np.ndarray, directions: np.ndarray, org: np.ndarray, inv: np.ndarray,
+              deg: Any, t_min: float, bound: np.ndarray, found: np.ndarray,
+              occluded: Optional[np.ndarray]) -> None:
+        """Walk ``rays`` down the tree, two levels per step.
+
+        The frontier is ``(c, k)``: up to ``c = 4`` nodes below a surviving
+        node for each of ``k`` rays, ``-1`` padded, starting below the root,
+        which the rule never makes a batch node.
+        Each step slab-tests it, sends the surviving batch nodes' leaves to
+        the pair kernel and replaces the other survivors by ``below``.
+        """
+        batch_node, below = rule
+        nodes = below[:, :1].repeat(rays.size, axis=1)
+        while rays.size:
+            keep = self._slab(rays, nodes, org, inv, deg, t_min, bound[rays])
+            real = nodes >= 0
+            keep &= real
+            self.stats.node_visits += int(np.count_nonzero(real))
+            pair_rays = rays[None].repeat(nodes.shape[0], 0).ravel()  # each flat pair's ray
+            nodes, flat_keep = nodes.ravel(), keep.ravel()
+            batch = batch_node.take(nodes)
+            leaf = (flat_keep & batch).nonzero()[0]
+            if leaf.size:
+                pr, ps = self._leaf_pairs(pair_rays.take(leaf), nodes.take(leaf))
+                t = self._pair_t(pr, ps, origins, directions, t_min, bound[pr])
+                self._fold(pr, ps, t, bound, found, occluded)
+                if occluded is not None:
+                    keep &= ~occluded[rays]
+            inner = (flat_keep > batch).nonzero()[0]
+            rays, nodes = pair_rays.take(inner), below.take(nodes.take(inner), axis=1)
 
     def _dense(self, origins: np.ndarray, directions: np.ndarray, t_min: float, bound: np.ndarray,
                slot: Optional[np.ndarray], occluded: Optional[np.ndarray]) -> None:
@@ -689,17 +807,21 @@ class FlatBVH:
 
     def any_hit_packet(
         self, origins: np.ndarray, directions: np.ndarray, t_min: float = 1e-6, t_max=np.inf,
-        wave: Optional[int] = None,
+        wave: Optional[int] = None, seed: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Vectorized occlusion query; ``t_max`` may be per-ray.  A packet of
-        several lights' shadow rays passes its rays per light as ``wave``, so
-        each wave meets the batch rule a one-light packet would."""
+        several lights' shadow rays passes one light's ray count as
+        ``wave``, so each light's group is walked as a one-light packet
+        would be.  ``seed`` names a leaf slot per ray to test before the
+        walk (a shadow ray's own hit: a surface facing away from the light
+        occludes itself); a slot outside ``[0, size)`` is no seed."""
         n = origins.shape[0]
         occluded = np.zeros(n, dtype=bool)
         if self.num_primitives and n:
             tmax = broadcast_tmax(t_max, n)
             with np.errstate(over="ignore", invalid="ignore"):
-                self._traverse(origins, directions, t_min, tmax, occluded=occluded, wave=wave)
+                self._traverse(origins, directions, t_min, tmax, occluded=occluded, wave=wave,
+                               seed=seed)
         return occluded
 
 

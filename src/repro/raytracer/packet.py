@@ -8,7 +8,7 @@ module renders whole image sections as *packets*:
 * the camera emits all primary rays of a section as ``(n, 3)`` arrays
   (:meth:`~repro.raytracer.camera.Camera.primary_ray_block_into`);
 * the scene's flat BVH is traversed once per packet by a wavefront of
-  ``(ray, node)`` pairs, one tree level per NumPy step
+  ``(ray, node)`` pairs, two tree levels per NumPy step
   (:meth:`~repro.raytracer.flatbvh.FlatBVH.intersect_packet`), testing
   every pair's node box at once and the leaf pairs with pair-list NumPy
   kernels (scalar fallback for primitives without a vectorized kernel);
@@ -134,10 +134,11 @@ def occluded_packet(
     directions: np.ndarray,
     max_distance: np.ndarray,
     wave: Optional[int] = None,
+    seed: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Vectorized :meth:`RayTracer.occluded` for a packet of shadow rays
-    (``wave``: see :meth:`FlatBVH.any_hit_packet`)."""
-    occluded = index.any_hit_packet(origins, directions, 1e-6, max_distance, wave)
+    (``wave`` and ``seed``: see :meth:`FlatBVH.any_hit_packet`)."""
+    occluded = index.any_hit_packet(origins, directions, 1e-6, max_distance, wave, seed)
     tmax = broadcast_tmax(max_distance, origins.shape[0])
     for obj in scene.unbounded_objects:
         active = (~occluded).nonzero()[0]

@@ -139,9 +139,12 @@ def shade_block(
             to_light / np.where(positive, distance, 1.0)[:, None],
             to_light,
         )
-        # shadow packet: the scalar path re-normalizes inside Ray.__init__
+        # shadow packet: the scalar path re-normalizes inside Ray.__init__;
+        # each ray first tests its own hit, which occludes a surface facing
+        # away from the light
         lit = ~occluded_packet(scene, index, np.concatenate((surface,) * count),
-                               normalize_rows(light_dir), distance, wave=n)
+                               normalize_rows(light_dir), distance, wave=n,
+                               seed=np.tile(indices, count))
         facing = np.concatenate((oriented,) * count)
         lambert = np.maximum(0.0, row_dot(facing, light_dir)).reshape(count, n)
         diffuse = data.diffuse[indices] * lambert * intensity

@@ -27,6 +27,7 @@ the channel.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
 import warnings
 from collections import deque
@@ -90,19 +91,59 @@ def recv_frame(conn) -> Tuple[int, int, Any, Optional[bytes], List[bytes], int]:
     return kind, channel, meta, payload, buffers, nbytes
 
 
+def _drop_inherited_sockets(keep: int) -> None:
+    """Release every socket a forked child inherited, except fd ``keep``.
+
+    A worker forked while the parent holds sockets — a gateway client's
+    connection, other workers' link ends — would keep each open until it
+    exits, so the peer sees no EOF when the parent closes its copy.  Each
+    such fd is pointed at ``/dev/null`` rather than closed: the parent's
+    objects that own those numbers live on in the child's memory, and a
+    closed number could be reused and then closed under a new owner.
+    The sweep allocates little, since every page it writes in the child
+    is a copy-on-write copy (about 100 kB per worker).  Pipes and files
+    stay open (``multiprocessing``'s sentinel pipe, which
+    the parent watches for the child's death, and the resource tracker's
+    pipe among them).  A no-op where ``/proc/self/fd`` does not exist.
+    """
+    try:
+        names = os.listdir("/proc/self/fd")
+    except OSError:
+        return
+    devnull = -1
+    for name in names:
+        try:
+            if int(name) == keep or not os.readlink("/proc/self/fd/" + name).startswith("socket:"):
+                continue
+        except OSError:  # the listing's own fd, closed by now
+            continue
+        if devnull < 0:
+            devnull = os.open(os.devnull, os.O_RDWR)
+        os.dup2(devnull, int(name))
+    if devnull >= 0:
+        os.close(devnull)
+
+
+def _child_main(target: Callable[[Any], None], conn) -> None:
+    _drop_inherited_sockets(keep=conn.fileno())
+    target(conn)
+
+
 class PipeLink:
     """Parent-side end of one forked worker: process, duplex pipe, sentinel.
 
-    ``target(conn)`` runs in the child.  :attr:`pending` lists what
-    the worker owes the parent in send order; a worker answers frames in
-    the order it read them, so a reply always settles ``pending[0]``.
+    ``target(conn)`` runs in the child, which first lets go of every socket
+    it inherited but ``conn`` (:func:`_drop_inherited_sockets`).
+    :attr:`pending` lists what the worker owes the parent in send order; a
+    worker answers frames in the order it read them, so a reply always
+    settles ``pending[0]``.
     """
 
     def __init__(self, target: Callable[[Any], None], name: str):
         ctx = multiprocessing.get_context("fork")
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.process = ctx.Process(
-            target=target, args=(child_conn,), name=name, daemon=True
+            target=_child_main, args=(target, child_conn), name=name, daemon=True
         )
         try:
             self.process.start()
@@ -121,11 +162,7 @@ class PipeLink:
         return not self.dead and self.process.exitcode is None
 
     def stop(self) -> None:
-        """Ask the worker to exit: ``SHUTDOWN`` if it owes nothing, else kill.
-
-        Closing the pipe is not enough on its own: workers forked later
-        hold inherited copies of this end, so the worker would not see EOF.
-        """
+        """Ask the worker to exit: ``SHUTDOWN`` if it owes nothing, else kill."""
         if self.conn.closed:
             return
         try:

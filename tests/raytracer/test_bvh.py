@@ -171,11 +171,13 @@ class TestDeterminism:
     #: test, not for a worse tree
     NODE_VISITS_PER_RAY = 112.0
 
-    #: packet work per ray (ray-box plus ray-primitive tests) of the fused
-    #: wavefront traversal on the same frames, measured 201.8, 210.8, 199.6
-    #: and 197.3 (the per-node packet DFS it replaced did 419.0, 353.5,
-    #: 385.1 and 362.3); the bound leaves the same ~4 %
-    PACKET_WORK_PER_RAY = 219.0
+    #: packet work per ray (ray-box plus ray-primitive tests, seed tests
+    #: included) of the fused wavefront traversal on the same frames,
+    #: measured 133.8, 137.5, 131.2 and 140.9 with neighbour and self seeds
+    #: and two levels per step (the one-level walk did 201.8, 210.8, 199.6
+    #: and 197.3, the per-node packet DFS before it 419.0, 353.5, 385.1 and
+    #: 362.3); the bound leaves the same ~4 %
+    PACKET_WORK_PER_RAY = 147.0
 
     def _per_ray(self, mode):
         camera = Camera(width=32, height=32)

@@ -168,10 +168,11 @@ class TestExactEquivalence:
             flat.any_hit_packet(origins, directions, t_max=tmax),
         )
 
-    @pytest.mark.parametrize("batch_work, wave_rays", [(1, 7), (1_000, 1), (480, 512)])
+    @pytest.mark.parametrize("batch_work, wave_rays", [(1, 7), (1_000, 1), (1_000, 512)])
     def test_batch_rule_and_wave_size_do_not_change_hits(self, batch_work, wave_rays):
-        # every leaf box tested in 7-ray waves, the whole 71-leaf scene as
-        # one batch in 1-ray waves, and 4-leaf batches in one 120-ray wave:
+        # every leaf box tested in 18 neighbour-seeded classes of 7 rays,
+        # the whole 71-leaf scene as one batch in 1-ray classes, and 3-leaf
+        # batches in one 120-ray class (rounded up to 256 for the budget):
         # the same hits, the same exact-t tie-breaks
         scene = _mixed_scene(num_spheres=60, seed=21)
         brute = BruteForceIndex(scene.bounded_objects)
@@ -190,6 +191,34 @@ class TestExactEquivalence:
             flat.any_hit_packet(origins, directions, t_max=tmax),
             brute.any_hit_packet(origins, directions, t_max=tmax),
         )
+
+
+class TestSeeds:
+    def test_a_shadow_ray_its_own_sphere_occludes_tests_no_box(self):
+        # a shadow ray leaving each sphere's surface into the sphere (the
+        # light behind it) is occluded by its own hit: one pair test, no
+        # box; the same ray without its seed walks the tree
+        flat = random_scene(num_spheres=200, seed=5).index
+        slots = flat.sphere_slot[:64]
+        normal = normalize_rows(np.random.default_rng(3).normal(size=(slots.size, 3)))
+        centre = flat.sphere_center[flat.sphere_before[slots]]
+        radius = np.sqrt(flat.sphere_r2[flat.sphere_before[slots]])
+        origins = centre + normal * (radius + 1e-4)[:, None]
+        flat.stats.reset()
+        assert flat.any_hit_packet(origins, -normal, t_max=50.0, seed=slots).all()
+        assert (flat.stats.node_visits, flat.stats.primitive_tests) == (0, slots.size)
+        assert flat.any_hit_packet(origins, -normal, t_max=50.0).all()
+        assert flat.stats.node_visits > 0
+
+    def test_a_frame_memoises_a_handful_of_batch_rules(self):
+        # the rule is keyed by a class size rounded up to a power of four,
+        # so a frame's primary, shadow and secondary packets of every size
+        # share at most six (with the default WAVE_RAYS and BATCH_WORK)
+        scene = random_scene(num_spheres=1000, seed=1)
+        camera = Camera(width=128, height=128)
+        for y in range(0, 128, 16):
+            render_section(scene, camera, y, y + 16, mode="fused")
+        assert 1 <= len(scene.index._batch_rules) <= 6
 
 
 class TestSceneFlatCache:

@@ -14,6 +14,7 @@ import collections
 import copy
 import os
 import signal
+import socket
 import sys
 import threading
 import time
@@ -32,9 +33,11 @@ from repro.snet.errors import RuntimeError_
 from repro.snet.filters import Filter
 from repro.snet.network import run_network
 from repro.snet.patterns import Guard, Pattern, TagRef
+from repro.snet.placement import StaticPlacement
 from repro.snet.records import Record
 from repro.snet.runtime import (
     BoxWorkerError,
+    DistributedRuntime,
     ProcessRuntime,
     ThreadedRuntime,
     Tracer,
@@ -390,6 +393,46 @@ class TestPipeLink:
         outputs = runtime.run(Serial(make, brighten), inputs, timeout=60.0)
         assert sorted(r.field("plane")[5, 7, 1] for r in outputs) == [i + 1.0 for i in range(24)]
         assert runtime.bytes_pickled > 2 * 24 * 256 * 256 * 3 * 8
+
+    @pytest.mark.parametrize("make_runtime, place", [
+        (lambda: ProcessRuntime(workers=2), lambda net: net),
+        (lambda: DistributedRuntime(nodes=2), lambda net: StaticPlacement(net, 1)),
+    ], ids=["pool", "partition"])
+    def test_workers_let_go_of_the_parents_sockets(self, make_runtime, place):
+        # a socket open in the parent at fork time (a gateway client's
+        # connection, say) must not stay open in a worker, or its peer sees
+        # no EOF when the parent closes it; the workers still run and still
+        # shut down through their own link ends
+        def socket_inodes(pid):
+            inodes = set()
+            for fd in os.listdir(f"/proc/{pid}/fd"):
+                try:
+                    target = os.readlink(f"/proc/{pid}/fd/{fd}")
+                except OSError:
+                    continue
+                if target.startswith("socket:["):
+                    inodes.add(int(target[8:-1]))
+            return inodes
+
+        parent_end, peer = socket.socketpair()
+        runtime = make_runtime()
+        try:
+            net = place(_suicidal_box())
+            runtime.setup(net)
+            outputs = runtime.run(net, [Record({"a": i}) for i in range(4)], timeout=30.0)
+            assert sorted(r.field("b") for r in outputs) == [1, 2, 3, 4]
+            held = {os.fstat(s.fileno()).st_ino for s in (parent_end, peer)}
+            assert len(runtime.worker_pids) == 2
+            for pid in runtime.worker_pids:
+                deadline = time.monotonic() + 10.0
+                while held & socket_inodes(pid) and time.monotonic() < deadline:
+                    time.sleep(0.01)  # a worker that got no batch may still be starting
+                assert not held & socket_inodes(pid), pid
+                assert len(socket_inodes(pid)) == 1, pid  # its own link end
+        finally:
+            runtime.teardown()
+            parent_end.close()
+            peer.close()
 
     def test_setup_and_teardown_start_no_threads_and_leave_no_children(
         self, count_thread_starts, live_children

@@ -517,6 +517,72 @@ class TestFlatBVHProperties:
             assert t == bt[ray]
 
 
+# Seeded packets: the walk splits a packet into interleaved classes and tests
+# each ray first against the hits of its walked neighbours (and, for shadow
+# rays, against a seed slot of its own).  Coherent fans over duplicated
+# spheres make neighbours hit the same sphere and meet exact-t ties between
+# two leaf slots; the brute-force scan over the leaf slots in slot order keeps
+# the lowest tied slot, so it names the exact primitive the walk must return.
+# The batch budget is at its minimum so that no packet takes the dense path.
+
+#: (BATCH_WORK, WAVE_RAYS): many small classes, and one class per packet
+SEEDED = pytest.mark.parametrize("traversal", [(1, 7), (1, 512)], ids=["7-ray", "512-ray"])
+
+coherent_fans = st.tuples(
+    st.tuples(st.floats(-2, 2), st.floats(-2, 2), st.floats(0, 4)),  # fan origin
+    st.tuples(st.floats(-3, 3), st.floats(-3, 3), st.floats(-8, -2)),  # aim point
+    st.floats(0.0, 0.15),  # angular step between neighbouring rays
+    st.integers(1, 60),  # rays
+)
+
+
+def _fan(fan):
+    from repro.raytracer.vec import normalize_rows
+
+    origin, aim, step, count = fan
+    spread = step * (np.arange(count) - count / 2.0)
+    directions = np.asarray(aim) - np.asarray(origin) + np.stack(
+        (spread, 0.5 * np.sin(spread), np.zeros(count)), axis=1
+    )
+    return np.repeat(np.asarray(origin, dtype=np.float64)[None], count, 0), normalize_rows(
+        directions
+    )
+
+
+class TestSeededPacketProperties:
+    @SEEDED
+    @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
+    @given(sphere_lists, st.integers(0, 25), coherent_fans, st.data())
+    def test_seeded_walk_equals_brute_force(self, traversal, raw, duplicate, fan, data):
+        spheres = [Sphere(vec3(x, y, z), r) for x, y, z, r in raw]
+        spheres += [Sphere(s.center, s.radius) for s in spheres[:duplicate]]  # exact ties
+        flat = _with_traversal(FlatBVH.build(spheres), traversal)
+        by_slot = BruteForceIndex(flat.packet_primitives)
+        origins, directions = _fan(fan)
+        fi, ft = flat.intersect_packet(origins, directions)
+        bi, bt = by_slot.intersect_packet(origins, directions)
+        assert np.array_equal(ft, bt)
+        assert [flat.packet_primitives[i] if i >= 0 else None for i in fi] == [
+            by_slot.primitives[i] if i >= 0 else None for i in bi
+        ]
+        # shadow-like queries: a seed per ray, -1 and rows past the index
+        # (the unbounded primitives' rows of a packet) included
+        n = origins.shape[0]
+        seed = np.array(data.draw(st.lists(
+            st.integers(-1, flat.size + 2), min_size=n, max_size=n
+        )), dtype=np.int64)
+        tmax = np.where(np.isfinite(bt), bt, 20.0) * data.draw(st.sampled_from([0.5, 1.0, 2.0]))
+        expected = by_slot.any_hit_packet(origins, directions, t_max=tmax)
+        assert np.array_equal(
+            flat.any_hit_packet(origins, directions, t_max=tmax, seed=seed), expected
+        )
+        half = -(-n // 2)  # two groups, as a two-light shadow packet enters
+        assert np.array_equal(
+            flat.any_hit_packet(origins, directions, t_max=tmax, wave=half, seed=seed),
+            expected,
+        )
+
+
 # Mixed scenes: spheres, triangles and an optional ground plane (kept off the
 # BVH on the scene's unbounded list), hit by rays whose direction components
 # are often exactly zero — the slab test's parallel-ray branch.
