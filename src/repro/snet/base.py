@@ -23,7 +23,6 @@ network of Fig. 3).
 
 from __future__ import annotations
 
-import copy as _copy
 import itertools
 from typing import Iterable, Iterator, List, Optional, Tuple
 
@@ -95,7 +94,8 @@ class Entity:
         are shared; stateful entities override :meth:`reset` to get fresh
         state.
         """
-        dup = _copy.copy(self)
+        dup = object.__new__(type(self))
+        dup.__dict__.update(self.__dict__)
         dup.entity_id = fresh_entity_id()
         for attr in self.CHILD_ATTRS:
             child = getattr(self, attr)

@@ -149,6 +149,19 @@ class Record(Mapping[Label, Any]):
         object.__setattr__(self, "_uid", _uid if _uid is not None else next(_record_counter))
         object.__setattr__(self, "_label_set", None)
 
+    @classmethod
+    def _of(cls, entries: Dict[Label, Any]) -> "Record":
+        """A record over ``entries`` that already hold labels and checked tags.
+
+        The functional updates below build their results from records, so
+        they skip the label parsing and tag checks of the constructor.
+        """
+        rec = object.__new__(cls)
+        object.__setattr__(rec, "_entries", entries)
+        object.__setattr__(rec, "_uid", next(_record_counter))
+        object.__setattr__(rec, "_label_set", None)
+        return rec
+
     # -- Mapping protocol -------------------------------------------------
     def __getitem__(self, label: LabelLike) -> Any:
         return self._entries[as_label(label)]
@@ -249,7 +262,7 @@ class Record(Mapping[Label, Any]):
             if isinstance(label, Tag):
                 value = _check_tag_value(label, value)
             merged[label] = value
-        return Record(merged)
+        return Record._of(merged)
 
     def with_field(self, name: str, value: Any) -> "Record":
         return self.with_entries({Field(name): value})
@@ -260,12 +273,12 @@ class Record(Mapping[Label, Any]):
     def without(self, labels: Iterable[LabelLike]) -> "Record":
         """Return a new record with the given labels removed (if present)."""
         drop = {as_label(l) for l in labels}
-        return Record({l: v for l, v in self._entries.items() if l not in drop})
+        return Record._of({l: v for l, v in self._entries.items() if l not in drop})
 
     def project(self, labels: Iterable[LabelLike]) -> "Record":
         """Return a new record restricted to the given labels."""
         keep = {as_label(l) for l in labels}
-        return Record({l: v for l, v in self._entries.items() if l in keep})
+        return Record._of({l: v for l, v in self._entries.items() if l in keep})
 
     def map_field_values(self, fn: "Callable[[Any], Any]") -> "Record":
         """Return a record with ``fn`` applied to every *field* value.
@@ -285,7 +298,7 @@ class Record(Mapping[Label, Any]):
                     changed = True
                 value = new_value
             mapped[label] = value
-        return Record(mapped) if changed else self
+        return Record._of(mapped) if changed else self
 
     def merge(self, other: "Record", override: bool = True) -> "Record":
         """Merge two records.
@@ -301,7 +314,7 @@ class Record(Mapping[Label, Any]):
         else:
             merged = dict(other._entries)
             merged.update(self._entries)
-        return Record(merged)
+        return Record._of(merged)
 
     # -- flow inheritance ----------------------------------------------------
     def excess_over(self, consumed_labels: Iterable[LabelLike]) -> "Record":

@@ -4,11 +4,15 @@
 *ports*: one per entity instance, each a step function taking one record
 (``on_record``) or the end of its input stream (``on_close``).  One
 run-to-completion :class:`RunScheduler` drives the whole graph on the
-thread that called :meth:`EngineCore.run`: a step pushes its outputs onto
-a FIFO deque of pending steps, so a record crossing 64 star levels is 64
-deque entries, never 64 nested calls and never an OS thread hand-off.
-What differs between backends sits behind an explicit :class:`Transport`
-seam:
+thread that called :meth:`EngineCore.run`.  Every port has its own FIFO
+inbox, and the scheduler always steps the port woken most recently: order
+is kept on every edge, but a record's path downstream runs before older
+queued work, so a solver result's node token reaches the next queued
+section at once.  A record crossing 64 star levels is 64 queued steps,
+never 64 nested calls and never an OS thread hand-off, and levels that
+have become the identity for the record's label set are not crossed at
+all (see :class:`_StarChain`).  What differs between backends sits behind
+an explicit :class:`Transport` seam:
 
 =============  =======================================================
 runtime        transport
@@ -16,10 +20,12 @@ runtime        transport
 threaded       :class:`InlineTransport` — every entity is a port on the
                scheduler; records travel by reference.
 process        ``PoolTransport`` — ``parallel_safe`` boxes are claimed;
-               their records are batched per scheduler turn, serialized
-               (protocol 5, out-of-band buffers) and sent over pipe
-               links to forked workers; the scheduler reads the results
-               itself (:meth:`Transport.poll`, :meth:`Transport.wait`).
+               a record goes to a worker at once when one owes nothing,
+               else it is batched per scheduler turn; batches are
+               serialized (protocol 5, out-of-band buffers) and sent over
+               pipe links to forked workers; the scheduler reads the
+               results itself (:meth:`Transport.poll`,
+               :meth:`Transport.wait`).
 distributed    ``PartitionTransport`` — whole placement partitions
                (``A @ num``, ``A !@ <tag>``) execute in real worker
                processes; records cross partitions over pipe links,
@@ -29,7 +35,8 @@ distributed    ``PartitionTransport`` — whole placement partitions
 The core owns the engine invariants, so they hold identically on every
 backend:
 
-* **compilation** — one port per primitive entity, routing ports for the
+* **compilation** — one port per primitive entity (an untraced ``[]``
+  filter is a plain wire), routing ports for the
   dynamic combinators; star levels and index-split replicas are created
   lazily, on the first record that needs them;
 * **drain-on-error** — a failing port closes its outputs (downstream sees
@@ -87,13 +94,17 @@ from typing import (
 )
 
 from repro.snet.base import Entity, PrimitiveEntity
-from repro.snet.combinators import IndexSplit, Parallel, Serial, Star
-from repro.snet.errors import NetworkError, RuntimeError_
+from repro.snet.boxes import Box
+from repro.snet.combinators import Combinator, IndexSplit, Parallel, Serial, Star
+from repro.snet.errors import NetworkError, RouteError, RuntimeError_
+from repro.snet.filters import Filter
 from repro.snet.network import Network
 from repro.snet.placement import StaticPlacement
 from repro.snet.records import Record
+from repro.snet.runtime.linearize import FusedChain, linearize
 from repro.snet.runtime.stream import Stream, StreamClosed, StreamWriter
 from repro.snet.runtime.tracing import NullTracer, Tracer
+from repro.snet.synchrocell import SyncroCell
 
 __all__ = [
     "EngineCore",
@@ -183,7 +194,7 @@ class PortWriter:
     def push(self, rec: Record) -> None:
         if self.closed:
             raise StreamClosed(f"push on a closed writer of {self.port.name}")
-        self.port.ready.append((self.port, rec))
+        self.port.enqueue(rec)
 
     def dup(self) -> "PortWriter":
         """Open an additional writer on the same port."""
@@ -196,7 +207,7 @@ class PortWriter:
         port = self.port
         port.writers -= 1
         if port.writers == 0:
-            port.ready.append((port, None))
+            port.enqueue(None)
 
 
 class Port:
@@ -210,10 +221,24 @@ class Port:
 
     def __init__(self, sched: "RunScheduler", name: str):
         self.sched = sched
-        self.ready = sched.ready
         self.name = name
         self.writers = 0
         self.failed = False
+        #: this port's pending steps, oldest first (``None`` is end of input)
+        self.inbox: Deque[Optional[Record]] = deque()
+        self._woken = sched.woken
+        #: the star whose level ``unit`` unrolled this port (the level's
+        #: body and the next level's router), if any
+        self.star, self.unit = sched.unrolling
+
+    def enqueue(self, item: Optional[Record]) -> None:
+        """Queue one step: a record, or ``None`` for the end of input."""
+        self.inbox.append(item)
+        self._woken.append(self)
+        star = self.star
+        if star is not None:
+            queued = star.queued
+            queued[self.unit] = queued.get(self.unit, 0) + 1
 
     def open_writer(self) -> PortWriter:
         self.writers += 1
@@ -269,7 +294,7 @@ class _ParallelPort(Port):
         super().__init__(core.scheduler, entity.name)
         self.entity = entity
         self.out = out
-        self.tracer = core.tracer
+        self.tracer = core.tracer if core.tracer.enabled else None
         # route() returns one of entity.branches; resolve it to a writer by
         # identity instead of an O(branches) list search per record
         self.writer_of = {
@@ -279,40 +304,205 @@ class _ParallelPort(Port):
 
     def on_record(self, rec: Record) -> None:
         branch = self.entity.route(rec)
-        self.tracer.record(self.name, "route", branch=branch.name)
+        if self.tracer is not None:
+            self.tracer.record(self.name, "route", branch=branch.name)
         self.writer_of[id(branch)].push(rec)
 
     def outputs(self) -> Iterable[PortWriter]:
         return (*self.writer_of.values(), self.out)
 
 
+def _routes_by_labels(operand: Entity) -> bool:
+    """Does every routing decision inside ``operand`` depend on labels only?
+
+    True when no pattern in it (synchrocell slot, filter rule, nested exit
+    pattern) carries a guard and it holds no primitive of unknown kind:
+    then whether a record passes an unrolled copy unchanged depends on the
+    record's label set and the copy's synchrocells, nothing else.
+    """
+    for ent in operand.iter_entities():
+        if isinstance(ent, SyncroCell):
+            patterns = ent.patterns
+        elif isinstance(ent, Filter):
+            patterns = [rule.pattern for rule in ent.rules]
+        elif isinstance(ent, Star):
+            patterns = [ent.exit_pattern]
+        elif isinstance(ent, (Box, Combinator, FusedChain)):
+            continue
+        else:
+            return False
+        if any(p.guard is not None for p in patterns):
+            return False
+    return True
+
+
+def _identity_route(
+    entity: Entity, rec: Record, cells: Dict[int, int], route: List[int]
+) -> bool:
+    """Can ``entity`` pass ``rec`` on unchanged, given its synchrocells let it?
+
+    Walks the path ``rec`` takes through ``entity`` (the template of a star
+    level) and appends to ``route`` the indices (in ``cells``, keyed by
+    ``id``) of the synchrocells on it.  False if the path meets anything
+    but routing, ``[]`` filters and synchrocells.
+    """
+    if isinstance(entity, SyncroCell):
+        route.append(cells[id(entity)])
+        return True
+    if isinstance(entity, Filter):
+        return not entity.rules
+    if isinstance(entity, Serial):
+        return _identity_route(entity.left, rec, cells, route) and _identity_route(
+            entity.right, rec, cells, route
+        )
+    if isinstance(entity, Parallel):
+        try:
+            branch = entity.route(rec)
+        except RouteError:
+            return False
+        return _identity_route(branch, rec, cells, route)
+    if isinstance(entity, Network):
+        return _identity_route(entity.body, rec, cells, route)
+    return False
+
+
+class _StarChain:
+    """The unrolled levels of one star instance, and where records skip them.
+
+    A synchrocell that has fired is the identity for good, and so is one
+    whose every slot a record matches is already taken: the record passes
+    it unchanged, now and later.  A level whose body has only such cells,
+    ``[]`` filters and routing fixed by the label set on a record's path
+    is therefore the identity for good for that record's label set.  The
+    router sends a record that does not exit straight to the first *live*
+    level, through per-label-set jump pointers with path compression; the
+    exit test runs once per record, as the skipped routers would only
+    repeat it on the same record.
+
+    A skip replays the steps the depth-first scheduler would take next, so
+    it stops short of any level whose ports still hold a queued record
+    (:attr:`queued`): the skipped record overtakes nothing on any edge.
+    Deterministic ``**`` stars, bodies with guards and traced runs (which
+    keep an event per hop) never skip.
+    """
+
+    __slots__ = ("entity", "levels", "queued", "skips", "cells", "routes", "jumps")
+
+    def __init__(self, entity: Star, traced: bool):
+        self.entity = entity
+        self.levels: List["_StarLevel"] = []
+        #: level -> records queued on the ports its unrolling made; only
+        #: levels holding some are present
+        self.queued: Dict[int, int] = {}
+        cells = _cells_of(entity.operand)
+        #: id of a synchrocell of the template -> its index in each level
+        self.cells: Dict[int, int] = {id(ent): index for index, ent in enumerate(cells)}
+        self.skips = (
+            not entity.deterministic
+            and not traced
+            and len(self.cells) == len(cells)  # no cell object used twice
+            and _routes_by_labels(entity.operand)
+        )
+        #: label set -> indices of the synchrocells on its path, or None
+        #: when the path is never the identity
+        self.routes: Dict[frozenset, Optional[Tuple[int, ...]]] = {}
+        #: label set -> {level: a level at or beyond it, all in between
+        #: being the identity for that label set for good}
+        self.jumps: Dict[frozenset, Dict[int, int]] = {}
+
+    def live_level(self, level: int, rec: Record) -> "_StarLevel":
+        """The first level at or after ``level`` that may change ``rec``."""
+        labels = rec.label_set
+        try:
+            route = self.routes[labels]
+        except KeyError:
+            path: List[int] = []
+            route = self.routes[labels] = (
+                tuple(path)
+                if _identity_route(self.entity.operand, rec, self.cells, path)
+                else None
+            )
+        levels = self.levels
+        if route is None:
+            return levels[level]
+        jumps = self.jumps.setdefault(labels, {})
+        start, passed = level, []
+        while True:
+            beyond = jumps.get(level)
+            if beyond is None:
+                cells = levels[level].cells
+                if cells is None or not all(cells[i].passes(rec) for i in route):
+                    break
+                beyond = level + 1
+            passed.append(level)
+            level = beyond
+        for skipped in passed:
+            jumps[skipped] = level
+        # records queued on a skipped level go first: stop at the first one
+        held = [unit for unit in self.queued if start <= unit < level]
+        return levels[min(held) if held else level]
+
+
+def _cells_of(entity: Entity) -> List[SyncroCell]:
+    """The synchrocells in ``entity``, in an order its copies share."""
+    cells, pending = [], [entity]
+    while pending:
+        ent = pending.pop()
+        if isinstance(ent, SyncroCell):
+            cells.append(ent)
+        else:
+            pending.extend(ent.children())
+    return cells
+
+
 class _StarLevel(Port):
     """The router of one star level; unrolls the next level on demand."""
 
-    def __init__(self, core: "EngineCore", entity: Star, level: int, out: PortWriter):
-        super().__init__(core.scheduler, f"{entity.name}-L{level}")
+    def __init__(self, core: "EngineCore", chain: _StarChain, out: PortWriter):
+        level = len(chain.levels)
+        super().__init__(core.scheduler, f"{chain.entity.name}-L{level}")
         self.core = core
-        self.entity = entity
+        self.chain = chain
         self.level = level
         self.out = out
+        self.tracer = core.tracer if core.tracer.enabled else None
         self.instance: Optional[PortWriter] = None
+        #: the synchrocells of this level's body, once it is unrolled
+        self.cells: Optional[List[SyncroCell]] = None
+        chain.levels.append(self)
 
     def on_record(self, rec: Record) -> None:
-        entity = self.entity
-        if entity.exit_pattern.matches(rec):
-            self.core.tracer.record(entity.name, "exit", level=self.level)
+        chain = self.chain
+        if chain.entity.exit_pattern.matches(rec):
+            if self.tracer is not None:
+                self.tracer.record(chain.entity.name, "exit", level=self.level)
             self.out.push(rec)
-            return
+        elif chain.skips:
+            chain.live_level(self.level, rec).enter(rec)
+        else:
+            self.enter(rec)
+
+    def enter(self, rec: Record) -> None:
+        """Send ``rec`` into this level's body, unrolling it first if needed."""
         if self.instance is None:
-            if self.level >= entity.max_depth:
+            chain = self.chain
+            if self.level >= chain.entity.max_depth:
                 raise RuntimeError_(
-                    f"star {entity.name} exceeded max depth {entity.max_depth}"
+                    f"star {chain.entity.name} exceeded max depth {chain.entity.max_depth}"
                 )
-            self.core.tracer.record(entity.name, "unroll", level=self.level)
-            following = _StarLevel(self.core, entity, self.level + 1, self.out.dup())
-            self.instance = self.core.compile(
-                entity.operand.copy(), following.open_writer()
-            ).open_writer()
+            if self.tracer is not None:
+                self.tracer.record(chain.entity.name, "unroll", level=self.level)
+            sched = self.sched
+            outer, sched.unrolling = sched.unrolling, (chain, self.level)
+            try:
+                following = _StarLevel(self.core, chain, self.out.dup())
+                body = chain.entity.operand.copy()
+                self.instance = self.core.compile(
+                    body, following.open_writer()
+                ).open_writer()
+            finally:
+                sched.unrolling = outer
+            self.cells = _cells_of(body)
         self.instance.push(rec)
 
     def outputs(self) -> Iterable[PortWriter]:
@@ -354,6 +544,22 @@ class _SplitPort(Port):
 
     def outputs(self) -> Iterable[PortWriter]:
         return (*self.instances.values(), self.out)
+
+
+class _Forward:
+    """An untraced ``[]`` filter, compiled to a wire: a record costs no step.
+
+    Stands in for the filter's port: the one writer a compiled entity's
+    user opens is ``out`` itself.
+    """
+
+    __slots__ = ("out",)
+
+    def __init__(self, out: PortWriter):
+        self.out = out
+
+    def open_writer(self) -> PortWriter:
+        return self.out
 
 
 class _Collector(Port):
@@ -420,26 +626,34 @@ class StreamBridge(Port):
 class RunScheduler:
     """Drive one run's port graph to completion on the calling thread.
 
-    Steps — ``(port, record)``, or ``(port, None)`` for end of input — are
-    processed in FIFO order from :attr:`ready`.  A *turn* ends when
-    :attr:`ready` is empty or after :attr:`TURN_STEPS` steps: the ports
-    registered with :meth:`at_turn_end` then act on what the turn gave them
-    (the pool transport sends its batches there), and the scheduler takes
-    the transport's results (:meth:`Transport.poll`) and the work other
-    threads handed in through :meth:`deliver`, sleeping in
-    :meth:`Transport.wait` or on that inbox while it has nothing to do.
+    Every port queues its steps — records, then ``None`` for end of input
+    — in its own FIFO inbox (:attr:`Port.inbox`), and :attr:`woken` stacks
+    one entry per queued step.  The scheduler pops the top entry and runs
+    the oldest step of that port: the port woken most recently goes first,
+    so a record's path downstream runs before older queued work (depth
+    first), while each edge keeps its order.
+
+    A *turn* ends when nothing is queued or after :attr:`TURN_STEPS`
+    steps: the ports registered with :meth:`at_turn_end` then act on what
+    the turn gave them (the pool transport batches the records that found
+    every worker busy), and the scheduler takes the transport's results
+    (:meth:`Transport.poll`) and the work other threads handed in through
+    :meth:`deliver`, sleeping in :meth:`Transport.wait` or on that inbox
+    while it has nothing to do.
     """
 
-    #: steps per turn: the batches a turn gives the pool transport go out
-    #: when it ends, so a long cascade elsewhere in the graph (the merger's
-    #: walk through its star) cannot hold back the next solver input
+    #: steps per turn: results are read at every turn end, so a long
+    #: cascade elsewhere in the graph cannot hold a landed result back
     TURN_STEPS = 32
 
     def __init__(self, core: "EngineCore"):
         self.core = core
-        self.ready: Deque[Tuple[Port, Optional[Record]]] = deque()
+        self.woken: List[Port] = []
         self.steps = 0
         self.bridges: List[StreamBridge] = []
+        self.stars: List[_StarChain] = []
+        #: (star, level) while a star level unrolls, for the ports it makes
+        self.unrolling: Tuple[Optional[_StarChain], int] = (None, -1)
         self._inbox: "queue.SimpleQueue[Any]" = queue.SimpleQueue()
         self._turn_end: List[Port] = []
 
@@ -475,13 +689,21 @@ class RunScheduler:
         With a collected error the run also ends as soon as the scheduler
         runs out of work: the error is what the caller reports.
         """
-        ready, clock = self.ready, time.monotonic
+        woken, clock = self.woken, time.monotonic
         core = self.core
         while True:
             budget = self.TURN_STEPS
-            while ready and budget:
+            while woken and budget:
                 budget -= 1
-                port, rec = ready.popleft()
+                port = woken.pop()
+                rec = port.inbox.popleft()
+                star = port.star
+                if star is not None:
+                    queued, unit = star.queued, port.unit
+                    if queued[unit] == 1:
+                        del queued[unit]
+                    else:
+                        queued[unit] -= 1
                 self.steps += 1
                 if not port.failed:
                     try:
@@ -497,7 +719,7 @@ class RunScheduler:
                 ports, self._turn_end = self._turn_end, []
                 for port in ports:
                     self._call(port, port.end_turn, None)
-            if self._take_results() | self._take_deliveries() or ready:
+            if self._take_results() | self._take_deliveries() or woken:
                 continue
             if collector.done or core.errors:
                 return True
@@ -670,7 +892,8 @@ class EngineCore:
 
     * every primitive entity (box, filter, synchrocell, fused chain) becomes
       one port that applies the entity to each record and pushes the
-      results to its output port;
+      results to its output port; untraced, the identity filter ``[]``
+      becomes no port at all, its input writer being its output;
     * serial composition wires the left operand's output to the right
       operand's input port;
     * parallel composition becomes a routing port that sends each record to
@@ -989,11 +1212,13 @@ class EngineCore:
         return Stream(name=name, capacity=self.stream_capacity)
 
     # -- compilation ----------------------------------------------------------
-    def compile(self, entity: Entity, out: PortWriter) -> Port:
+    def compile(self, entity: Entity, out: PortWriter) -> "Port | _Forward":
         """Compile ``entity`` writing to ``out``; returns its input port."""
         port = self.transport.compile_entity(entity, out)
         if port is not None:
             return port
+        if isinstance(entity, Filter) and not entity.rules and not self.tracer.enabled:
+            return _Forward(out)
         if isinstance(entity, PrimitiveEntity):
             return _PrimitivePort(self, entity, out)
         if isinstance(entity, Serial):
@@ -1002,7 +1227,9 @@ class EngineCore:
         if isinstance(entity, Parallel):
             return _ParallelPort(self, entity, out)
         if isinstance(entity, Star):
-            return _StarLevel(self, entity, 0, out)
+            chain = _StarChain(entity, self.tracer.enabled)
+            self.scheduler.stars.append(chain)
+            return _StarLevel(self, chain, out)
         if isinstance(entity, IndexSplit):
             return _SplitPort(self, entity, out)
         if isinstance(entity, (Network, StaticPlacement)):
@@ -1051,8 +1278,6 @@ class EngineCore:
                 and isinstance(self.tracer, NullTracer)
                 and self._fusion_safe(network)
             ):
-                from repro.snet.runtime.linearize import linearize
-
                 target, self.fused_chains = linearize(
                     target, self.transport.claims_entity
                 )
@@ -1092,5 +1317,9 @@ class EngineCore:
             for bridge in sched.bridges:
                 bridge.on_close()
             self.steps = sched.steps
+            # a chain and its levels reference each other: break the cycle
+            # so the finished graph and its records go at once
+            for chain in sched.stars:
+                chain.levels.clear()
             self.scheduler = None
             self.transport.end_run()

@@ -17,17 +17,19 @@ is described in DESIGN.md, "The process data plane".
 * **The link.**  Each worker is a :class:`~repro.snet.runtime.link.PipeLink`
   (forked process, duplex pipe, sentinel) carrying the multipart frames of
   :mod:`repro.snet.runtime.link`.  The scheduler thread drives every link
-  itself and no thread is started: a claimed box instance batches the
-  records of one turn and sends them when the turn ends, results are read
-  by a non-blocking :meth:`PoolTransport.poll` at every turn end and pushed
-  downstream at once (in the dynamic farm a solver result releases the
-  node token that admits the next input), and an idle scheduler sleeps in
-  one ``multiprocessing.connection.wait`` over the busy workers' pipes and
+  itself and no thread is started.  Results are read by a non-blocking
+  :meth:`PoolTransport.poll` at every turn end and pushed downstream at
+  once, and an idle scheduler sleeps in one
+  ``multiprocessing.connection.wait`` over the busy workers' pipes and
   sentinels.
-* **Pull-style dispatch.**  A batch goes only to a worker that owes
-  nothing; the rest wait in the parent and go to whichever worker answers
-  first.  A worker that owes nothing is reading, so the parent never
-  blocks in ``send`` while the worker blocks sending a large result.
+* **Eager, pull-style dispatch.**  A record that reaches a claimed box
+  instance while some worker owes nothing is sent at once: in the dynamic
+  farm a solver result releases the node token, the scheduler runs the
+  token's path first, and the section it admits goes out in the same turn.
+  Records that arrive while every worker is busy are batched at the turn
+  end, wait in the parent, and go to whichever worker answers first.  A
+  worker that owes nothing is reading, so the parent never blocks in
+  ``send`` while the worker blocks sending a large result.
   ``max_inflight`` bounds each box instance's outstanding batches.
 * **Errors.**  A box exception comes back as :class:`BoxWorkerError` with
   the remote traceback and fails the box's port.  A worker that dies with
@@ -385,6 +387,10 @@ class PoolTransport(Transport):
         self._backlog.append((port, frame, size))
         self._pump()
 
+    def idle(self) -> bool:
+        """Does some worker owe nothing?  (Then the backlog is empty too.)"""
+        return any(not (link.pending or link.dead) for link in self._links)
+
     def _pump(self) -> None:
         backlog = self._backlog
         for link in self._links:
@@ -433,9 +439,10 @@ class PoolTransport(Transport):
 class _PoolPort(_PrimitivePort):
     """A claimed ``parallel_safe`` box instance: batches on the pool workers.
 
-    Records pushed during one scheduler turn go out when it ends, in
-    batches of the autotuned ``chunk_size``, at most ``max_inflight``
-    batches at a time; the rest wait in the port for results.
+    A record goes out at once while some worker owes nothing; the records
+    that find every worker busy go out when the turn ends, in batches of
+    the autotuned ``chunk_size``, at most ``max_inflight`` batches at a
+    time; the rest wait in the port for results.
     """
 
     def __init__(self, transport: PoolTransport, entity: Box, key: int, out: PortWriter):
@@ -457,26 +464,31 @@ class _PoolPort(_PrimitivePort):
         if self.tracer is not None:
             self.tracer.record(self.name, "consume", record=repr(rec))
         self.waiting.append(rec)
-        self._submit_at_turn_end()
+        self._send()
 
     def on_close(self) -> None:
         self.input_closed = True
         if not self.waiting and not self.inflight:
             self._finish()
 
-    def _submit_at_turn_end(self) -> None:
-        if not self.submit_due:
+    def _send(self) -> None:
+        """Send to the workers that owe nothing; batch the rest at the turn end."""
+        idle = self.transport.idle
+        while self.waiting and self.inflight < self.batcher.max_inflight and idle():
+            self._submit()
+        if self.waiting and not self.submit_due:
             self.submit_due = True
             self.sched.at_turn_end(self)
 
     def end_turn(self, _arg: Any = None) -> None:
         self.submit_due = False
-        waiting, batcher = self.waiting, self.batcher
-        while waiting and self.inflight < batcher.max_inflight:
-            self._submit([waiting.popleft() for _ in range(min(len(waiting), batcher.chunk_size))])
+        while self.waiting and self.inflight < self.batcher.max_inflight:
+            self._submit()
 
-    def _submit(self, batch: List[Record]) -> None:
-        """Serialize one batch (payloads swapped for refs) and dispatch it."""
+    def _submit(self) -> None:
+        """Serialize the next batch (payloads swapped for refs) and dispatch it."""
+        waiting = self.waiting
+        batch = [waiting.popleft() for _ in range(min(len(waiting), self.batcher.chunk_size))]
         payload, buffers, nbytes = dumps_records([swap_shared_out(r) for r in batch])
         self.transport._bytes_pickled += nbytes
         self.transport.batches_dispatched += 1
@@ -491,7 +503,7 @@ class _PoolPort(_PrimitivePort):
         self.batcher.observe(size, elapsed)
         self._emit(resolve_shared_in(rec) for rec in loads_records(payload, buffers))
         if self.waiting:
-            self._submit_at_turn_end()
+            self._send()
         elif self.input_closed and not self.inflight:
             self._finish()
 

@@ -112,6 +112,17 @@ class SyncroCell(PrimitiveEntity):
             return [merged]
         return []
 
+    def passes(self, rec: Record) -> bool:
+        """Will :meth:`process` hand ``rec`` back unchanged, now and for good?
+
+        True once the cell has fired, or while every slot ``rec`` matches
+        is taken: a taken slot stays taken until the cell fires.
+        """
+        if self._fired:
+            return True
+        matched = [idx for idx, p in enumerate(self.patterns) if p.matches(rec)]
+        return bool(matched) and all(idx in self._storage for idx in matched)
+
     def _matching_slot(self, rec: Record) -> Optional[int]:
         """Index of the first *unoccupied* matching pattern, else any match."""
         fallback: Optional[int] = None
