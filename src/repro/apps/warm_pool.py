@@ -69,7 +69,7 @@ class WarmSlot:
     jobs_served: int = 0
     #: watermark of the runtime's cumulative ``recoveries`` counter after
     #: the last served job, so node deaths handled *between* jobs (the
-    #: warm revive path runs on a link receiver thread) are still
+    #: warm revive path runs when the next run begins) are still
     #: attributed to the next job instead of slipping between two deltas
     recoveries_seen: int = 0
     last_used: float = 0.0

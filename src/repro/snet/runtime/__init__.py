@@ -41,9 +41,11 @@ in where records go:
 Modules:
 
 * :mod:`repro.snet.runtime.stream` — bounded thread-safe streams with
-  multi-writer reference counting (used at transport boundaries),
+  multi-writer reference counting (the render service's job queue),
 * :mod:`repro.snet.runtime.core` — :class:`EngineCore`, its port graph
   and scheduler, and the :class:`Transport` seam,
+* :mod:`repro.snet.runtime.link` — the pipe link to a forked worker and
+  its frame protocol, shared by both fork-based transports,
 * :mod:`repro.snet.runtime.data_plane` — protocol-5 out-of-band
   serialization and the fork-shared payload broadcast registry,
 * :mod:`repro.snet.runtime.engine` — :class:`ThreadedRuntime`,
@@ -58,8 +60,6 @@ from repro.snet.runtime.core import (
     EngineCore,
     InlineTransport,
     Transport,
-    drain_stream,
-    worker_scope,
 )
 from repro.snet.runtime.data_plane import SharedObjectRef, dumps_records, loads_records
 from repro.snet.runtime.linearize import FusedChain, linearize
@@ -104,8 +104,6 @@ __all__ = [
     "SharedObjectRef",
     "run_threaded",
     "run_distributed",
-    "drain_stream",
-    "worker_scope",
     "dumps_records",
     "loads_records",
     "register_backend",

@@ -28,8 +28,9 @@ process        ``PoolTransport`` — ``parallel_safe`` boxes are claimed;
                :meth:`Transport.wait`).
 distributed    ``PartitionTransport`` — whole placement partitions
                (``A @ num``, ``A !@ <tag>``) execute in real worker
-               processes; records cross partitions over pipe links,
-               behind a :class:`StreamBridge`.
+               processes; each partition instance is a port whose
+               records are batched per scheduler turn and cross over
+               the same pipe links, read and awaited the same way.
 =============  =======================================================
 
 The core owns the engine invariants, so they hold identically on every
@@ -49,7 +50,9 @@ backend:
   anything) is worth keeping warm;
 * **accounting** — :attr:`EngineCore.bytes_pickled` reports the bytes the
   transport serialized across process boundaries (0 inline) and
-  :meth:`EngineCore.observability` the steps and threads of the last run.
+  :meth:`EngineCore.observability` the steps of the last run.
+
+No backend starts a thread: every transport is driven from the scheduler.
 
 A minimal custom transport only needs to override the hooks it cares
 about:
@@ -66,27 +69,23 @@ about:
 >>> core = EngineCore(transport=CountingTransport())
 >>> [r.field("y") for r in core.run(double, [Record({"x": 21})])]
 [42]
->>> core.transport.runs, core.bytes_pickled, core.threads_started
-(1, 0, 0)
+>>> core.transport.runs, core.bytes_pickled
+(1, 0)
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import queue
-import threading
 import time
 import warnings
 import weakref
 from collections import deque
-from contextlib import contextmanager
 from typing import (
     Any,
     Callable,
     Deque,
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -102,7 +101,7 @@ from repro.snet.network import Network
 from repro.snet.placement import StaticPlacement
 from repro.snet.records import Record
 from repro.snet.runtime.linearize import FusedChain, linearize
-from repro.snet.runtime.stream import Stream, StreamClosed, StreamWriter
+from repro.snet.runtime.stream import StreamClosed
 from repro.snet.runtime.tracing import NullTracer, Tracer
 from repro.snet.synchrocell import SyncroCell
 
@@ -113,9 +112,6 @@ __all__ = [
     "Port",
     "PortWriter",
     "RunScheduler",
-    "StreamBridge",
-    "drain_stream",
-    "worker_scope",
     "warn_fork_degraded",
 ]
 
@@ -136,42 +132,6 @@ def warn_fork_degraded(runtime_name: str, consequence: str) -> None:
     )
 
 
-def drain_stream(stream: Stream) -> None:
-    """Consume and discard everything remaining on ``stream`` until EOS.
-
-    Transport threads call this when they die on an error: abandoning the
-    input stream would leave its writer blocked on back-pressure forever.
-    """
-    while stream.get() is not None:
-        pass
-
-
-@contextmanager
-def worker_scope(
-    in_stream: Stream, writers: Callable[[], Iterable[StreamWriter]]
-) -> Iterator[None]:
-    """Shutdown contract of a transport thread reading a :class:`Stream`.
-
-    On normal exit the thread's output writers are closed.  On error they
-    are closed *first* (so downstream sees EOS immediately), then the input
-    stream is drained (see :func:`drain_stream`), then the error propagates
-    to the runtime's collector.
-    """
-
-    def close_all() -> None:
-        for writer in writers():
-            writer.close()
-
-    try:
-        yield
-    except BaseException:
-        close_all()
-        drain_stream(in_stream)
-        raise
-    finally:
-        close_all()
-
-
 # -- the port graph ------------------------------------------------------------
 
 
@@ -181,8 +141,6 @@ class PortWriter:
     Ports count their writers the way a :class:`Stream` does: the port's
     ``on_close`` step is scheduled once every writer has been closed, which
     is how parallel branches merge and how EOS cascades through the graph.
-    Writers are used on the scheduler's thread only; other threads hand
-    records in through :meth:`RunScheduler.deliver`.
     """
 
     __slots__ = ("port", "closed")
@@ -577,52 +535,6 @@ class _Collector(Port):
         self.done = True
 
 
-class StreamBridge(Port):
-    """Adapter for a transport that runs a claimed entity on its own threads.
-
-    Records pushed to this port are put on :attr:`in_stream` (bounded by the
-    runtime's ``stream_capacity``), which the transport's threads read with
-    the blocking :class:`Stream` API; end of input closes it.  The bridge is
-    also the transport's output writer: its :meth:`put` and :meth:`close`
-    may be called from any thread and are forwarded downstream by the
-    scheduler.
-    """
-
-    def __init__(self, core: "EngineCore", name: str, out: PortWriter):
-        super().__init__(core.scheduler, name)
-        self.in_stream = core._new_stream(f"{name}-in")
-        self._in = self.in_stream.open_writer()
-        self.out = out
-        self.closed = False  # the transport side, as on a StreamWriter
-        self._lock = threading.Lock()
-        self.sched.bridges.append(self)
-
-    def on_record(self, rec: Record) -> None:
-        self._in.put(rec)
-
-    def on_close(self) -> None:
-        self._in.close()  # also called at the end of a run: idempotent
-
-    def outputs(self) -> Iterable[Any]:
-        return (self._in, self.out)
-
-    def put(self, rec: Record) -> None:
-        if self.closed:
-            raise StreamClosed(f"write on closed writer of {self.name}")
-        self.sched.deliver(self, self._forward, rec)
-
-    def close(self) -> None:
-        with self._lock:
-            if self.closed:
-                return
-            self.closed = True
-        self.sched.deliver(self, lambda _arg: self.out.close())
-
-    def _forward(self, rec: Record) -> None:
-        if not self.out.closed:  # a late result after a failover closed the channel
-            self.out.push(rec)
-
-
 class RunScheduler:
     """Drive one run's port graph to completion on the calling thread.
 
@@ -636,10 +548,9 @@ class RunScheduler:
     A *turn* ends when nothing is queued or after :attr:`TURN_STEPS`
     steps: the ports registered with :meth:`at_turn_end` then act on what
     the turn gave them (the pool transport batches the records that found
-    every worker busy), and the scheduler takes the transport's results
-    (:meth:`Transport.poll`) and the work other threads handed in through
-    :meth:`deliver`, sleeping in :meth:`Transport.wait` or on that inbox
-    while it has nothing to do.
+    every worker busy, a partition port its turn's records), and the
+    scheduler takes the transport's results (:meth:`Transport.poll`),
+    sleeping in :meth:`Transport.wait` while it has nothing to do.
     """
 
     #: steps per turn: results are read at every turn end, so a long
@@ -650,20 +561,10 @@ class RunScheduler:
         self.core = core
         self.woken: List[Port] = []
         self.steps = 0
-        self.bridges: List[StreamBridge] = []
         self.stars: List[_StarChain] = []
         #: (star, level) while a star level unrolls, for the ports it makes
         self.unrolling: Tuple[Optional[_StarChain], int] = (None, -1)
-        self._inbox: "queue.SimpleQueue[Any]" = queue.SimpleQueue()
         self._turn_end: List[Port] = []
-
-    def deliver(self, port: Port, fn: Callable[[Any], None], arg: Any = None) -> None:
-        """Run ``fn(arg)`` as a step of ``port`` (thread-safe)."""
-        self._inbox.put((port, fn, arg))
-
-    def wake(self) -> None:
-        """Make an idle scheduler re-check its state (thread-safe)."""
-        self._inbox.put(None)
 
     def at_turn_end(self, port: Port) -> None:
         """Call ``port.end_turn()`` once the current turn's steps are done."""
@@ -719,11 +620,11 @@ class RunScheduler:
                 ports, self._turn_end = self._turn_end, []
                 for port in ports:
                     self._call(port, port.end_turn, None)
-            if self._take_results() | self._take_deliveries() or woken:
+            if self._take_results() or woken:
                 continue
             if collector.done or core.errors:
                 return True
-            if not self._await_delivery(deadline):
+            if not self._await_results(deadline):
                 return False
 
     def _take_results(self) -> bool:
@@ -738,36 +639,22 @@ class RunScheduler:
             self._call(*item)
         return bool(landed)
 
-    def _take_deliveries(self) -> bool:
-        """Run every step other threads have handed in; ``True`` if any."""
-        inbox, took = self._inbox, False
-        while True:
-            try:
-                item = inbox.get_nowait()
-            except queue.Empty:
-                return took
-            took = True
-            if item is not None:
-                self._call(*item)
-
-    def _await_delivery(self, deadline: Optional[float]) -> bool:
-        """Sleep until there is work for the scheduler; ``False`` at the deadline."""
+    def _await_results(self, deadline: Optional[float]) -> bool:
+        """Sleep until the transport has results; ``False`` at the deadline."""
         wait = None if deadline is None else deadline - time.monotonic()
         if wait is not None and wait <= 0:
             return False
         transport = self.core.transport
         try:
-            if transport.wait(wait):
-                return True
+            busy = transport.wait(wait)
         except Exception as exc:  # noqa: BLE001 - collected
             self.core._record_error(exc, source=transport.name)
             return True
-        try:
-            item = self._inbox.get(timeout=wait)
-        except queue.Empty:
-            return True
-        if item is not None:
-            self._call(*item)
+        if not busy:
+            raise RuntimeError_(
+                f"run stalled: no step is queued and the {transport.name} "
+                "transport owes nothing"
+            )
         return True
 
 
@@ -828,8 +715,7 @@ class Transport:
         Return the :class:`Port` that receives the entity's input when the
         transport runs it (it then owns ``out``); ``None`` lets the core
         compile it with the default scheme.  Ports are built on the
-        current run's :attr:`EngineCore.scheduler`; a transport with
-        threads of its own wraps them in a :class:`StreamBridge`.
+        current run's :attr:`EngineCore.scheduler`.
         """
         return None
 
@@ -863,8 +749,8 @@ class Transport:
 
     def wait(self, timeout: Optional[float]) -> bool:
         """Sleep, at most ``timeout`` seconds, until :meth:`poll` has work;
-        ``False`` (at once) when nothing is outstanding, so the idle
-        scheduler sleeps on its inbox instead.  Raise to fail the run."""
+        ``False`` (at once) when nothing is outstanding.  Raise to fail the
+        run."""
         return False
 
     # -- accounting ----------------------------------------------------------
@@ -915,9 +801,6 @@ class EngineCore:
     ----------
     tracer:
         Optional :class:`Tracer` receiving runtime events.
-    stream_capacity:
-        Bound of every stream at a transport boundary (back-pressure on
-        the records handed to transport threads).
     transport:
         The record-moving substrate; defaults to :class:`InlineTransport`.
     check:
@@ -966,7 +849,6 @@ class EngineCore:
     def __init__(
         self,
         tracer: Optional[Tracer] = None,
-        stream_capacity: int = 256,
         transport: Optional[Transport] = None,
         check: str = "warn",
         fuse: str = "auto",
@@ -980,16 +862,12 @@ class EngineCore:
                 f"fuse must be one of {self.FUSE_MODES}, got {fuse!r}"
             )
         self.tracer = tracer or NullTracer()
-        self.stream_capacity = stream_capacity
         self.transport = transport or InlineTransport()
         self.transport.bind(self)
         self.check = check
         self.fuse = fuse
         #: number of fused chains the most recent :meth:`run` created
         self.fused_chains = 0
-        #: OS threads the engine started during the most recent :meth:`run`
-        #: (transport threads only: every entity runs on the scheduler)
-        self.threads_started = 0
         #: scheduler steps (records and end-of-stream signals moved between
         #: ports) of the most recent :meth:`run`
         self.steps = 0
@@ -1000,10 +878,6 @@ class EngineCore:
         self._check_cache: "weakref.WeakKeyDictionary[Entity, Any]" = (
             weakref.WeakKeyDictionary()
         )
-        self._threads: List[threading.Thread] = []
-        self._pending: List[Callable[[], None]] = []
-        self._started = False
-        self._lock = threading.Lock()
         self.errors: List[BaseException] = []
         self._warm = False
 
@@ -1156,60 +1030,24 @@ class EngineCore:
         self.teardown()
 
     def _reset_run_state(self) -> None:
-        """Forget the previous run's threads, errors and counters."""
-        with self._lock:
-            self._threads = []
-            self._pending = []
-            self._started = False
-            self.errors = []
-            self.fused_chains = 0
-            self.threads_started = 0
-            self.steps = 0
+        """Forget the previous run's errors and counters."""
+        self.errors = []
+        self.fused_chains = 0
+        self.steps = 0
 
     def observability(self) -> Dict[str, Any]:
         """Counters of the most recent run as a JSON-friendly dict."""
         return {
             "transport": self.transport.name,
             "steps": self.steps,
-            "threads_started": self.threads_started,
             "fused_chains": self.fused_chains,
             "bytes_pickled": self.bytes_pickled,
         }
 
-    # -- transport threads ---------------------------------------------------
     def _record_error(self, exc: BaseException, source: str = "transport") -> None:
-        """Collect an error (failing ports and transport threads report here)."""
-        with self._lock:
-            self.errors.append(exc)
+        """Collect an error (failing ports and transports report here)."""
+        self.errors.append(exc)
         self.tracer.record(source, "worker-error", error=repr(exc))
-        sched = self.scheduler
-        if sched is not None:
-            sched.wake()
-
-    def _spawn(self, fn: Callable[[], None], name: str) -> None:
-        """Run ``fn`` on a transport thread (deferred until the run starts)."""
-
-        def guarded() -> None:
-            try:
-                fn()
-            except BaseException as exc:  # noqa: BLE001 - collected for reporting
-                self._record_error(exc, source=name)
-
-        with self._lock:
-            if not self._started:
-                self._pending.append(lambda: self._start_thread(guarded, name))
-                return
-        self._start_thread(guarded, name)
-
-    def _start_thread(self, fn: Callable[[], None], name: str) -> None:
-        thread = threading.Thread(target=fn, name=name, daemon=True)
-        with self._lock:
-            self._threads.append(thread)
-            self.threads_started += 1
-        thread.start()
-
-    def _new_stream(self, name: str) -> Stream:
-        return Stream(name=name, capacity=self.stream_capacity)
 
     # -- compilation ----------------------------------------------------------
     def compile(self, entity: Entity, out: PortWriter) -> "Port | _Forward":
@@ -1286,11 +1124,6 @@ class EngineCore:
             for rec in inputs:
                 entry.push(rec)
             entry.close()
-            with self._lock:
-                self._started = True
-                pending, self._pending = self._pending, []
-            for start in pending:
-                start()
 
             deadline = None if timeout is None else time.monotonic() + timeout
             finished = sched.run(collector, deadline)
@@ -1299,23 +1132,12 @@ class EngineCore:
                     f"run timed out after {timeout}s with the network still "
                     "running"
                 )
-            # transport threads end once their input streams close; with a
-            # collected error they get only a token grace period
-            for bridge in sched.bridges:
-                bridge.on_close()
-            for thread in list(self._threads):
-                if deadline is None or self.errors:
-                    thread.join(timeout=1.0 if self.errors else None)
-                else:
-                    thread.join(timeout=max(0.0, deadline - time.monotonic()))
             if self.errors:
                 raise RuntimeError_(
                     f"{len(self.errors)} worker(s) failed: {self.errors[0]!r}"
                 ) from self.errors[0]
             return collector.records
         finally:
-            for bridge in sched.bridges:
-                bridge.on_close()
             self.steps = sched.steps
             # a chain and its levels reference each other: break the cycle
             # so the finished graph and its records go at once

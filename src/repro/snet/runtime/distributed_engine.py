@@ -48,43 +48,46 @@ The wire protocol
 
 Workers are forked (inheriting the partition-template and broadcast
 registries, so unpicklable box closures and the scene never cross by
-value) and speak the framed ``OPEN``/``DATA``/``EOS``/``RESULT``/``ERROR``/
-``SHUTDOWN`` protocol of :mod:`repro.snet.runtime.link` over a duplex
-``multiprocessing`` pipe — a Unix socket pair under the hood.
+value) and speak the framed protocol of :mod:`repro.snet.runtime.link`
+over a duplex ``multiprocessing`` pipe — a Unix socket pair under the
+hood.  A worker answers every ``DATA`` with one ``RESULT`` (possibly
+empty) and every ``EOS`` with one ``EOS_ACK`` carrying the partition's
+flush, or either with ``ERROR``.
+
+The transport starts no thread: like the pool transport it runs on the
+scheduler's.  Each partition instance is a scheduler port
+(:class:`_PartitionPort`) that batches its turn's records, up to
+``chunk_size``, into ``DATA`` frames when the turn ends.  A frame goes to
+a link only while that link owes nothing, so the parent never blocks in a
+send while the worker blocks sending a reply; the rest wait in the link's
+outbox.  Replies are read at every turn end, and an idle scheduler sleeps
+in one ``multiprocessing.connection.wait`` over the busy links' pipes and
+sentinels.  A partition error fails its port with the remote traceback,
+with the drain-on-error semantics of a failing box on any other backend.
 
 Every frame byte in either direction is accumulated in
 :attr:`DistributedRuntime.bytes_pickled` — the cross-partition
 bytes-on-the-wire metric the distributed benchmarks pin.
 
-Each parent-side channel sits behind a
-:class:`~repro.snet.runtime.core.StreamBridge` port of the scheduler and
-gets a *forwarder* thread (batching records off the bridge's bounded input
-stream); each link gets a *sender* thread (so a slow worker can never
-deadlock the duplex pipe: frames queue in the parent instead of blocking
-mid-send) and a *receiver* thread (demultiplexing ``RESULT`` frames onto
-the channels' bridges, which hand them to the scheduler's inbox).  Worker
-errors surface through the core's collector with drain-on-error
-semantics, exactly like a failing box on any other backend.
-
 Fault tolerance
 ---------------
 
-Node loss is survivable, not just detectable.  The transport journals
-every batch it sends on a channel (the *in-flight* ledger) together with
-the count of result records already delivered downstream.  When a link
-dies mid-run (pipe EOF or send failure), the work the dead node owed is
-re-dispatched: the worker is respawned at its slot (or, if fork fails,
-its slots are re-mapped onto a surviving node), the affected channels are
-re-opened on the replacement from a **fresh template copy**, and their
-full journal is replayed from the start — partitions can be stateful
-(synchrocells), so replaying only the unacknowledged tail would be wrong.
-Replayed results are merged idempotently: the first ``delivered`` records
-of the replayed stream are skipped, and frames still arriving from the
-dead link are dropped once it has been replaced, so no chunk can ever be
+Node loss is survivable, not just detectable.  Each partition port
+journals every batch it sends (the *in-flight* ledger) together with the
+count of result records already delivered downstream.  When a read, a
+wait or a send finds a link dead (pipe EOF, sentinel, failed send), the
+failover runs there, on the scheduler's thread: the worker is respawned
+at its slot (or, if fork fails, its slots are re-mapped onto a surviving
+node), the affected channels are re-opened on the replacement from a
+**fresh template copy**, and their full journal is replayed from the
+start — partitions can be stateful (synchrocells), so replaying only the
+unacknowledged tail would be wrong.  Replayed results are merged
+idempotently: the first ``delivered`` records of the replayed stream are
+skipped, and the dead link is never read again, so no chunk can ever be
 double-counted.  This relies on partitions being deterministic — the
 S-Net box purity contract.  Respawns are budgeted per run
 (``max_respawns``); when the budget is exhausted, or fault tolerance is
-disabled, the dead-node error surfaces promptly and frames posted to the
+disabled, the dead-node error surfaces promptly and frames sent to the
 dead link are counted in :attr:`DistributedRuntime.frames_dropped` rather
 than vanishing.
 
@@ -103,11 +106,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-import threading
 import traceback
 import warnings
-from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.snet.base import Entity
 from repro.snet.combinators import IndexSplit, _end, _feed
@@ -124,11 +125,8 @@ from repro.snet.runtime.core import (
     EngineCore,
     Port,
     PortWriter,
-    StreamBridge,
     Transport,
-    drain_stream,
     warn_fork_degraded,
-    worker_scope,
 )
 from repro.snet.runtime.data_plane import (
     BROADCAST_MIN_BYTES,
@@ -149,11 +147,13 @@ from repro.snet.runtime.link import (
     RESULT,
     SHUTDOWN,
     PipeLink,
+    close_links,
     encode_frame,
+    ready_links,
     recv_frame,
     send_frame,
+    wait_replies,
 )
-from repro.snet.runtime.stream import Stream, StreamClosed, StreamWriter
 from repro.snet.runtime.tracing import Tracer
 
 __all__ = [
@@ -196,6 +196,36 @@ def _release_template(key: str) -> None:
         _PARTITION_REGISTRY[key] = (count - 1, template)
 
 
+def _template(key: str, node_index: int) -> Entity:
+    entry = _PARTITION_REGISTRY.get(key)
+    if entry is None:
+        raise DistributedWorkerError(
+            f"partition template {key} missing on compute node {node_index}; "
+            "the distributed runtime requires the 'fork' start method"
+        )
+    return entry[1]
+
+
+def _error_frame(channel: int, node_index: int, exc: BaseException) -> List[bytes]:
+    # user exceptions are not guaranteed to pickle; ship a plain string with
+    # the remote traceback, like the pool engine
+    return encode_frame(
+        ERROR,
+        channel,
+        meta=(
+            f"partition failed on compute node {node_index}: "
+            f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
+        ),
+    )
+
+
+def _records_frame(kind: int, channel: int, produced: Sequence[Record]) -> List[bytes]:
+    if not produced:
+        return encode_frame(kind, channel)
+    payload, buffers, _ = dumps_records([swap_shared_out(r) for r in produced])
+    return encode_frame(kind, channel, payload=payload, buffers=buffers)
+
+
 def _partition_worker_main(conn, node_index: int) -> None:
     """Entry point of one forked node worker ("compute node").
 
@@ -208,16 +238,15 @@ def _partition_worker_main(conn, node_index: int) -> None:
     replacement worker replaying a dead node's journal reproduces the
     original result stream exactly (deterministic partitions), which is
     what the parent's idempotent merge counts on.
+
+    Every ``DATA`` and ``EOS`` gets exactly one reply.  A partition that
+    raises answers that frame with ``ERROR`` (an ``OPEN`` that fails, the
+    next frame), and every later frame of its channel with an empty
+    ``RESULT`` or ``EOS_ACK``.
     """
     channels: Dict[int, Entity] = {}
-    dead_channels: Set[int] = set()
-
-    def send_results(channel: int, produced: Sequence[Record]) -> None:
-        if not produced:
-            return
-        payload, buffers, _ = dumps_records([swap_shared_out(r) for r in produced])
-        send_frame(conn, encode_frame(RESULT, channel, payload=payload, buffers=buffers))
-
+    #: failed channel -> its ERROR frame while unsent (a failed OPEN), else None
+    failed: Dict[int, Optional[List[bytes]]] = {}
     try:
         while True:
             try:
@@ -226,230 +255,99 @@ def _partition_worker_main(conn, node_index: int) -> None:
                 break
             if kind == SHUTDOWN:
                 break
+            if kind == OPEN:
+                try:
+                    channels[channel] = _template(meta, node_index).copy()
+                except Exception as exc:  # noqa: BLE001 - answered at the next frame
+                    failed[channel] = _error_frame(channel, node_index, exc)
+                continue
             try:
-                if kind == OPEN:
-                    entry = _PARTITION_REGISTRY.get(meta)
-                    if entry is None:
-                        raise DistributedWorkerError(
-                            f"partition template {meta} missing on compute node "
-                            f"{node_index}; the distributed runtime requires "
-                            "the 'fork' start method"
-                        )
-                    channels[channel] = entry[1].copy()
+                if channel in failed:
+                    frame = failed[channel] or encode_frame(
+                        RESULT if kind == DATA else EOS_ACK, channel
+                    )
+                    failed[channel] = None
                 elif kind == DATA:
-                    if channel in dead_channels:
-                        continue
                     entity = channels[channel]
                     produced: List[Record] = []
                     for rec in loads_records(payload, buffers):
                         produced.extend(_feed(entity, resolve_shared_in(rec)))
-                    send_results(channel, produced)
-                elif kind == EOS:
-                    entity = channels.pop(channel, None)
-                    if entity is not None and channel not in dead_channels:
-                        send_results(channel, _end(entity))
-                    dead_channels.discard(channel)
-                    send_frame(conn, encode_frame(EOS_ACK, channel))
-            except BaseException as exc:  # noqa: BLE001 - reported to the parent
-                # user exceptions are not guaranteed to pickle; ship a plain
-                # string with the remote traceback, like the pool engine
-                dead_channels.add(channel)
+                    frame = _records_frame(RESULT, channel, produced)
+                else:
+                    frame = _records_frame(EOS_ACK, channel, _end(channels.pop(channel)))
+            except Exception as exc:  # noqa: BLE001 - reported to the parent
                 channels.pop(channel, None)
-                try:
-                    send_frame(
-                        conn,
-                        encode_frame(
-                            ERROR,
-                            channel,
-                            meta=(
-                                f"partition failed on compute node {node_index}: "
-                                f"{type(exc).__name__}: {exc}\n"
-                                f"{traceback.format_exc()}"
-                            ),
-                        ),
-                    )
-                except (OSError, ValueError):
-                    break
+                failed[channel] = None
+                frame = _error_frame(channel, node_index, exc)
+            if kind == EOS:
+                failed.pop(channel, None)
+            try:
+                send_frame(conn, frame)
+            except (OSError, ValueError):
+                break
     finally:
         conn.close()
 
 
-class _Channel:
-    """Parent-side ledger for one partition instance on the wire.
+class _PartitionPort(Port):
+    """One partition instance on the wire: a scheduler port and its ledger.
 
+    The records of a scheduler turn go out when the turn ends, in ``DATA``
+    batches of at most ``chunk_size``; end of input sends ``EOS``.
     ``journal`` holds every batch sent since ``OPEN`` (references, not
-    copies) and ``delivered`` the count of result records already put on
-    the output stream — together they are exactly what a replacement node
-    needs to take over: replay the journal from a fresh template copy and
-    skip the first ``delivered`` replayed results.  The journal is freed
-    as soon as the worker acknowledges ``EOS``.  All mutable fields are
-    guarded by the transport's fault lock.
+    copies) and ``delivered`` the count of result records already pushed
+    downstream — together exactly what a replacement node needs to take
+    over: replay the journal into a fresh template copy and skip the first
+    ``delivered`` replayed results.  The journal is freed when the worker
+    acknowledges ``EOS``.
     """
 
-    __slots__ = (
-        "id",
-        "key",
-        "node",
-        "label",
-        "writer",
-        "journal",
-        "delivered",
-        "replay_skip",
-        "eos_sent",
-        "done",
-    )
-
     def __init__(
-        self, channel_id: int, key: str, node: int, label: str, writer: StreamWriter
-    ) -> None:
-        self.id = channel_id
+        self, transport: "PartitionTransport", key: str, node: int, label: str, out: PortWriter
+    ):
+        super().__init__(transport.runtime.scheduler, label)
+        self.transport = transport
+        self.id = next(transport._channel_ids)
         self.key = key
         self.node = node  # logical node: resolved to a link modulo live slots
-        self.label = label
-        self.writer = writer
+        self.out = out
+        self.waiting: List[Record] = []
         self.journal: List[List[Record]] = []
         self.delivered = 0
         self.replay_skip = 0
         self.eos_sent = False
         self.done = False
 
+    def on_record(self, rec: Record) -> None:
+        if not self.waiting:
+            self.sched.at_turn_end(self)
+        self.waiting.append(rec)
 
-class _NodeLink(PipeLink):
-    """Parent-side endpoint of one node worker: a pipe link plus I/O threads.
+    def end_turn(self, _arg: Any = None) -> None:
+        waiting, self.waiting = self.waiting, []
+        chunk = self.transport.runtime.chunk_size
+        for start in range(0, len(waiting), chunk):
+            self.transport._send_data(self, waiting[start : start + chunk])
 
-    The sender thread drains an unbounded outbox so no engine thread ever
-    blocks inside ``send`` while holding a lock (a full duplex pipe with
-    both sides mid-``send`` would otherwise deadlock cyclic networks); the
-    receiver thread hands worker frames to the transport, which owns all
-    channel state — a link knows nothing about channels, so replacing a
-    dead link never orphans bookkeeping.
-    """
+    def on_close(self) -> None:
+        self.end_turn()
+        self.transport._send_eos(self)
 
-    def __init__(self, transport: "PartitionTransport", index: int) -> None:
-        super().__init__(
-            functools.partial(_partition_worker_main, node_index=index),
-            name=f"dsnet-node-{index}",
-        )
-        self.transport = transport
-        self.index = index
-        self._cv = threading.Condition()
-        self._outbox: Deque[Optional[Sequence[bytes]]] = deque()
-        #: set (under the transport's fault lock) by the first
-        #: failure-handling pass so send-failure and pipe-EOF — which both
-        #: fire for one death — trigger exactly one failover
-        self.failure_handled = False
-        self._retired = False
-        self._sender: Optional[threading.Thread] = None
-        self._receiver: Optional[threading.Thread] = None
+    def outputs(self) -> Sequence[PortWriter]:
+        return (self.out,)
 
-    def start_io(self) -> None:
-        """Start the I/O threads (after *all* node workers have forked)."""
-        self._sender = threading.Thread(
-            target=self._sender_loop, name=f"dist-send-{self.index}", daemon=True
-        )
-        self._receiver = threading.Thread(
-            target=self._receiver_loop, name=f"dist-recv-{self.index}", daemon=True
-        )
-        self._sender.start()
-        self._receiver.start()
+    def _landed(self, records: List[Record]) -> None:
+        if self.out.closed:  # a failover without replacement closed the channel
+            return
+        for rec in records:
+            self.out.push(resolve_shared_in(rec))
 
-    # -- sending -------------------------------------------------------------
-    def post(self, parts: Sequence[bytes]) -> bool:
-        """Queue one multipart frame for the worker (never blocks).
+    def _finish(self, records: List[Record]) -> None:
+        self._landed(records)
+        self.out.close()
 
-        Returns ``False`` — without queueing or counting wire bytes — when
-        the link is already dead, so the caller can account for the
-        dropped frame instead of letting it vanish.  The outbox is
-        deliberately unbounded: an engine thread blocked mid-``send`` on a
-        full duplex pipe can deadlock cyclic networks (the dynamic farm's
-        token loop), so forward-path back-pressure is traded for deadlock
-        freedom.  Real workloads self-throttle — the farm admits at most
-        ``tokens`` sections at a time — and the return path keeps normal
-        bounded-stream back-pressure.
-        """
-        with self._cv:
-            if self.dead:
-                return False
-            self._outbox.append(parts)
-            self._cv.notify()
-        self.transport._count_wire(sum(len(part) for part in parts))
-        return True
-
-    def _sender_loop(self) -> None:
-        while True:
-            with self._cv:
-                while not self._outbox:
-                    self._cv.wait()
-                parts = self._outbox.popleft()
-            if parts is None:  # shutdown sentinel
-                try:
-                    send_frame(self.conn, encode_frame(SHUTDOWN, 0))
-                except (OSError, ValueError):
-                    pass
-                return
-            try:
-                send_frame(self.conn, parts)
-            except (OSError, ValueError) as exc:
-                self.transport._handle_link_failure(
-                    self, f"worker pipe closed while sending ({exc!r})"
-                )
-                return
-
-    # -- receiving -----------------------------------------------------------
-    def _receiver_loop(self) -> None:
-        while True:
-            try:
-                kind, channel, meta, payload, buffers, nbytes = recv_frame(self.conn)
-            except (EOFError, OSError):
-                break
-            self.transport._count_wire(nbytes)
-            if kind == RESULT:
-                self.transport._deliver(self, channel, payload, buffers)
-            elif kind == EOS_ACK:
-                self.transport._finish_channel(self, channel)
-            elif kind == ERROR:
-                self.transport._channel_error(self, channel, meta)
-        self.transport._handle_link_failure(self, "worker process exited")
-
-    def mark_dead(self) -> None:
-        with self._cv:
-            self.dead = True
-            self._cv.notify_all()
-
-    # -- shutdown ------------------------------------------------------------
-    def retire(self) -> None:
-        """Stop I/O for a link that has been replaced (idempotent, non-blocking)."""
-        with self._cv:
-            if self._retired:
-                return
-            self._retired = True
-            self.dead = True
-            self._outbox.append(None)
-            self._cv.notify_all()
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover - defensive
-            pass
-        self.process.join(timeout=0.5)
-
-    def shutdown(self) -> None:
-        with self._cv:
-            if not self._retired:
-                self._retired = True
-                self._outbox.append(None)
-                self._cv.notify_all()
-        if self._sender is not None:
-            self._sender.join(timeout=5.0)
-        self.process.join(timeout=5.0)
-        if self.process.is_alive():  # pragma: no cover - defensive
-            self.process.terminate()
-            self.process.join(timeout=5.0)
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover - defensive
-            pass
-        if self._receiver is not None:
-            self._receiver.join(timeout=5.0)
+    def _failed(self, exc: BaseException) -> None:
+        raise exc
 
 
 class PartitionTransport(Transport):
@@ -459,20 +357,15 @@ class PartitionTransport(Transport):
 
     def __init__(self) -> None:
         super().__init__()
-        self._links: List[_NodeLink] = []
+        self._links: List[PipeLink] = []
         self._live_keys: Set[str] = set()
         self._registered_keys: List[str] = []
         self._shared_registered: List[int] = []
         self._channel_ids = itertools.count(1)
-        self._stats_lock = threading.Lock()
         self._bytes_on_wire = 0
-        #: guards links, channels, journals and the failover counters; an
-        #: RLock because failure handling can be re-entered from a post
-        #: that itself discovered the death
-        self._fault_lock = threading.RLock()
-        self._channels: Dict[int, _Channel] = {}
+        #: open partition channels by id
+        self._channels: Dict[int, _PartitionPort] = {}
         self._run_active = False
-        self._shutting_down = False
         self._respawns_left = 0
         #: node failovers + between-job revivals performed (cumulative)
         self.recoveries = 0
@@ -487,29 +380,22 @@ class PartitionTransport(Transport):
     def bytes_pickled(self) -> int:
         return self._bytes_on_wire
 
-    def _count_wire(self, nbytes: int) -> None:
-        with self._stats_lock:
-            self._bytes_on_wire += nbytes
-
     @property
     def in_flight(self) -> Dict[str, Dict[str, Any]]:
         """Per-channel ledger snapshot: what each live partition is owed."""
-        with self._fault_lock:
-            return {
-                ch.label: {
-                    "node": ch.node,
-                    "batches": len(ch.journal),
-                    "records": sum(len(batch) for batch in ch.journal),
-                    "delivered": ch.delivered,
-                    "eos_sent": ch.eos_sent,
-                }
-                for ch in self._channels.values()
-                if not ch.done
+        return {
+            ch.name: {
+                "node": ch.node,
+                "batches": len(ch.journal),
+                "records": sum(len(batch) for batch in ch.journal),
+                "delivered": ch.delivered,
+                "eos_sent": ch.eos_sent,
             }
+            for ch in self._channels.values()
+        }
 
     def _report_error(self, exc: BaseException) -> None:
-        if self.runtime is not None:
-            self.runtime._record_error(exc, source="distributed-link")
+        self.runtime._record_error(exc, source="distributed-link")
 
     def _warn_degraded(self) -> None:
         warn_fork_degraded(
@@ -590,54 +476,35 @@ class PartitionTransport(Transport):
             return
         assign_default_placement(network, 0)
         for root in roots:
-            key = getattr(root, _KEY_ATTR, None)
-            if key is None:
-                key = structural_key(root)
-                try:
-                    setattr(root, _KEY_ATTR, key)
-                except AttributeError:  # pragma: no cover - slots-only entity
-                    pass
-            if key not in self._live_keys:
+            if self._resolve_key(root) is None:
                 raise RuntimeError_(
                     f"warm DistributedRuntime: partition {root.name!r} "
-                    f"(structural key {key}) matches no template registered "
-                    "by setup(); a warm runtime only distributes networks "
-                    "structurally identical to the one it was set up with — "
-                    "call teardown() and setup() with this network to "
-                    "redistribute it"
+                    f"(structural key {structural_key(root)}) matches no "
+                    "template registered by setup(); a warm runtime only "
+                    "distributes networks structurally identical to the one "
+                    "it was set up with — call teardown() and setup() with "
+                    "this network to redistribute it"
                 )
 
     # -- link lifecycle ------------------------------------------------------
+    def _fork_link(self, index: int) -> PipeLink:
+        # forks after registration, so the child inherits the registries
+        return PipeLink(
+            functools.partial(_partition_worker_main, node_index=index),
+            name=f"dsnet-node-{index}",
+            index=index,
+        )
+
     def _fork_links(self) -> None:
-        # fork every node worker before starting any I/O thread, so each
-        # child inherits a quiescent parent (complete registries, no
-        # frames); append one-by-one so a fork failing halfway leaves the
-        # earlier links on self._links for teardown to reap
+        # append one by one: a fork failing halfway leaves the earlier links
+        # for teardown to stop and reap
         for index in range(self.runtime.nodes):
-            self._links.append(_NodeLink(self, index))
-        for link in self._links:
-            link.start_io()
+            self._links.append(self._fork_link(index))
 
     def _shutdown_links(self) -> None:
-        with self._fault_lock:
-            self._shutting_down = True
-            links, self._links = self._links, []
-            channels, self._channels = list(self._channels.values()), {}
-            for ch in channels:
-                ch.done = True
-                ch.journal = []
-        for ch in channels:
-            ch.writer.close()
-        seen: Set[int] = set()
-        try:
-            for link in links:
-                if id(link) in seen:  # an aliased slot after a re-map
-                    continue
-                seen.add(id(link))
-                link.shutdown()
-        finally:
-            with self._fault_lock:
-                self._shutting_down = False
+        links, self._links = self._links, []
+        self._channels.clear()
+        close_links(list(dict.fromkeys(links)))  # an aliased slot after a re-map
 
     def _revive_links(self) -> None:
         """Between jobs: respawn any node worker that died while warm.
@@ -647,64 +514,44 @@ class PartitionTransport(Transport):
         fault tolerance disabled this keeps the historical contract of
         refusing to run on a broken warm runtime.
         """
-        retired: List[_NodeLink] = []
-        with self._fault_lock:
-            seen: Set[int] = set()
-            stale: List[int] = []
-            for i, link in enumerate(self._links):
-                if link.dead or not link.process.is_alive():
-                    stale.append(i)
-                elif id(link) in seen:
-                    stale.append(i)
-                else:
-                    seen.add(id(link))
-            if not stale:
-                return
-            if not self.runtime.fault_tolerance:
-                raise RuntimeError_(
-                    f"distributed compute node {self._links[stale[0]].index} "
-                    "is no longer alive; call teardown() and setup() to "
-                    "rebuild the links (fault tolerance is disabled)"
-                )
-            for i in stale:
-                old = self._links[i]
-                fresh = _NodeLink(self, i)
-                fresh.start_io()
-                self._links[i] = fresh
-                self.recoveries += 1
-                self.runtime.tracer.record(
-                    "distributed-link", "node-revived", node=i
-                )
-                if old.dead and all(l is not old for l in self._links):
-                    retired.append(old)
-        for old in retired:
-            old.retire()
+        links = self._links
+        stale = [i for i, link in enumerate(links) if not link.alive or link in links[:i]]
+        if not stale:
+            return
+        if not self.runtime.fault_tolerance:
+            raise RuntimeError_(
+                f"distributed compute node {links[stale[0]].index} "
+                "is no longer alive; call teardown() and setup() to "
+                "rebuild the links (fault tolerance is disabled)"
+            )
+        old = list(links)
+        for i in stale:
+            self._links[i] = self._fork_link(i)
+            self.recoveries += 1
+            self.runtime.tracer.record("distributed-link", "node-revived", node=i)
+        close_links([link for link in dict.fromkeys(old) if link not in self._links])
+
+    def _link_of(self, ch: _PartitionPort) -> PipeLink:
+        return self._links[ch.node % len(self._links)]
 
     # -- failover ------------------------------------------------------------
-    def _replace_link(self, link: _NodeLink) -> Optional[_NodeLink]:
+    def _replace_link(self, link: PipeLink, slots: List[int]) -> Optional[PipeLink]:
         """Provision a replacement for ``link`` into every slot it holds.
 
-        Called under the fault lock.  Prefers respawning a fresh worker at
-        the dead node's slot (forked now, so it inherits the current
-        registries); if the fork fails, re-maps the slots onto a surviving
-        node — the ``!@ <tag>`` modulo mapping then lands on the survivor
-        set, exactly the paper's node-set contraction.  Returns ``None``
-        when no replacement is possible (fault tolerance off, respawn
-        budget spent, or nothing left alive).
+        Prefers respawning a fresh worker at the dead node's slot (forked
+        now, so it inherits the current registries); if the fork fails,
+        re-maps the slots onto a surviving node — the ``!@ <tag>`` modulo
+        mapping then lands on the survivor set, exactly the paper's
+        node-set contraction.  Returns ``None`` when no replacement is
+        possible (fault tolerance off, respawn budget spent, or nothing
+        left alive).
         """
-        if not self.runtime.fault_tolerance or self._shutting_down:
+        if not self.runtime.fault_tolerance or self._respawns_left <= 0:
             return None
-        if self._respawns_left <= 0:
-            return None
-        slots = [i for i, l in enumerate(self._links) if l is link]
-        if not slots:
-            return None
-        replacement: Optional[_NodeLink] = None
         try:
-            replacement = _NodeLink(self, link.index)
-            replacement.start_io()
+            replacement = self._fork_link(link.index)
         except OSError:  # pragma: no cover - fork exhaustion
-            survivors = [l for l in self._links if l is not link and not l.dead]
+            survivors = [l for l in dict.fromkeys(self._links) if not l.dead]
             if not survivors:
                 return None
             replacement = survivors[slots[0] % len(survivors)]
@@ -714,8 +561,8 @@ class PartitionTransport(Transport):
         self.recoveries += 1
         return replacement
 
-    def _replay_channel(self, ch: _Channel, link: _NodeLink) -> None:
-        """Re-dispatch everything a dead node owed ``ch`` (under the fault lock).
+    def _replay(self, ch: _PartitionPort, link: PipeLink) -> None:
+        """Re-dispatch everything a dead node owed ``ch`` onto ``link``.
 
         The replacement re-opens the channel from a fresh template copy
         and replays the journal *from the start* — partitions can be
@@ -724,173 +571,158 @@ class PartitionTransport(Transport):
         instead, which makes the merge idempotent.
         """
         ch.replay_skip = ch.delivered
-        link.post(encode_frame(OPEN, ch.id, meta=ch.key))
+        self._send(link, encode_frame(OPEN, ch.id, meta=ch.key), None)
         for batch in ch.journal:
             payload, buffers, _ = dumps_records([swap_shared_out(r) for r in batch])
-            link.post(encode_frame(DATA, ch.id, payload=payload, buffers=buffers))
+            self._send(link, encode_frame(DATA, ch.id, payload=payload, buffers=buffers), ch)
         if ch.eos_sent:
-            link.post(encode_frame(EOS, ch.id))
+            self._send(link, encode_frame(EOS, ch.id), ch)
 
-    def _handle_link_failure(self, link: _NodeLink, reason: str) -> None:
-        """One node worker is gone: re-dispatch its in-flight work or fail loudly.
+    def _fail_over(self, link: PipeLink, reason: str) -> None:
+        """One node worker is gone: re-dispatch the work it owed or fail loudly.
 
-        Entered from the link's sender (send failed) and receiver (pipe
-        EOF) — ``failure_handled`` makes the two entries one failover.
+        Runs on the scheduler's thread wherever the death shows: a read
+        meeting EOF, a wait seeing the sentinel, a send failing.  A dead
+        link that no replacement could take stays in its slot, so a
+        second call finds nothing left to do; the warm lifecycle revives
+        it at the next :meth:`begin_run`.
         """
-        closers: List[StreamWriter] = []
-        error: Optional[DistributedWorkerError] = None
-        retire_link = False
-        with self._fault_lock:
-            if link.failure_handled:
-                return
-            link.failure_handled = True
-            link.mark_dead()
-            if self._shutting_down or all(l is not link for l in self._links):
-                return  # normal teardown, or a link already replaced/removed
-            n = len(self._links)
-            affected = [
-                ch
-                for ch in self._channels.values()
-                if not ch.done and self._links[ch.node % n] is link
-            ]
-            replacement = self._replace_link(link)
-            if replacement is not None:
-                retire_link = True
-                self.runtime.tracer.record(
-                    "distributed-link",
-                    "node-failover",
-                    node=link.index,
-                    channels=len(affected),
-                    respawned=replacement.process is not link.process
-                    and replacement.index == link.index,
-                    reason=reason,
+        link.dead = True
+        slots = [i for i, l in enumerate(self._links) if l is link]
+        if not slots:
+            return  # already replaced or removed
+        affected = [ch for ch in self._channels.values() if self._link_of(ch) is link]
+        replacement = self._replace_link(link, slots)
+        if replacement is None:
+            for ch in affected:
+                self._close(ch)
+                ch.out.close()
+            if affected:
+                self._report_error(
+                    DistributedWorkerError(
+                        f"compute node {link.index} died ({reason}) with "
+                        f"{len(affected)} partition channel(s) open and no "
+                        "replacement available"
+                    )
                 )
-                for ch in affected:
-                    self._replay_channel(ch, replacement)
-            elif affected:
-                for ch in affected:
-                    ch.done = True
-                    ch.journal = []
-                    closers.append(ch.writer)
-                    self._channels.pop(ch.id, None)
-                error = DistributedWorkerError(
-                    f"compute node {link.index} died ({reason}) with "
-                    f"{len(affected)} partition channel(s) open and no "
-                    "replacement available"
-                )
-            # a dead link with nothing owed stays in its slot; channels
-            # opening on it later trigger their own failover, and the warm
-            # lifecycle revives it at the next begin_run
-        for writer in closers:
-            writer.close()
-        if error is not None:
-            self._report_error(error)
-        if retire_link:
-            link.retire()
+            return
+        self.runtime.tracer.record(
+            "distributed-link",
+            "node-failover",
+            node=link.index,
+            channels=len(affected),
+            respawned=replacement.index == link.index,
+            reason=reason,
+        )
+        close_links([link])
+        for ch in affected:
+            self._replay(ch, replacement)
 
-    # -- frame handling (called from link receiver threads) ------------------
-    def _deliver(
-        self, link: _NodeLink, channel_id: int, payload: bytes, buffers: List[bytes]
-    ) -> None:
-        records = loads_records(payload, buffers)
-        with self._fault_lock:
-            ch = self._channels.get(channel_id)
-            if ch is None or ch.done:
-                return
-            if not self._links or self._links[ch.node % len(self._links)] is not link:
-                return  # stale frame from a replaced link; the replay re-produces it
-            if ch.replay_skip:
-                skip = min(ch.replay_skip, len(records))
-                ch.replay_skip -= skip
-                records = records[skip:]
-            ch.delivered += len(records)
-            writer = ch.writer
+    # -- the links, driven from the scheduler ---------------------------------
+    def _send(self, link: PipeLink, parts: List[bytes], owed: Optional[_PartitionPort]) -> None:
+        self._bytes_on_wire += sum(len(part) for part in parts)
         try:
-            for rec in records:
-                writer.put(resolve_shared_in(rec))
-        except StreamClosed:
-            pass
+            link.send(parts, owed)
+        except OSError as exc:
+            self._fail_over(link, f"worker pipe closed while sending ({exc!r})")
 
-    def _finish_channel(self, link: _NodeLink, channel_id: int) -> None:
-        with self._fault_lock:
-            ch = self._channels.get(channel_id)
-            if ch is None or ch.done:
-                return
-            if not self._links or self._links[ch.node % len(self._links)] is not link:
-                return
-            ch.done = True
-            ch.journal = []
-            self._channels.pop(channel_id, None)
-        ch.writer.close()
-
-    def _channel_error(self, link: _NodeLink, channel_id: int, message: str) -> None:
-        with self._fault_lock:
-            ch = self._channels.get(channel_id)
-            if ch is None or ch.done:
-                return
-            if not self._links or self._links[ch.node % len(self._links)] is not link:
-                return  # a deterministic error will recur on the replay
-            ch.done = True
-            ch.journal = []
-            self._channels.pop(channel_id, None)
-        ch.writer.close()
-        self._report_error(DistributedWorkerError(message))
-
-    # -- outbound path -------------------------------------------------------
-    def _post_data(self, ch: _Channel, batch: List[Record]) -> None:
+    def _send_data(self, ch: _PartitionPort, batch: List[Record]) -> None:
+        if ch.done:
+            return
+        if self.runtime.fault_tolerance:
+            ch.journal.append(batch)
         payload, buffers, _ = dumps_records([swap_shared_out(r) for r in batch])
-        parts = encode_frame(DATA, ch.id, payload=payload, buffers=buffers)
-        with self._fault_lock:
-            if ch.done:
-                return
-            if self.runtime.fault_tolerance:
-                ch.journal.append(list(batch))
-            link = self._links[ch.node % len(self._links)]
-        if not link.post(parts):
-            self._note_dropped_frame(ch, link)
+        self._send_to_node(ch, encode_frame(DATA, ch.id, payload=payload, buffers=buffers))
 
-    def _post_eos(self, ch: _Channel) -> None:
-        parts = encode_frame(EOS, ch.id)
-        with self._fault_lock:
-            if ch.done:
-                return
-            ch.eos_sent = True
-            link = self._links[ch.node % len(self._links)]
-        if not link.post(parts):
-            self._note_dropped_frame(ch, link)
+    def _send_eos(self, ch: _PartitionPort) -> None:
+        if ch.done:
+            return
+        ch.eos_sent = True
+        self._send_to_node(ch, encode_frame(EOS, ch.id))
 
-    def _note_dropped_frame(self, ch: _Channel, link: _NodeLink) -> None:
-        """A frame hit a dead link: account for it, then force the failover.
+    def _send_to_node(self, ch: _PartitionPort, parts: List[bytes]) -> None:
+        link = self._link_of(ch)
+        if not link.dead:
+            self._send(link, parts, ch)
+            return
+        # counted, then the failover replays the frame from the journal or
+        # fails the channel, so the run fails promptly instead of grinding
+        # to the deadline
+        self.frames_dropped += 1
+        self._fail_over(link, "frame sent to a dead node link")
 
-        If a replacement takes (or already took) over, the journal replay
-        covers the frame and nothing was lost; otherwise the drop counter
-        records it and the failure handler surfaces the dead-node error so
-        the run fails promptly instead of grinding to the deadline.
+    def _close(self, ch: _PartitionPort) -> None:
+        ch.done = True
+        ch.journal = []
+        self._channels.pop(ch.id, None)
+
+    def _settle(self, ch: _PartitionPort, frame: tuple) -> Optional[Tuple[Port, Any, Any]]:
+        """Book one reply on its channel's ledger; the step that delivers it.
+
+        Booked as it is read, so a failover later in the same poll replays
+        from a ledger that already counts it.
         """
-        with self._fault_lock:
-            if not ch.done and self._links and self._links[ch.node % len(self._links)] is link:
-                self.frames_dropped += 1
-        self._handle_link_failure(link, "frame posted to a dead node link")
+        kind, _, meta, payload, buffers, nbytes = frame
+        self._bytes_on_wire += nbytes
+        if ch.done:  # the channel failed: an empty answer to a frame in flight
+            return None
+        if kind == ERROR:
+            self._close(ch)
+            return (ch, ch._failed, DistributedWorkerError(meta))
+        records = loads_records(payload, buffers) if payload is not None else []
+        if ch.replay_skip:
+            skip = min(ch.replay_skip, len(records))
+            ch.replay_skip -= skip
+            records = records[skip:]
+        ch.delivered += len(records)
+        if kind == EOS_ACK:
+            self._close(ch)
+            return (ch, ch._finish, records)
+        return (ch, ch._landed, records) if records else None
+
+    def poll(self) -> List[Tuple[Port, Any, Any]]:
+        steps = []
+        for link in ready_links(self._links):
+            try:
+                frame = recv_frame(link.conn)
+            except (EOFError, OSError):
+                self._fail_over(link, "worker process exited")
+                continue
+            step = self._settle(link.pending.popleft(), frame)
+            if step is not None:
+                steps.append(step)
+            try:
+                link.flush()  # it owes nothing now: its next frame goes out
+            except OSError as exc:
+                self._fail_over(link, f"worker pipe closed while sending ({exc!r})")
+        return steps
+
+    def wait(self, timeout: Optional[float]) -> bool:
+        """Sleep until a node worker answers or dies; a death fails over at once."""
+        dead = wait_replies(self._links, timeout)
+        for link in dead or ():
+            self._fail_over(link, "worker process exited")
+        return dead is not None
 
     @property
     def worker_pids(self) -> List[int]:
-        return [link.process.pid for link in self._links]
+        return [link.pid for link in self._links]
 
     # -- elasticity ----------------------------------------------------------
+    def _check_between_jobs(self, what: str) -> None:
+        if self._run_active:
+            raise RuntimeError_(
+                f"{what}() while a run is in progress; elastic resize is only "
+                "allowed between jobs"
+            )
+
     def add_node(self) -> int:
         """Grow the warm node set by one freshly forked worker (between jobs)."""
-        with self._fault_lock:
-            if self._run_active:
-                raise RuntimeError_(
-                    "add_node() while a run is in progress; elastic resize "
-                    "is only allowed between jobs"
-                )
-            self.runtime.nodes += 1
-            if self._links:
-                link = _NodeLink(self, len(self._links))
-                link.start_io()
-                self._links.append(link)
-            return self.runtime.nodes
+        self._check_between_jobs("add_node")
+        self.runtime.nodes += 1
+        if self._links:
+            self._links.append(self._fork_link(len(self._links)))
+        return self.runtime.nodes
 
     def remove_node(self, index: Optional[int] = None) -> int:
         """Shrink the warm node set (between jobs); defaults to the last slot.
@@ -899,27 +731,20 @@ class PartitionTransport(Transport):
         remaining nodes on the next run — the same contraction rule the
         failover path uses.
         """
-        with self._fault_lock:
-            if self._run_active:
-                raise RuntimeError_(
-                    "remove_node() while a run is in progress; elastic "
-                    "resize is only allowed between jobs"
-                )
-            if self.runtime.nodes <= 1:
-                raise RuntimeError_("cannot remove the last compute node")
-            victim: Optional[_NodeLink] = None
-            if self._links:
-                slot = len(self._links) - 1 if index is None else index
-                if not 0 <= slot < len(self._links):
-                    raise RuntimeError_(
-                        f"remove_node: no compute node at slot {slot}"
-                    )
-                victim = self._links.pop(slot)
-                for i, link in enumerate(self._links):
-                    link.index = i
-            self.runtime.nodes -= 1
-        if victim is not None and all(l is not victim for l in self._links):
-            victim.shutdown()
+        self._check_between_jobs("remove_node")
+        if self.runtime.nodes <= 1:
+            raise RuntimeError_("cannot remove the last compute node")
+        victim: Optional[PipeLink] = None
+        if self._links:
+            slot = len(self._links) - 1 if index is None else index
+            if not 0 <= slot < len(self._links):
+                raise RuntimeError_(f"remove_node: no compute node at slot {slot}")
+            victim = self._links.pop(slot)
+            for i, link in enumerate(self._links):
+                link.index = i
+        self.runtime.nodes -= 1
+        if victim is not None and victim not in self._links:
+            close_links([victim])
         return self.runtime.nodes
 
     # -- warm lifecycle ------------------------------------------------------
@@ -933,28 +758,23 @@ class PartitionTransport(Transport):
         if not runtime.fork_available():
             self._warn_degraded()
             return
-        try:
-            self._prepare(network, wrap_unplaced=False)
-            if not self._live_keys:
-                warnings.warn(
-                    "DistributedRuntime.setup: the network has no placement "
-                    "combinators (@ / !@); warm runs will execute in-process",
-                    RuntimeWarning,
-                    stacklevel=3,
+        # a failure halfway is torn down by EngineCore.setup: no fork-shared
+        # template, /dev/shm broadcast segment or half-forked worker leaks
+        self._prepare(network, wrap_unplaced=False)
+        if not self._live_keys:
+            warnings.warn(
+                "DistributedRuntime.setup: the network has no placement "
+                "combinators (@ / !@); warm runs will execute in-process",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            return
+        if runtime.zero_copy:
+            for value in broadcast:
+                register_shared_value(
+                    value, self._shared_registered, runtime.BROADCAST_MIN_BYTES
                 )
-                return
-            if runtime.zero_copy:
-                for value in broadcast:
-                    register_shared_value(
-                        value, self._shared_registered, runtime.BROADCAST_MIN_BYTES
-                    )
-            self._fork_links()
-        except BaseException:
-            # teardown-on-failure is unconditional: a failed setup must not
-            # leak fork-shared templates, /dev/shm broadcast segments or
-            # half-forked node workers
-            self.teardown()
-            raise
+        self._fork_links()
 
     def teardown(self) -> None:
         self._shutdown_links()
@@ -965,13 +785,10 @@ class PartitionTransport(Transport):
     def begin_run(
         self, network: Entity, inputs: Sequence[Record], timeout: Optional[float]
     ) -> Entity:
-        with self._stats_lock:
-            self._bytes_on_wire = 0
         runtime = self.runtime
-        with self._fault_lock:
-            self.frames_dropped = 0
-            self._respawns_left = runtime.max_respawns
-            self._run_active = True
+        self._bytes_on_wire = self.frames_dropped = 0
+        self._respawns_left = runtime.max_respawns
+        self._run_active = True
         if runtime.is_warm:
             if self._links:
                 self._revive_links()
@@ -989,20 +806,21 @@ class PartitionTransport(Transport):
         return network
 
     def end_run(self) -> None:
-        with self._fault_lock:
-            self._run_active = False
-            stale = [ch for ch in self._channels.values() if not ch.done]
-            for ch in stale:
-                ch.done = True
-                ch.journal = []
-            self._channels.clear()
-        for ch in stale:  # an interrupted run (deadline/error) left channels open
-            ch.writer.close()
-        if self.runtime.is_warm:
-            return  # links and registrations persist until teardown()
-        self._shutdown_links()
-        self._unregister()
-        unregister_shared(self._shared_registered)
+        self._run_active = False
+        self._channels.clear()  # an interrupted run (deadline/error) left some open
+        if not self.runtime.is_warm:
+            self.teardown()
+            return
+        # a live worker still owing replies of this (failed) run would hand
+        # them to the next one: replace it now (not a recovery, no death)
+        stale = [
+            link for link in dict.fromkeys(self._links)
+            if link.alive and (link.pending or link.outbox)
+        ]
+        for i, link in enumerate(self._links):
+            if link in stale:
+                self._links[i] = self._fork_link(i)
+        close_links(stale)
 
     # -- compilation seam ----------------------------------------------------
     def compile_entity(self, entity: Entity, out: PortWriter) -> Optional[Port]:
@@ -1011,7 +829,7 @@ class PartitionTransport(Transport):
         key = self._resolve_key(entity)
         if key is None:
             return None
-        return self._bridge_channel(key, placement_of(entity), out, entity.name)
+        return self._open_channel(key, placement_of(entity), entity.name, out)
 
     def compile_split_instance(
         self, entity: IndexSplit, value: int, out: PortWriter
@@ -1022,7 +840,7 @@ class PartitionTransport(Transport):
         if key is None:
             return None
         # indexed placement: the replica for tag value v runs on node v
-        return self._bridge_channel(key, value, out, f"{entity.name}-{value}")
+        return self._open_channel(key, value, f"{entity.name}-{value}", out)
 
     def claims_entity(self, entity: Entity) -> bool:
         """Mirror of :meth:`compile_entity`'s claim condition (no side effects)."""
@@ -1032,42 +850,20 @@ class PartitionTransport(Transport):
             and self._resolve_key(entity) is not None
         )
 
-    # -- channels ------------------------------------------------------------
-    def _bridge_channel(self, key: str, node: int, out: PortWriter, label: str) -> Port:
-        """Open a channel behind a :class:`StreamBridge` port of the scheduler."""
-        bridge = StreamBridge(self.runtime, label, out)
-        self._open_channel(key, node, bridge.in_stream, bridge, label)
-        return bridge
+    def _open_channel(self, key: str, node: int, label: str, out: PortWriter) -> Port:
+        """Wire one partition instance to its node worker: its port.
 
-    def _open_channel(
-        self,
-        key: str,
-        node: int,
-        in_stream: Stream,
-        out_writer: StreamWriter,
-        label: str,
-    ) -> None:
-        """Wire one partition instance to its node worker.
-
-        Creates the channel ledger, announces the channel with ``OPEN``
-        and spawns the forwarder that batches the partition's input
-        records onto the wire.  A channel landing on an already-dead link
-        first gets the normal failover treatment; if no replacement is
-        possible the open is refused — the writer is closed (downstream
-        EOS), the input drained, and the dead-node error recorded so the
-        run fails promptly instead of stalling.
+        A channel landing on an already-dead link first gets the normal
+        failover treatment; if no replacement is possible the open is
+        refused — the output closes (downstream EOS), the port drops its
+        input, and the dead-node error is recorded so the run fails
+        promptly instead of stalling.
         """
-        runtime = self.runtime
-        channel_id = next(self._channel_ids)
-        ch = _Channel(channel_id, key, node, label, out_writer)
-        with self._fault_lock:
-            link = self._links[node % len(self._links)]
-        if link.dead or not link.process.is_alive():
-            self._handle_link_failure(link, "found dead while opening a channel")
-        with self._fault_lock:
-            link = self._links[node % len(self._links)]
-            if not link.dead:
-                self._channels[channel_id] = ch
+        ch = _PartitionPort(self, key, node, label, out)
+        link = self._link_of(ch)
+        if not link.alive:
+            self._fail_over(link, "found dead while opening a channel")
+            link = self._link_of(ch)
         if link.dead:
             self._report_error(
                 DistributedWorkerError(
@@ -1075,38 +871,13 @@ class PartitionTransport(Transport):
                     f"{link.index} is dead and no replacement is available"
                 )
             )
-            out_writer.close()
-            runtime._spawn(
-                lambda: drain_stream(in_stream), f"dist-drain-{label}-ch{channel_id}"
-            )
-            return
-        if not link.post(encode_frame(OPEN, channel_id, meta=key)):
-            self._note_dropped_frame(ch, link)
-        runtime.tracer.record(label, "partition-open", node=link.index, channel=channel_id)
-        chunk = runtime.chunk_size
-
-        def forwarder() -> None:
-            # the transport owns out_writer from here (closed on EOS_ACK,
-            # partition error or unrecovered link death); worker_scope
-            # still drains the input on error so upstream workers never
-            # hang on back-pressure
-            with worker_scope(in_stream, lambda: ()):
-                try:
-                    while True:
-                        rec = in_stream.get()
-                        if rec is None:
-                            break
-                        batch = [rec]
-                        while len(batch) < chunk:
-                            extra = in_stream.try_get()
-                            if extra is None:
-                                break
-                            batch.append(extra)
-                        self._post_data(ch, batch)
-                finally:
-                    self._post_eos(ch)
-
-        runtime._spawn(forwarder, f"dist-fwd-{label}-ch{channel_id}")
+            ch.done = True
+            out.close()
+            return ch
+        self._channels[ch.id] = ch
+        self.runtime.tracer.record(label, "partition-open", node=link.index, channel=ch.id)
+        self._send(link, encode_frame(OPEN, ch.id, meta=key), None)
+        return ch
 
 
 class DistributedRuntime(EngineCore):
@@ -1119,8 +890,8 @@ class DistributedRuntime(EngineCore):
         ``A @ num`` map to worker ``num % nodes``; indexed placements
         ``A !@ <tag>`` map each replica to worker ``value % nodes``.
     chunk_size:
-        Records per cross-partition ``DATA`` frame (forwarders batch
-        greedily up to this size, never blocking to fill a batch).
+        Records per cross-partition ``DATA`` frame (a partition port
+        batches the records of one scheduler turn up to this size).
     zero_copy:
         Broadcast large input-record payloads (and ``setup(broadcast=...)``
         objects) through the fork-shared registry so they cross the wire as
@@ -1135,7 +906,7 @@ class DistributedRuntime(EngineCore):
         Mid-run failover budget per run.  Workers that died *between*
         jobs are always revived on the next run while warm (not counted
         against this budget).
-    tracer / stream_capacity:
+    tracer:
         As for :class:`~repro.snet.runtime.engine.ThreadedRuntime`.
 
     After a run, :attr:`bytes_pickled` holds the total frame bytes that
@@ -1158,7 +929,6 @@ class DistributedRuntime(EngineCore):
         self,
         nodes: int = 2,
         tracer: Optional[Tracer] = None,
-        stream_capacity: int = 256,
         chunk_size: int = 16,
         zero_copy: bool = True,
         fault_tolerance: bool = True,
@@ -1168,7 +938,6 @@ class DistributedRuntime(EngineCore):
     ):
         super().__init__(
             tracer=tracer,
-            stream_capacity=stream_capacity,
             transport=PartitionTransport(),
             check=check,
             fuse=fuse,
@@ -1224,11 +993,9 @@ def run_distributed(
     inputs: Sequence[Record],
     nodes: int = 2,
     tracer: Optional[Tracer] = None,
-    stream_capacity: int = 256,
     timeout: Optional[float] = 60.0,
 ) -> List[Record]:
     """Convenience wrapper: run ``network`` on a fresh distributed runtime."""
-    runtime = DistributedRuntime(
-        nodes=nodes, tracer=tracer, stream_capacity=stream_capacity
-    )
+    runtime = DistributedRuntime(nodes=nodes, tracer=tracer)
     return runtime.run(network, inputs, timeout=timeout)
+

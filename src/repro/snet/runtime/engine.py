@@ -14,10 +14,6 @@ engines run the very same core with transports that move box invocations
 (respectively whole placement partitions) into real OS processes; the
 cross-backend conformance suite pins their observable semantics to this
 one.
-
-:func:`drain_stream` and :func:`worker_scope` are re-exported from the core
-for backward compatibility — they are the shutdown contract of transport
-threads that read a :class:`~repro.snet.runtime.stream.Stream`.
 """
 
 from __future__ import annotations
@@ -26,15 +22,10 @@ from typing import List, Optional, Sequence
 
 from repro.snet.base import Entity
 from repro.snet.records import Record
-from repro.snet.runtime.core import (
-    EngineCore,
-    InlineTransport,
-    drain_stream,
-    worker_scope,
-)
+from repro.snet.runtime.core import EngineCore, InlineTransport
 from repro.snet.runtime.tracing import Tracer
 
-__all__ = ["ThreadedRuntime", "run_threaded", "drain_stream", "worker_scope"]
+__all__ = ["ThreadedRuntime", "run_threaded"]
 
 
 class ThreadedRuntime(EngineCore):
@@ -44,9 +35,6 @@ class ThreadedRuntime(EngineCore):
     ----------
     tracer:
         Optional :class:`Tracer` receiving runtime events.
-    stream_capacity:
-        Bound of every stream at a transport boundary (none inline; kept for
-        a uniform constructor across backends).
 
     Runtime instances are **reusable** and expose the same warm lifecycle
     (:meth:`~repro.snet.runtime.core.EngineCore.setup` /
@@ -66,13 +54,11 @@ class ThreadedRuntime(EngineCore):
     def __init__(
         self,
         tracer: Optional[Tracer] = None,
-        stream_capacity: int = 256,
         check: str = "warn",
         fuse: str = "auto",
     ):
         super().__init__(
             tracer=tracer,
-            stream_capacity=stream_capacity,
             transport=InlineTransport(),
             check=check,
             fuse=fuse,
@@ -83,9 +69,8 @@ def run_threaded(
     network: Entity,
     inputs: Sequence[Record],
     tracer: Optional[Tracer] = None,
-    stream_capacity: int = 256,
     timeout: Optional[float] = 60.0,
 ) -> List[Record]:
     """Convenience wrapper: run ``network`` on ``inputs`` with a fresh runtime."""
-    runtime = ThreadedRuntime(tracer=tracer, stream_capacity=stream_capacity)
+    runtime = ThreadedRuntime(tracer=tracer)
     return runtime.run(network, inputs, timeout=timeout)

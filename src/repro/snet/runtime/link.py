@@ -5,17 +5,27 @@ Both fork-based transports talk to their workers over a duplex
 
 ====================  ====================================================
 ``OPEN key``          instantiate a fresh copy of partition template
-                      ``key`` for a new channel
+                      ``key`` for a new channel (no reply)
 ``DATA payload``      a record batch for the channel (protocol 5, buffers
                       out-of-band, broadcast payloads as
                       :class:`~repro.snet.runtime.data_plane.SharedObjectRef`)
 ``EOS``               channel input finished → worker flushes the
                       partition and answers ``EOS_ACK``
-``RESULT payload``    records produced by a partition (worker → parent)
+``RESULT payload``    the records a ``DATA`` batch produced, possibly none
+                      (worker → parent)
+``EOS_ACK payload``   the records the partition's flush produced, possibly
+                      none (worker → parent)
 ``ERROR message``     a partition raised; the message embeds the remote
                       traceback (worker → parent)
 ``SHUTDOWN``          the run/runtime is over; the worker exits
 ====================  ====================================================
+
+**One reply per frame.**  A worker answers every ``DATA`` and ``EOS`` with
+exactly one frame — ``RESULT``, ``EOS_ACK`` or ``ERROR`` — in the order it
+read them, also on a channel that has already failed.  So the parent
+knows what each worker owes (:attr:`PipeLink.pending`), sends only to a
+worker that owes nothing (:meth:`PipeLink.send`), and reads and sleeps on
+all its links from one thread (:func:`ready_links`, :func:`wait_replies`).
 
 A frame is multipart: a tiny pickled header, then the payload and each
 out-of-band buffer as separate pipe messages, so serialized bytes are never
@@ -27,15 +37,19 @@ the channel.
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
 import pickle
 import warnings
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Deque, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 __all__ = [
     "OPEN", "DATA", "EOS", "SHUTDOWN", "RESULT", "EOS_ACK", "ERROR",
     "encode_frame", "send_frame", "recv_frame", "PipeLink", "close_links",
+    "ready_links", "wait_replies",
 ]
 
 # frame kinds (parent -> worker: OPEN/DATA/EOS/SHUTDOWN; worker -> parent:
@@ -136,10 +150,11 @@ class PipeLink:
     it inherited but ``conn`` (:func:`_drop_inherited_sockets`).
     :attr:`pending` lists what the worker owes the parent in send order; a
     worker answers frames in the order it read them, so a reply always
-    settles ``pending[0]``.
+    settles ``pending[0]``.  :attr:`outbox` holds the frames waiting for
+    the worker to owe nothing.  ``index`` is the worker's slot.
     """
 
-    def __init__(self, target: Callable[[Any], None], name: str):
+    def __init__(self, target: Callable[[Any], None], name: str, index: int = 0):
         ctx = multiprocessing.get_context("fork")
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.process = ctx.Process(
@@ -152,14 +167,38 @@ class PipeLink:
             raise
         finally:
             child_conn.close()
+        self.index = index
         self.pid = self.process.pid
         self.sentinel = self.process.sentinel
         self.pending: Deque[Any] = deque()
+        self.outbox: Deque[Tuple[Sequence[bytes], Any]] = deque()
         self.dead = False
+        #: the worker's exit code, once :meth:`reap` has waited for it
+        self.exitcode: Optional[int] = None
 
     @property
     def alive(self) -> bool:
         return not self.dead and self.process.exitcode is None
+
+    def send(self, parts: Sequence[bytes], owed: Any = None) -> None:
+        """Send one frame as soon as the worker owes nothing; queue it till then.
+
+        ``owed`` is what the frame's reply settles (``None`` for a frame
+        with no reply, ``OPEN``).  A worker that owes nothing is reading,
+        so a send of any size completes while the worker never blocks on
+        an unread reply.  Raises :class:`OSError` if the pipe is gone.
+        """
+        self.outbox.append((parts, owed))
+        self.flush()
+
+    def flush(self) -> None:
+        """Send queued frames while the worker owes nothing."""
+        outbox, pending = self.outbox, self.pending
+        while outbox and not pending:
+            parts, owed = outbox.popleft()
+            if owed is not None:
+                pending.append(owed)
+            send_frame(self.conn, parts)
 
     def stop(self) -> None:
         """Ask the worker to exit: ``SHUTDOWN`` if it owes nothing, else kill."""
@@ -190,6 +229,7 @@ class PipeLink:
         if self.process.exitcode is None:  # pragma: no cover - defensive
             self.process.kill()
             self.process.join()
+        self.exitcode = self.process.exitcode
         self.process.close()
 
 
@@ -199,3 +239,35 @@ def close_links(links: Sequence[PipeLink]) -> None:
         link.stop()
     for link in links:
         link.reap()
+
+
+def ready_links(links: Iterable[PipeLink]) -> Iterator[PipeLink]:
+    """Yield a busy link each time a reply (or EOF) waits on its pipe.
+
+    Never blocks.  Per yield the caller reads one frame with
+    :func:`recv_frame` and pops ``link.pending[0]``, the entry it settles,
+    or marks the link dead when the read meets EOF.  Links go in order,
+    each as long as it has replies waiting; a link listed twice is read
+    once.
+    """
+    for link in dict.fromkeys(links):
+        while link.pending and not link.dead and link.conn.poll():
+            yield link
+
+
+def wait_replies(
+    links: Iterable[PipeLink], timeout: Optional[float]
+) -> Optional[List[PipeLink]]:
+    """Sleep, at most ``timeout`` seconds, until a busy link has a reply.
+
+    One ``multiprocessing.connection.wait`` over the busy links' pipes and
+    sentinels, so a worker's death wakes it too.  Returns the busy links
+    whose worker has died, or ``None`` at once when no link owes anything.
+    """
+    busy = [link for link in dict.fromkeys(links) if link.pending and not link.dead]
+    if not busy:
+        return None
+    ready = multiprocessing.connection.wait(
+        [link.conn for link in busy] + [link.sentinel for link in busy], timeout
+    )
+    return [link for link in busy if link.sentinel in ready]

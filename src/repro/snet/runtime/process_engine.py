@@ -50,7 +50,6 @@ to threaded execution and says so with a :class:`RuntimeWarning`.
 from __future__ import annotations
 
 import itertools
-import multiprocessing.connection
 import os
 import time
 import traceback
@@ -89,8 +88,10 @@ from repro.snet.runtime.link import (
     PipeLink,
     close_links,
     encode_frame,
+    ready_links,
     recv_frame,
     send_frame,
+    wait_replies,
 )
 from repro.snet.runtime.tracing import Tracer
 
@@ -407,33 +408,26 @@ class PoolTransport(Transport):
 
     def poll(self) -> List[Tuple[Port, Any, Any]]:
         landed = []
-        for link in self._links:
-            while link.pending and link.conn.poll():
-                try:
-                    kind, _, meta, payload, buffers, _ = recv_frame(link.conn)
-                except (EOFError, OSError):
-                    self._lost(link)
-                port, size = link.pending.popleft()
-                if kind == ERROR:
-                    landed.append((port, port._failed, BoxWorkerError(meta)))
-                else:
-                    landed.append((port, port._landed, (payload, buffers, meta, size)))
+        for link in ready_links(self._links):
+            try:
+                kind, _, meta, payload, buffers, _ = recv_frame(link.conn)
+            except (EOFError, OSError):
+                self._lost(link)
+            port, size = link.pending.popleft()
+            if kind == ERROR:
+                landed.append((port, port._failed, BoxWorkerError(meta)))
+            else:
+                landed.append((port, port._landed, (payload, buffers, meta, size)))
         if landed:
             self._pump()
         return landed
 
     def wait(self, timeout: Optional[float]) -> bool:
         """Sleep until a worker answers or dies; a death fails the run at once."""
-        busy = [link for link in self._links if link.pending]
-        if not busy:
-            return False
-        ready = multiprocessing.connection.wait(
-            [link.conn for link in busy] + [link.sentinel for link in busy], timeout
-        )
-        for link in busy:
-            if link.sentinel in ready:
-                self._lost(link)
-        return True
+        dead = wait_replies(self._links, timeout)
+        for link in dead or ():
+            self._lost(link)
+        return dead is not None
 
 
 class _PoolPort(_PrimitivePort):
@@ -540,7 +534,7 @@ class ProcessRuntime(EngineCore):
         input records are registered before the pool forks and cross the
         boundary as :class:`SharedObjectRef` tokens.  Disable to get the
         legacy full-record pickling data plane (the conformance baseline).
-    tracer / stream_capacity:
+    tracer:
         As for :class:`~repro.snet.runtime.engine.ThreadedRuntime`.
 
     After a run, :attr:`bytes_pickled` holds the total bytes serialized
@@ -556,7 +550,6 @@ class ProcessRuntime(EngineCore):
         self,
         workers: Optional[int] = None,
         tracer: Optional[Tracer] = None,
-        stream_capacity: int = 256,
         chunk_size: Optional[int] = None,
         max_inflight: Optional[int] = None,
         zero_copy: bool = True,
@@ -565,7 +558,6 @@ class ProcessRuntime(EngineCore):
     ):
         super().__init__(
             tracer=tracer,
-            stream_capacity=stream_capacity,
             transport=PoolTransport(),
             check=check,
             fuse=fuse,

@@ -92,16 +92,15 @@ def get_runtime(name: str, **options: Any) -> Any:
     """Instantiate the runtime backend registered under ``name``.
 
     ``options`` are passed to the backend factory (e.g. ``workers=4`` for the
-    process backend, ``nodes=3`` for the distributed one,
-    ``stream_capacity=...`` for every executing backend, or ``cluster=...``
-    for the simulated one).  Unknown names raise
+    process backend, ``nodes=3`` for the distributed one, ``fuse="off"``
+    for every executing backend, or ``cluster=...`` for the simulated one).  Unknown names raise
     :class:`~repro.snet.errors.RuntimeError_` listing every registered
     backend (with a did-you-mean suggestion for near-misses).
 
     >>> type(get_runtime("threaded")).__name__
     'ThreadedRuntime'
-    >>> get_runtime("threaded", stream_capacity=8).stream_capacity
-    8
+    >>> get_runtime("threaded", fuse="off").fuse
+    'off'
     >>> get_runtime("distributed", nodes=3).nodes
     3
     >>> try:

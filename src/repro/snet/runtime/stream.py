@@ -1,10 +1,8 @@
 """Bounded thread-safe streams for records crossing a thread boundary.
 
 Inside one run the engine's ports hand records to each other on the
-scheduler's thread; a :class:`Stream` carries records between threads —
-to a transport's own threads (the distributed engine's channel forwarders
-read their partition's input from one, behind a
-:class:`~repro.snet.runtime.core.StreamBridge`) and from clients to the
+scheduler's thread, and no transport starts a thread of its own; a
+:class:`Stream` carries records between threads — from clients to the
 render service's job loop.  It is a bounded FIFO with
 *writer reference counting*: several writers may share one stream and it
 only signals end-of-stream to its readers once every registered writer has
@@ -13,8 +11,8 @@ been closed.
 Readers obtain records with :meth:`Stream.get`, which returns ``None`` once
 the stream is exhausted (empty *and* all writers closed).  The two read
 methods give ``None`` two different meanings — this contract matters to
-every consumer that must distinguish "idle" from "finished" (a forwarder
-topping up a batch, the render service's job queue):
+every consumer that must distinguish "idle" from "finished" (the render
+service's job queue):
 
 >>> from repro.snet.records import Record
 >>> stream = Stream(name="demo", capacity=4)
@@ -162,10 +160,7 @@ class Stream:
         writers are still open, and more records can arrive later.
         ``try_get`` cannot distinguish that case from an exhausted stream —
         callers that need to observe EOS (queue drained *and* every writer
-        closed) must use :meth:`get`, whose ``None`` is definitive.  The
-        distributed engine's channel forwarders rely on exactly this: they
-        top up a batch with ``try_get`` and fall back to a blocking ``get``
-        to learn about end-of-stream.
+        closed) must use :meth:`get`, whose ``None`` is definitive.
         """
         with self._lock:
             if self._queue:

@@ -9,6 +9,7 @@ failures inside a partition surface promptly with the remote traceback.
 
 import os
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -31,7 +32,10 @@ from repro.snet.runtime import (
     run_distributed,
     run_on,
 )
+from repro.snet.runtime.core import RunScheduler, _Collector
 from repro.snet.types import TypeSignature
+
+pytestmark = pytest.mark.usefixtures("no_process_leaks")
 
 fork_only = pytest.mark.skipif(
     not DistributedRuntime.fork_available(), reason="needs the fork start method"
@@ -247,52 +251,43 @@ class TestFailureModes:
 
         net = StaticPlacement(flaky, 1)
         inputs = [Record({"a": i}) for i in range(50)]
-        runtime = DistributedRuntime(nodes=2, stream_capacity=4)
+        runtime = DistributedRuntime(nodes=2)
         with pytest.raises(RuntimeError_, match="worker"):
-            # records exceed the stream capacity on purpose: the run can only
-            # fail promptly because the forwarder keeps draining its input
             runtime.run(net, inputs, timeout=15.0)
 
     @fork_only
     def test_channel_opened_on_dead_link_fails_fast(self):
         """A channel landing on an already-dead link must not stall the run.
 
-        The receiver closes its writers when the link dies, but a channel
-        opened *afterwards* (late split instantiation) would register a
-        writer nothing ever closes — the open must be refused, the writer
-        closed (downstream EOS) and the input drained instead.
+        The failover closes the channels open when a link dies, but a
+        channel opened *afterwards* (late split instantiation) would wait
+        for replies no worker will send — the open must be refused, the
+        output closed (downstream EOS) and the input dropped instead.
         """
-        from repro.snet.runtime.stream import Stream
-
         net = StaticPlacement(make_pid_box(), 0)
         runtime = DistributedRuntime(nodes=1, fault_tolerance=False)
         runtime.setup(net)
         try:
-            link = runtime.transport._links[0]
-            runtime.transport._handle_link_failure(link, "worker gone (test)")
+            transport = runtime.transport
+            link = transport._links[0]
+            transport._fail_over(link, "worker gone (test)")
             assert link.dead
-            in_stream = Stream(name="late-channel-in", capacity=4)
-            writer = in_stream.open_writer()
-            out_stream = Stream(name="late-channel-out", capacity=4)
             runtime._reset_run_state()
-            runtime.transport._open_channel(
-                "bogus-key", 0, in_stream, out_stream.open_writer(), "late"
-            )
-            with runtime._lock:
-                runtime._started = True
-                pending = list(runtime._pending)
-                runtime._pending.clear()
-            for start in pending:
-                start()
+            sched = runtime.scheduler = RunScheduler(runtime)
+            downstream = _Collector(sched)
+            writer = transport.compile_entity(net, downstream.open_writer()).open_writer()
             # downstream sees EOS immediately instead of hanging
-            assert out_stream.get(timeout=5.0) is None
-            # and the input side is drained so upstream writers never block
+            assert list(downstream.inbox) == [None]
             for i in range(10):
-                writer.put(Record({"a": i}))
+                writer.push(Record({"a": i}))
             writer.close()
-            for thread in list(runtime._threads):
-                thread.join(timeout=5.0)
+            # the input goes nowhere and the run ends at once, with the
+            # dead-node error recorded for it to raise
+            assert sched.run(downstream, deadline=time.monotonic() + 5.0)
+            assert downstream.done and downstream.records == []
+            assert any("is dead" in str(exc) for exc in runtime.errors)
         finally:
+            runtime.scheduler = None
             runtime.teardown()
 
     @fork_only
@@ -321,32 +316,30 @@ class TestFailureModes:
         dead-node error recorded so the run fails promptly instead of
         grinding to the wall-clock deadline.
         """
-        from repro.snet.runtime.stream import Stream
-
+        net = StaticPlacement(make_pid_box(), 0)
         runtime = DistributedRuntime(nodes=1, fault_tolerance=False)
-        runtime.setup(StaticPlacement(make_pid_box(), 0))
+        runtime.setup(net)
         try:
             transport = runtime.transport
-            link = transport._links[0]
-            out_stream = Stream(name="drop-out", capacity=4)
-            ch = distributed_engine._Channel(
-                999, "key", 0, "drop-test", out_stream.open_writer()
-            )
-            transport._channels[999] = ch
-            link.mark_dead()
-            transport._post_data(ch, [Record({"a": 1})])
+            runtime._reset_run_state()
+            sched = runtime.scheduler = RunScheduler(runtime)
+            downstream = _Collector(sched)
+            port = transport.compile_entity(net, downstream.open_writer())
+            transport._links[0].dead = True
+            port.on_record(Record({"a": 1}))
+            port.end_turn()  # the turn's batch goes to the dead link
             assert runtime.frames_dropped == 1
-            assert ch.done  # the failure handler closed the channel...
-            assert out_stream.get(timeout=5.0) is None
+            assert port.done  # the failover closed the channel...
+            assert list(downstream.inbox) == [None]
             # ...and recorded the dead-node error for the run to raise
             assert any("died" in str(exc) for exc in runtime.errors)
         finally:
+            runtime.scheduler = None
             runtime.teardown()
 
     @fork_only
     def test_dead_node_without_replacement_fails_run_promptly(self, tmp_path):
         import signal
-        import time
 
         sentinel = str(tmp_path / "killed")
 
@@ -360,9 +353,7 @@ class TestFailureModes:
 
         net = StaticPlacement(kill_worker, 0)
         inputs = [Record({"a": i}) for i in range(50)]
-        runtime = DistributedRuntime(
-            nodes=2, chunk_size=1, stream_capacity=4, fault_tolerance=False
-        )
+        runtime = DistributedRuntime(nodes=2, chunk_size=1, fault_tolerance=False)
         start = time.monotonic()
         with pytest.raises(RuntimeError_, match="died"):
             runtime.run(net, inputs, timeout=60.0)
@@ -447,16 +438,16 @@ class TestSetupFailureCleanup:
     def test_failed_setup_leaves_no_registry_leaks(self, monkeypatch):
         templates_before = dict(distributed_engine._PARTITION_REGISTRY)
         shared_before = dict(data_plane._SHARED_OBJECTS)
-        real_init = distributed_engine._NodeLink.__init__
-        calls = {"n": 0}
+        real_fork = distributed_engine.PartitionTransport._fork_link
+        forked = []
 
-        def flaky_init(self, transport, index):
-            calls["n"] += 1
-            if calls["n"] == 2:
+        def flaky_fork(self, index):
+            if forked:
                 raise OSError("fork failed (test)")
-            real_init(self, transport, index)
+            forked.append(real_fork(self, index))
+            return forked[-1]
 
-        monkeypatch.setattr(distributed_engine._NodeLink, "__init__", flaky_init)
+        monkeypatch.setattr(distributed_engine.PartitionTransport, "_fork_link", flaky_fork)
         runtime = DistributedRuntime(nodes=2)
         with pytest.raises(OSError, match="fork failed"):
             runtime.setup(
@@ -467,6 +458,8 @@ class TestSetupFailureCleanup:
         assert distributed_engine._PARTITION_REGISTRY == templates_before
         assert data_plane._SHARED_OBJECTS == shared_before
         assert runtime.worker_pids == []
+        # the worker forked before the failing fork exited on SHUTDOWN
+        assert [link.exitcode for link in forked] == [0]
 
 
 class TestFarmWireBytes:

@@ -28,6 +28,8 @@ from repro.snet.records import Record
 from repro.snet.runtime import DistributedRuntime, ThreadedRuntime
 from repro.snet.synchrocell import SyncroCell
 
+pytestmark = pytest.mark.usefixtures("no_process_leaks")
+
 fork_only = pytest.mark.skipif(
     not DistributedRuntime.fork_available(), reason="needs the fork start method"
 )
@@ -59,7 +61,7 @@ class TestMidRunFailover:
     def test_killed_worker_is_replaced_and_no_record_lost_or_doubled(self, tmp_path):
         sentinel = tmp_path / "killed"
         net = StaticPlacement(make_kill_once_box(sentinel, 5), 0)
-        runtime = DistributedRuntime(nodes=2, chunk_size=1, stream_capacity=8)
+        runtime = DistributedRuntime(nodes=2, chunk_size=1)
         runtime.setup(net)
         try:
             outs = runtime.run(net, [Record({"a": i}) for i in range(20)], timeout=60.0)

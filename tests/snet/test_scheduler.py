@@ -102,6 +102,7 @@ class TestCostModel:
         [
             ("threaded", {}),
             pytest.param("process", {"workers": 2}, marks=fork_only),
+            pytest.param("distributed", {"nodes": 2}, marks=fork_only),
         ],
     )
     def test_threads_per_frame_do_not_grow_with_tasks(
@@ -114,15 +115,12 @@ class TestCostModel:
                 runtime_name, small_scene, tasks, **options
             )
             started[tasks] = count_thread_starts[0] - before
-            # every entity instance is a port: the engine starts no thread
-            assert runtime.threads_started == 0
-            assert runtime.observability()["threads_started"] == 0
             assert runtime.observability()["steps"] > 0
             expected_outputs, expected_image = sequential_frame(small_scene, tasks)
             assert multiset(outputs) == multiset(expected_outputs)
             np.testing.assert_array_equal(image, expected_image)
-        # the pool's links are driven from the scheduler thread: no thread
-        # at all, whatever the backend
+        # every entity instance is a port and every pipe link is driven from
+        # the scheduler thread: no thread at all, whatever the backend
         assert started[8] == started[32] == started[64] == 0, started
 
     @pytest.mark.parametrize("tasks", [8, 32, 64])

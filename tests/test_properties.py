@@ -315,9 +315,9 @@ def record_streams(draw):
 
 class TestRuntimeStreamProperties:
     @settings(max_examples=25, deadline=None)
-    @given(combinator_graphs().map(declared), record_streams(), st.sampled_from([1, 2, 16]))
-    def test_no_record_loss_or_duplication(self, graph, inputs, capacity):
-        runtime = ThreadedRuntime(stream_capacity=capacity)
+    @given(combinator_graphs().map(declared), record_streams())
+    def test_no_record_loss_or_duplication(self, graph, inputs):
+        runtime = ThreadedRuntime()
         # a 10s timeout turns any scheduling deadlock into a hard failure
         outputs = runtime.run(graph, inputs, timeout=10.0)
         assert sorted(r.field("ident") for r in outputs) == [
@@ -328,13 +328,13 @@ class TestRuntimeStreamProperties:
     @given(combinator_graphs().map(declared), record_streams())
     def test_matches_sequential_multiset(self, graph, inputs):
         expected = sorted(repr(r) for r in run_network(graph, inputs))
-        runtime = ThreadedRuntime(stream_capacity=2)
+        runtime = ThreadedRuntime()
         outputs = runtime.run(graph, inputs, timeout=10.0)
         assert sorted(repr(r) for r in outputs) == expected
 
     @settings(max_examples=8, deadline=None)
-    @given(record_streams(), st.sampled_from([1, 4]))
-    def test_process_backend_conserves_records(self, inputs, capacity):
+    @given(record_streams())
+    def test_process_backend_conserves_records(self, inputs):
         from repro.snet.runtime import ProcessRuntime
 
         graph = Serial(
@@ -342,7 +342,7 @@ class TestRuntimeStreamProperties:
                 _bump_box(), Pattern(["<n>"], Guard(TagRef("n") >= STAR_EXIT))
             ))
         )
-        runtime = ProcessRuntime(workers=2, stream_capacity=capacity, chunk_size=3)
+        runtime = ProcessRuntime(workers=2, chunk_size=3)
         outputs = runtime.run(graph, inputs, timeout=20.0)
         assert sorted(r.field("ident") for r in outputs) == [
             r.field("ident") for r in inputs
@@ -416,14 +416,12 @@ class TestPlacementTransparency:
         assert sorted(repr(r) for r in placed) == sorted(repr(r) for r in unplaced)
 
     @settings(max_examples=20, deadline=None)
-    @given(placement_plans(), record_streams(), st.sampled_from([2, 16]))
-    def test_threaded_runtime_treats_placement_as_transparent(
-        self, plan, inputs, capacity
-    ):
+    @given(placement_plans(), record_streams())
+    def test_threaded_runtime_treats_placement_as_transparent(self, plan, inputs):
         expected = sorted(
             repr(r) for r in run_network(build_placement_plan(plan, placed=False), inputs)
         )
-        runtime = ThreadedRuntime(stream_capacity=capacity)
+        runtime = ThreadedRuntime()
         outputs = runtime.run(
             declared(build_placement_plan(plan, placed=True)), inputs, timeout=10.0
         )
@@ -673,10 +671,10 @@ class TestLevelBuilderMatchesPerNodeBuilder:
 
 class TestLinearizationTransparency:
     @settings(max_examples=25, deadline=None)
-    @given(combinator_graphs().map(declared), record_streams(), st.sampled_from([2, 16]))
-    def test_fused_matches_unfused_multiset(self, graph, inputs, capacity):
-        fused = ThreadedRuntime(stream_capacity=capacity)
-        unfused = ThreadedRuntime(stream_capacity=capacity, fuse="off")
+    @given(combinator_graphs().map(declared), record_streams())
+    def test_fused_matches_unfused_multiset(self, graph, inputs):
+        fused = ThreadedRuntime()
+        unfused = ThreadedRuntime(fuse="off")
         out_fused = fused.run(graph.copy(), inputs, timeout=10.0)
         out_unfused = unfused.run(graph.copy(), inputs, timeout=10.0)
         assert sorted(repr(r) for r in out_fused) == sorted(
