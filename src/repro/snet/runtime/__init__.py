@@ -44,13 +44,15 @@ Modules:
   multi-writer reference counting (the render service's job queue),
 * :mod:`repro.snet.runtime.core` — :class:`EngineCore`, its port graph
   and scheduler, and the :class:`Transport` seam,
-* :mod:`repro.snet.runtime.link` — the pipe link to a forked worker and
-  its frame protocol, shared by both fork-based transports,
+* :mod:`repro.snet.runtime.link` — the pipe link to a forked worker, its
+  frame protocol and the one fork transport both fork-based runtimes use,
 * :mod:`repro.snet.runtime.data_plane` — protocol-5 out-of-band
   serialization and the fork-shared payload broadcast registry,
 * :mod:`repro.snet.runtime.engine` — :class:`ThreadedRuntime`,
-* :mod:`repro.snet.runtime.process_engine` — :class:`ProcessRuntime`,
-* :mod:`repro.snet.runtime.distributed_engine` — :class:`DistributedRuntime`,
+* :mod:`repro.snet.runtime.process_engine` — :class:`ProcessRuntime` and
+  its box-pool claim policy,
+* :mod:`repro.snet.runtime.distributed_engine` — :class:`DistributedRuntime`
+  and its placement-partition claim policy,
 * :mod:`repro.snet.runtime.registry` — backend registration/selection,
 * :mod:`repro.snet.runtime.tracing` — event tracing for tests and benchmarks.
 """

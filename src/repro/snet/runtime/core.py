@@ -19,18 +19,19 @@ runtime        transport
 =============  =======================================================
 threaded       :class:`InlineTransport` — every entity is a port on the
                scheduler; records travel by reference.
-process        ``PoolTransport`` — ``parallel_safe`` boxes are claimed;
-               a record goes to a worker at once when one owes nothing,
-               else it is batched per scheduler turn; batches are
-               serialized (protocol 5, out-of-band buffers) and sent over
-               pipe links to forked workers; the scheduler reads the
-               results itself (:meth:`Transport.poll`,
-               :meth:`Transport.wait`).
-distributed    ``PartitionTransport`` — whole placement partitions
-               (``A @ num``, ``A !@ <tag>``) execute in real worker
-               processes; each partition instance is a port whose
-               records are batched per scheduler turn and cross over
-               the same pipe links, read and awaited the same way.
+process        ``LinkTransport``, pool policy (``PoolTransport``) —
+               ``parallel_safe`` boxes are claimed; a record goes to a
+               worker at once when one owes nothing, else it is batched
+               per scheduler turn; batches are serialized (protocol 5,
+               out-of-band buffers) and sent over pipe links to forked
+               workers; the scheduler reads the results itself
+               (:meth:`Transport.poll`, :meth:`Transport.wait`).
+distributed    ``LinkTransport``, partition policy
+               (``PartitionTransport``) — whole placement partitions
+               (``A @ num``, ``A !@ <tag>``) execute on the same
+               workers, links and read/wait loop; each partition
+               instance is a port whose records are batched per
+               scheduler turn.
 =============  =======================================================
 
 The core owns the engine invariants, so they hold identically on every

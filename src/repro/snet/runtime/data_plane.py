@@ -46,7 +46,6 @@ __all__ = [
     "loads_records",
     "estimate_nbytes",
     "register_shared_value",
-    "register_shared_inputs",
     "unregister_shared",
     "swap_shared_out",
     "resolve_shared_in",
@@ -171,15 +170,6 @@ def register_shared_value(
     _SHARED_OBJECTS[key] = value
     _SHARED_BY_ID[id(value)] = key
     registered.append(key)
-
-
-def register_shared_inputs(
-    inputs: Sequence[Record], registered: List[int], min_bytes: int = BROADCAST_MIN_BYTES
-) -> None:
-    """Broadcast large input-record payloads; must run before the fork."""
-    for rec in inputs:
-        for label in rec.fields():
-            register_shared_value(rec[label], registered, min_bytes)
 
 
 def unregister_shared(registered: List[int]) -> None:

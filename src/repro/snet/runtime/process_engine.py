@@ -1,45 +1,33 @@
-"""Process-parallel execution engine.
+"""Process-parallel execution engine: the box pool.
 
 :class:`ProcessRuntime` pairs the shared
-:class:`~repro.snet.runtime.core.EngineCore` with a :class:`PoolTransport`:
-the port graph and its scheduler are exactly those of the threaded engine,
-but instances of ``parallel_safe`` boxes are claimed by the transport and
-their records run on forked worker processes, so CPU-bound box code runs
-outside the GIL (the paper's headline measurement, which the threaded
-runtime can only simulate).  The data plane — fork-shared box registry and
-payload broadcast, protocol-5 out-of-band batches, adaptive batch sizes —
-is described in DESIGN.md, "The process data plane".
+:class:`~repro.snet.runtime.core.EngineCore` with a :class:`PoolTransport`,
+the claim policy of :class:`~repro.snet.runtime.link.LinkTransport` that
+claims every instance of a ``parallel_safe`` box.  The port graph and its
+scheduler are exactly those of the threaded engine, but a claimed box's
+records run on forked workers, so CPU-bound box code runs outside the GIL
+(the paper's headline measurement, which the threaded runtime can only
+simulate).  The link protocol, the worker and the warm lifecycle are
+described once, in :mod:`repro.snet.runtime.link`; the data plane in
+DESIGN.md, "The process data plane".
 
-* **Fork-shared box registry.**  Box functions are typically closures and
-  not picklable: every ``parallel_safe`` box is registered before the
-  workers fork, and only records cross the boundary.  Star levels and
-  split replicas share the template's ``func``, so they resolve to its key.
-* **The link.**  Each worker is a :class:`~repro.snet.runtime.link.PipeLink`
-  (forked process, duplex pipe, sentinel) carrying the multipart frames of
-  :mod:`repro.snet.runtime.link`.  The scheduler thread drives every link
-  itself and no thread is started.  Results are read by a non-blocking
-  :meth:`PoolTransport.poll` at every turn end and pushed downstream at
-  once, and an idle scheduler sleeps in one
-  ``multiprocessing.connection.wait`` over the busy workers' pipes and
-  sentinels.
+* **Stateless templates.**  S-Net boxes are stateless, so a box batch
+  names its registered template and runs on it directly: no ``OPEN``, no
+  copy, any worker.  Star levels and split replicas share the template's
+  ``func``, so they resolve to its key.
 * **Eager, pull-style dispatch.**  A record that reaches a claimed box
   instance while some worker owes nothing is sent at once: in the dynamic
   farm a solver result releases the node token, the scheduler runs the
   token's path first, and the section it admits goes out in the same turn.
   Records that arrive while every worker is busy are batched at the turn
-  end, wait in the parent, and go to whichever worker answers first.  A
-  worker that owes nothing is reading, so the parent never blocks in
-  ``send`` while the worker blocks sending a large result.
-  ``max_inflight`` bounds each box instance's outstanding batches.
+  end, wait in one shared backlog, and go to whichever worker answers
+  first.  ``max_inflight`` bounds each box instance's outstanding batches,
+  and :class:`BatchAutotuner` sizes them from the box time each ``RESULT``
+  carries.
 * **Errors.**  A box exception comes back as :class:`BoxWorkerError` with
   the remote traceback and fails the box's port.  A worker that dies with
-  batches outstanding fires its sentinel, which fails the run at once.
-* **Warm lifecycle.**  :meth:`ProcessRuntime.setup` registers and forks
-  once, so a persistent service (:class:`repro.apps.service.RenderService`)
-  pays it per scene, not per frame; :meth:`ProcessRuntime.teardown` stops
-  and reaps the workers.  Before each warm run, a worker that died — or
-  that a failed run left owing results, which is stopped for it — is
-  replaced by a fresh fork, which inherits the registries like the first.
+  batches outstanding fails the run at once; the next warm run forks a
+  replacement.
 
 Synchrocells, filters, routing ports and boxes marked
 ``parallel_safe=False`` execute on the scheduler, exactly as on the
@@ -51,48 +39,22 @@ from __future__ import annotations
 
 import itertools
 import os
-import time
-import traceback
 from collections import deque
-from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.snet.base import Entity
 from repro.snet.boxes import Box
 from repro.snet.errors import RuntimeError_
 from repro.snet.records import Record
-from repro.snet.runtime import data_plane
-from repro.snet.runtime.core import (
-    EngineCore,
-    Port,
-    PortWriter,
-    Transport,
-    _PrimitivePort,
-    warn_fork_degraded,
-)
+from repro.snet.runtime.core import EngineCore, Port, PortWriter, _PrimitivePort
 from repro.snet.runtime.data_plane import (
-    BROADCAST_MIN_BYTES,
     SharedObjectRef,
-    broadcast_worthy,
     dumps_records,
     loads_records,
-    register_shared_value,
     resolve_shared_in,
     swap_shared_out,
-    unregister_shared,
 )
-from repro.snet.runtime.link import (
-    DATA,
-    ERROR,
-    RESULT,
-    SHUTDOWN,
-    PipeLink,
-    close_links,
-    encode_frame,
-    ready_links,
-    recv_frame,
-    send_frame,
-    wait_replies,
-)
+from repro.snet.runtime.link import DATA, ERROR, LinkTransport, PipeLink, encode_frame
 from repro.snet.runtime.tracing import Tracer
 
 __all__ = [
@@ -110,61 +72,8 @@ class BoxWorkerError(RuntimeError_):
     """A box raised inside a pool worker (message embeds the remote traceback)."""
 
 
-#: template boxes visible to forked pool workers, keyed by registration id.
-#: Populated in the parent *before* the workers fork; fork-inherited children
-#: therefore see every key registered for the current run.
-_BOX_REGISTRY: Dict[int, Box] = {}
-_registry_keys = itertools.count(1)
-
-# the payload broadcast registry lives in the shared data-plane module;
-# tests reach it through this module
-_SHARED_OBJECTS = data_plane._SHARED_OBJECTS
-_SHARED_BY_ID = data_plane._SHARED_BY_ID
-
-
-def _run_batch(key: int, payload: bytes, buffers: Sequence[bytes]) -> List[bytes]:
-    """Run the box registered under ``key`` over one serialized batch.
-
-    Returns the reply frame: ``RESULT`` with the produced records and the
-    measured box time (serialization excluded, it feeds the parent's batch
-    autotuner), or ``ERROR`` whose text carries the remote traceback — user
-    exceptions are not guaranteed to pickle.
-    """
-    template = _BOX_REGISTRY.get(key)  # missing only without fork
-    try:
-        records = [resolve_shared_in(rec) for rec in loads_records(payload, buffers)]
-        start = time.perf_counter()
-        produced: List[Record] = []
-        for rec in records:
-            produced.extend(template.process(rec))
-        elapsed = time.perf_counter() - start
-        out_payload, out_buffers, _ = dumps_records(
-            [swap_shared_out(rec) for rec in produced]
-        )
-        return encode_frame(RESULT, key, elapsed, out_payload, out_buffers)
-    except Exception as exc:  # noqa: BLE001 - reported to the parent
-        name = template.name if template is not None else f"#{key} (not registered)"
-        return encode_frame(
-            ERROR,
-            key,
-            f"box {name!r} failed in worker process: "
-            f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}",
-        )
-
-
-def _pool_worker_main(conn) -> None:
-    """Entry point of one forked pool worker: answer batches until ``SHUTDOWN``."""
-    try:
-        while True:
-            try:
-                kind, key, _, payload, buffers, _ = recv_frame(conn)
-            except (EOFError, OSError):
-                return
-            if kind == SHUTDOWN:
-                return
-            send_frame(conn, _run_batch(key, payload, buffers))
-    finally:
-        conn.close()
+#: registry keys of box templates (a box batch's channel on the wire)
+_box_keys = itertools.count(1)
 
 
 class BatchAutotuner:
@@ -220,158 +129,68 @@ class BatchAutotuner:
             self.max_inflight = (4 if deep else 2) * self._workers
 
 
-class PoolTransport(Transport):
-    """Offload ``parallel_safe`` box invocations to forked pool workers.
+class PoolTransport(LinkTransport):
+    """Claim ``parallel_safe`` boxes; send each batch to any worker owing nothing.
 
-    Owns one link per worker, the fork-shared registrations made on behalf
-    of its runtime, and the data-plane statistics; everything runs on the
-    scheduler's thread (see the module docstring).  The runtime's knobs
-    (worker count, batching, ``zero_copy``) are read from the owning
-    :class:`ProcessRuntime`, which validates them.
+    The runtime's knobs (worker count, batching, ``zero_copy``) are read
+    from the owning :class:`ProcessRuntime`, which validates them.
     """
 
     name = "pool"
+    worker_name = "snet-pool"
+    degraded = "identical semantics, no wall-clock parallelism"
 
     def __init__(self) -> None:
         super().__init__()
-        self._links: List[PipeLink] = []
-        # _template_key(box) -> registry key; the key must survive Entity.copy
-        # (which shares function objects) AND distinguish boxes that share
-        # one function under different names/signatures
-        self._box_keys: Dict[tuple, int] = {}
-        self._registered: List[int] = []
-        self._shared_registered: List[int] = []
         #: serialized batches waiting for a free worker: (port, frame, size)
         self._backlog: Deque[Tuple["_PoolPort", List[bytes], int]] = deque()
-        self._bytes_pickled = 0
         self.batches_dispatched = 0
         #: final per-box (chunk_size, max_inflight) after autotuning, keyed
         #: by box name — observability for tests and benchmark reports
         self.batch_plan: Dict[str, Tuple[int, int]] = {}
 
-    # -- accounting ----------------------------------------------------------
-    @property
-    def bytes_pickled(self) -> int:
-        return self._bytes_pickled
+    def _slots(self) -> int:
+        return self.runtime.workers
 
-    # -- registration --------------------------------------------------------
     @staticmethod
     def _template_key(ent: Box) -> tuple:
+        # must survive Entity.copy (which shares function objects) AND tell
+        # apart boxes that share one function under different names/signatures
         return (id(ent.func), ent.name, repr(ent.box_signature))
 
-    def _register_boxes(self, network: Entity) -> None:
+    def _claim(self, network: Entity, cold: bool) -> Entity:
         for ent in network.iter_entities():
-            if not isinstance(ent, Box) or not getattr(ent, "parallel_safe", False):
-                continue
-            template = self._template_key(ent)
-            if template in self._box_keys:
-                continue
-            key = next(_registry_keys)
-            _BOX_REGISTRY[key] = ent
-            self._box_keys[template] = key
-            self._registered.append(key)
+            if isinstance(ent, Box) and ent.parallel_safe:
+                ident = self._template_key(ent)
+                if ident not in self._keys:
+                    self._register(ident, next(_box_keys), ent)
+        return network
 
-    def _unregister_boxes(self) -> None:
-        for key in self._registered:
-            _BOX_REGISTRY.pop(key, None)
-        self._registered.clear()
-        self._box_keys.clear()
-
-    def _warn_degraded(self) -> None:
-        warn_fork_degraded(
-            "ProcessRuntime", "identical semantics, no wall-clock parallelism"
-        )
-
-    # -- workers -------------------------------------------------------------
-    def _fork_link(self, index: int) -> PipeLink:
-        # forks after registration, so the child inherits the registries
-        return PipeLink(_pool_worker_main, name=f"snet-pool-{index}")
-
-    def _acquire(self, network: Entity, payloads: Iterable[Any]) -> None:
-        """Register the boxes and broadcast ``payloads``, then fork."""
-        runtime = self.runtime
-        if not runtime.fork_available():
-            self._warn_degraded()
-            return
-        self._register_boxes(network)
-        if not self._box_keys:
-            return
-        if runtime.zero_copy:
-            for value in payloads:
-                register_shared_value(
-                    value, self._shared_registered, runtime.BROADCAST_MIN_BYTES
-                )
-        # append one by one: a fork failing halfway leaves the earlier
-        # links for teardown to reap
-        for index in range(runtime.workers):
-            self._links.append(self._fork_link(index))
-
-    def _release(self) -> None:
-        links, self._links = self._links, []
-        close_links(links)
-        self._unregister_boxes()
-        unregister_shared(self._shared_registered)
-
-    def _lost(self, link: PipeLink) -> None:
-        link.dead = True
-        link.pending.clear()
-        raise BoxWorkerError(
-            f"pool worker {link.pid} died while box batches were outstanding"
-        )
-
-    @property
-    def worker_pids(self) -> List[int]:
-        """OS pids of the live pool workers (empty without workers)."""
-        return [link.pid for link in self._links if link.alive]
-
-    # -- warm lifecycle ------------------------------------------------------
-    def setup(self, network: Optional[Entity], broadcast: Sequence[Any] = ()) -> None:
-        if self.runtime.is_warm:
-            raise RuntimeError_(
-                "setup() called on an already-warm ProcessRuntime; call "
-                "teardown() first to rebuild the pool"
-            )
-        self._acquire(network, broadcast)
-
-    def teardown(self) -> None:
-        self._release()
-
-    # -- per-run lifecycle ---------------------------------------------------
     def begin_run(
         self, network: Entity, inputs: Sequence[Record], timeout: Optional[float]
     ) -> Entity:
-        self._bytes_pickled = self.batches_dispatched = 0
+        self.batches_dispatched = 0
         self.batch_plan = {}
-        if self.runtime.is_warm:
-            # warm path: the workers and both registries were built by
-            # setup() and survive this run; a worker that died since (or
-            # was stopped owing a failed run's results) is replaced by a
-            # fresh fork, which inherits the registries like the first
-            for index, link in enumerate(self._links):
-                if not link.alive:
-                    close_links([link])
-                    self._links[index] = self._fork_link(index)
-            return network
-        self._acquire(network, (rec[label] for rec in inputs for label in rec.fields()))
-        return network
+        return super().begin_run(network, inputs, timeout)
 
     def end_run(self) -> None:
         self._backlog.clear()
-        if self.runtime.is_warm:
-            # a worker still owing results of this (failed) run would hand
-            # them to the next one: stop it; begin_run replaces it
-            for link in self._links:
-                if link.pending or link.dead:
-                    link.stop()
-            return
-        self._release()
+        super().end_run()
+
+    def _fail_over(self, link: PipeLink, reason: str) -> None:
+        """The pool does not fail over: a lost worker fails the run."""
+        link.dead = True
+        link.pending.clear()
+        raise BoxWorkerError(
+            f"pool worker {link.pid} died while box batches were outstanding ({reason})"
+        )
 
     # -- compilation seam ----------------------------------------------------
     def compile_entity(self, entity: Entity, out: PortWriter) -> Optional[Port]:
         if not self.claims_entity(entity):
             # filters, synchrocells, non-offloadable boxes: scheduler ports
             return None
-        return _PoolPort(self, entity, self._box_keys[self._template_key(entity)], out)
+        return _PoolPort(self, entity, self._keys[self._template_key(entity)], out)
 
     def claims_entity(self, entity: Entity) -> bool:
         """Mirror of :meth:`compile_entity`'s claim condition (no side effects)."""
@@ -379,55 +198,34 @@ class PoolTransport(Transport):
             bool(self._links)
             and isinstance(entity, Box)
             and entity.parallel_safe
-            and self._box_keys.get(self._template_key(entity)) is not None
+            and self._template_key(entity) in self._keys
         )
 
-    # -- the link, driven from the scheduler ---------------------------------
+    # -- the shared backlog ----------------------------------------------------
     def dispatch(self, port: "_PoolPort", frame: List[bytes], size: int) -> None:
         """Queue one serialized batch and send what free workers can take."""
         self._backlog.append((port, frame, size))
-        self._pump()
+        self._flush()
 
     def idle(self) -> bool:
         """Does some worker owe nothing?  (Then the backlog is empty too.)"""
         return any(not (link.pending or link.dead) for link in self._links)
 
-    def _pump(self) -> None:
+    def _flush(self, _link: Optional[PipeLink] = None) -> None:
+        """Send the backlog's head to each worker that owes nothing."""
         backlog = self._backlog
         for link in self._links:
             if not backlog:
                 return
-            if link.pending or link.dead:
-                continue
-            port, frame, size = backlog.popleft()
-            link.pending.append((port, size))
-            try:
-                send_frame(link.conn, frame)
-            except OSError:
-                self._lost(link)
+            if not (link.pending or link.dead):
+                port, frame, size = backlog.popleft()
+                self._send(link, frame, (port, size))
 
-    def poll(self) -> List[Tuple[Port, Any, Any]]:
-        landed = []
-        for link in ready_links(self._links):
-            try:
-                kind, _, meta, payload, buffers, _ = recv_frame(link.conn)
-            except (EOFError, OSError):
-                self._lost(link)
-            port, size = link.pending.popleft()
-            if kind == ERROR:
-                landed.append((port, port._failed, BoxWorkerError(meta)))
-            else:
-                landed.append((port, port._landed, (payload, buffers, meta, size)))
-        if landed:
-            self._pump()
-        return landed
-
-    def wait(self, timeout: Optional[float]) -> bool:
-        """Sleep until a worker answers or dies; a death fails the run at once."""
-        dead = wait_replies(self._links, timeout)
-        for link in dead or ():
-            self._lost(link)
-        return dead is not None
+    def _settle(self, owed: Tuple["_PoolPort", int], kind: int, meta: Any, records):
+        port, size = owed
+        if kind == ERROR:
+            return (port, port._failed, BoxWorkerError(meta))
+        return (port, port._landed, (records, meta, size))
 
 
 class _PoolPort(_PrimitivePort):
@@ -483,19 +281,17 @@ class _PoolPort(_PrimitivePort):
         """Serialize the next batch (payloads swapped for refs) and dispatch it."""
         waiting = self.waiting
         batch = [waiting.popleft() for _ in range(min(len(waiting), self.batcher.chunk_size))]
-        payload, buffers, nbytes = dumps_records([swap_shared_out(r) for r in batch])
-        self.transport._bytes_pickled += nbytes
+        payload, buffers, _ = dumps_records([swap_shared_out(r) for r in batch])
         self.transport.batches_dispatched += 1
         self.inflight += 1
         frame = encode_frame(DATA, self.key, payload=payload, buffers=buffers)
         self.transport.dispatch(self, frame, len(batch))
 
-    def _landed(self, landed: Tuple[bytes, List[bytes], float, int]) -> None:
-        payload, buffers, elapsed, size = landed
+    def _landed(self, landed: Tuple[List[Record], float, int]) -> None:
+        records, elapsed, size = landed
         self.inflight -= 1
-        self.transport._bytes_pickled += len(payload) + sum(len(b) for b in buffers)
         self.batcher.observe(size, elapsed)
-        self._emit(resolve_shared_in(rec) for rec in loads_records(payload, buffers))
+        self._emit(resolve_shared_in(rec) for rec in records)
         if self.waiting:
             self._send()
         elif self.input_closed and not self.inflight:
@@ -541,11 +337,6 @@ class ProcessRuntime(EngineCore):
     across the pool boundary in either direction.
     """
 
-    #: input-record field values at least this large (estimated) are
-    #: broadcast through the fork-shared registry instead of being pickled
-    #: into every batch (the data plane's canonical threshold)
-    BROADCAST_MIN_BYTES = BROADCAST_MIN_BYTES
-
     def __init__(
         self,
         workers: Optional[int] = None,
@@ -572,10 +363,6 @@ class ProcessRuntime(EngineCore):
         self.chunk_size = chunk_size
         self.max_inflight = max_inflight
         self.zero_copy = zero_copy
-
-    # -- data-plane introspection --------------------------------------------
-    def _broadcast_worthy(self, value: Any) -> bool:
-        return broadcast_worthy(value, self.BROADCAST_MIN_BYTES)
 
     @property
     def batch_plan(self) -> Dict[str, Tuple[int, int]]:

@@ -37,9 +37,12 @@ FRAMES_PER_TENANT = 3
 VFX_SPEC = {"kind": "random", "num_spheres": 12, "clustering": 0.5, "seed": 21}
 ARCHVIZ_SPEC = {"kind": "random", "num_spheres": 10, "clustering": 0.5, "seed": 22}
 
-pytestmark = pytest.mark.skipif(
-    not DistributedRuntime.fork_available(), reason="needs the fork start method"
-)
+pytestmark = [
+    pytest.mark.usefixtures("no_process_leaks"),
+    pytest.mark.skipif(
+        not DistributedRuntime.fork_available(), reason="needs the fork start method"
+    ),
+]
 
 
 @pytest.fixture(scope="module")

@@ -46,6 +46,8 @@ from repro.raytracer.scene import Light, Scene, random_scene
 from repro.raytracer.vec import vec3
 from repro.snet.runtime.process_engine import ProcessRuntime
 
+pytestmark = pytest.mark.usefixtures("no_process_leaks")
+
 SIZE = 32
 TASKS = 4
 

@@ -26,6 +26,8 @@ from repro.raytracer import Camera, random_scene, render
 from repro.raytracer.image import image_rms_difference
 from repro.snet.runtime import ProcessRuntime, get_runtime
 
+pytestmark = pytest.mark.usefixtures("no_process_leaks")
+
 #: stand-in for the reference CPU's per-section render cost (seconds)
 SECTION_COST = 0.2
 WORKERS = 4

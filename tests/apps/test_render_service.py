@@ -25,6 +25,8 @@ from repro.apps.workloads import animation_scenes
 from repro.raytracer.scene import random_scene
 from repro.snet.runtime import ProcessRuntime
 
+pytestmark = pytest.mark.usefixtures("no_process_leaks")
+
 SIZE = 24  # tiny frames: these tests exercise coordination, not rendering
 
 

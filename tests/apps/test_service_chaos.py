@@ -23,9 +23,12 @@ from repro.snet.runtime import DistributedRuntime
 SIZE = 32
 TASKS = 8
 
-pytestmark = pytest.mark.skipif(
-    not DistributedRuntime.fork_available(), reason="needs the fork start method"
-)
+pytestmark = [
+    pytest.mark.usefixtures("no_process_leaks"),
+    pytest.mark.skipif(
+        not DistributedRuntime.fork_available(), reason="needs the fork start method"
+    ),
+]
 
 
 @pytest.fixture(scope="module")

@@ -16,6 +16,8 @@ import pytest
 from repro.apps import RenderJob, RenderService, WarmPoolManager, tenant_job_storm
 from repro.raytracer import random_scene
 
+pytestmark = pytest.mark.usefixtures("no_process_leaks")
+
 
 class FakeRuntime:
     def __init__(self, log, name):

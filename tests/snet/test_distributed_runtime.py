@@ -16,6 +16,7 @@ import pytest
 
 import repro.snet.runtime.data_plane as data_plane
 import repro.snet.runtime.distributed_engine as distributed_engine
+import repro.snet.runtime.link as link
 from repro.apps.networks import build_static_network
 from repro.apps.runner import build_farm_backend, farm_inputs
 from repro.apps.workloads import extract_image
@@ -162,11 +163,11 @@ class TestDataPlane:
         assert big_bytes >= 2 * 4096 * 8  # the array crossed both directions
 
     def test_registries_are_cleaned_up_after_cold_run(self):
-        templates_before = dict(distributed_engine._PARTITION_REGISTRY)
+        templates_before = dict(link._TEMPLATES)
         shared_before = dict(data_plane._SHARED_OBJECTS)
         net = StaticPlacement(make_pid_box(), 0)
         run_distributed(net, [Record({"a": 1})], nodes=2, timeout=30.0)
-        assert distributed_engine._PARTITION_REGISTRY == templates_before
+        assert link._TEMPLATES == templates_before
         assert data_plane._SHARED_OBJECTS == shared_before
 
 
@@ -265,7 +266,7 @@ class TestFailureModes:
         output closed (downstream EOS) and the input dropped instead.
         """
         net = StaticPlacement(make_pid_box(), 0)
-        runtime = DistributedRuntime(nodes=1, fault_tolerance=False)
+        runtime = DistributedRuntime(nodes=1, max_respawns=0)
         runtime.setup(net)
         try:
             transport = runtime.transport
@@ -291,24 +292,6 @@ class TestFailureModes:
             runtime.teardown()
 
     @fork_only
-    def test_warm_runtime_detects_dead_worker(self):
-        # with fault tolerance disabled, a dead worker keeps the historical
-        # fail-fast contract (the tolerant path is pinned in
-        # test_fault_tolerance.py)
-        net = StaticPlacement(make_pid_box(), 0)
-        runtime = DistributedRuntime(nodes=2, fault_tolerance=False)
-        runtime.setup(net)
-        try:
-            runtime.run(net, [Record({"a": 1})], timeout=30.0)
-            victim = runtime.transport._links[0].process
-            victim.terminate()
-            victim.join(timeout=5.0)
-            with pytest.raises(RuntimeError_, match="no longer alive"):
-                runtime.run(net, [Record({"a": 2})], timeout=15.0)
-        finally:
-            runtime.teardown()
-
-    @fork_only
     def test_frames_posted_to_a_dead_link_are_counted(self):
         """Frames hitting a dead link are accounted, never silently dropped.
 
@@ -317,7 +300,7 @@ class TestFailureModes:
         grinding to the wall-clock deadline.
         """
         net = StaticPlacement(make_pid_box(), 0)
-        runtime = DistributedRuntime(nodes=1, fault_tolerance=False)
+        runtime = DistributedRuntime(nodes=1, max_respawns=0)
         runtime.setup(net)
         try:
             transport = runtime.transport
@@ -353,7 +336,7 @@ class TestFailureModes:
 
         net = StaticPlacement(kill_worker, 0)
         inputs = [Record({"a": i}) for i in range(50)]
-        runtime = DistributedRuntime(nodes=2, chunk_size=1, fault_tolerance=False)
+        runtime = DistributedRuntime(nodes=2, chunk_size=1, max_respawns=0)
         start = time.monotonic()
         with pytest.raises(RuntimeError_, match="died"):
             runtime.run(net, inputs, timeout=60.0)
@@ -418,25 +401,25 @@ class TestStructuralKeying:
         first = DistributedRuntime(nodes=1)
         second = DistributedRuntime(nodes=1)
         first.setup(build())
-        key = next(iter(first.transport._live_keys))
+        key = next(iter(first.transport._keys))
         second.setup(build())
         try:
-            assert distributed_engine._PARTITION_REGISTRY[key][0] == 2  # refcounted
+            assert link._TEMPLATES[key][0] == 2  # refcounted
             first.teardown()
             # the template survives until the last registrant lets go
-            assert distributed_engine._PARTITION_REGISTRY[key][0] == 1
+            assert link._TEMPLATES[key][0] == 1
             outs = second.run(build(), [Record({"a": 7})], timeout=30.0)
             assert outs[0].field("b")[0] == 7
         finally:
             first.teardown()
             second.teardown()
-        assert key not in distributed_engine._PARTITION_REGISTRY
+        assert key not in link._TEMPLATES
 
 
 class TestSetupFailureCleanup:
     @fork_only
     def test_failed_setup_leaves_no_registry_leaks(self, monkeypatch):
-        templates_before = dict(distributed_engine._PARTITION_REGISTRY)
+        templates_before = dict(link._TEMPLATES)
         shared_before = dict(data_plane._SHARED_OBJECTS)
         real_fork = distributed_engine.PartitionTransport._fork_link
         forked = []
@@ -455,7 +438,7 @@ class TestSetupFailureCleanup:
             )
         # teardown-on-failure was unconditional: nothing leaked, nothing warm
         assert not runtime.is_warm
-        assert distributed_engine._PARTITION_REGISTRY == templates_before
+        assert link._TEMPLATES == templates_before
         assert data_plane._SHARED_OBJECTS == shared_before
         assert runtime.worker_pids == []
         # the worker forked before the failing fork exited on SHUTDOWN

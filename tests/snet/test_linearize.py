@@ -29,6 +29,8 @@ from repro.snet.runtime import (
 from repro.snet.runtime.tracing import Tracer
 from repro.snet.synchrocell import SyncroCell
 
+pytestmark = pytest.mark.usefixtures("no_process_leaks")
+
 
 def make_chain():
     @box("(x) -> (y)", name="stage_a")

@@ -38,6 +38,8 @@ from repro.snet.runtime import (
 from repro.snet.synchrocell import SyncroCell
 from repro.snet.types import TypeSignature
 
+pytestmark = pytest.mark.usefixtures("no_process_leaks")
+
 BACKENDS = ["threaded", "process", "distributed"]
 
 
@@ -337,13 +339,13 @@ class TestProcessBackendSpecifics:
         assert 1 <= len(pids) <= 2
 
     def test_registry_is_cleaned_up_after_run(self):
-        from repro.snet.runtime import process_engine
+        from repro.snet.runtime import link
 
-        before = dict(process_engine._BOX_REGISTRY)
+        before = dict(link._TEMPLATES)
         run_on(
             "process", make_inc(), [Record({"a": 1})], timeout=30.0, workers=2
         )
-        assert process_engine._BOX_REGISTRY == before
+        assert link._TEMPLATES == before
 
     def test_distinct_boxes_sharing_one_function(self):
         """Regression: two boxes over one function must not collapse.
@@ -451,11 +453,11 @@ class TestZeroCopyDataPlane:
         assert outs[0].field("big") is payload
 
     def test_shared_registry_cleaned_up_after_run(self):
-        from repro.snet.runtime import process_engine
+        from repro.snet.runtime import data_plane
 
         payload = self.BigPayload("transient")
-        before_objects = dict(process_engine._SHARED_OBJECTS)
-        before_ids = dict(process_engine._SHARED_BY_ID)
+        before_objects = dict(data_plane._SHARED_OBJECTS)
+        before_ids = dict(data_plane._SHARED_BY_ID)
         run_on(
             "process",
             make_inc(),
@@ -463,8 +465,8 @@ class TestZeroCopyDataPlane:
             timeout=30.0,
             workers=2,
         )
-        assert process_engine._SHARED_OBJECTS == before_objects
-        assert process_engine._SHARED_BY_ID == before_ids
+        assert data_plane._SHARED_OBJECTS == before_objects
+        assert data_plane._SHARED_BY_ID == before_ids
 
     @pytest.mark.skipif(
         not ProcessRuntime.fork_available(), reason="needs fork start method"
@@ -479,12 +481,13 @@ class TestZeroCopyDataPlane:
         assert multiset(outs) == expected
 
     def test_small_values_are_not_broadcast(self):
-        runtime = ProcessRuntime(workers=2)
-        assert not runtime._broadcast_worthy(7)
-        assert not runtime._broadcast_worthy("short string")
-        assert not runtime._broadcast_worthy(None)
-        assert not runtime._broadcast_worthy(b"x" * 100)
-        assert runtime._broadcast_worthy(self.BigPayload("big"))
+        from repro.snet.runtime.data_plane import BROADCAST_MIN_BYTES, broadcast_worthy
+
+        assert not broadcast_worthy(7, BROADCAST_MIN_BYTES)
+        assert not broadcast_worthy("short string", BROADCAST_MIN_BYTES)
+        assert not broadcast_worthy(None, BROADCAST_MIN_BYTES)
+        assert not broadcast_worthy(b"x" * 100, BROADCAST_MIN_BYTES)
+        assert broadcast_worthy(self.BigPayload("big"), BROADCAST_MIN_BYTES)
 
 
 class TestBatchAutotuning:

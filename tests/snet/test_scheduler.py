@@ -442,7 +442,7 @@ class TestEagerDispatch:
     def test_a_freed_worker_gets_its_next_section_within_a_few_steps(
         self, small_scene, monkeypatch
     ):
-        from repro.snet.runtime import process_engine
+        from repro.snet.runtime import link
 
         backend = RealRenderBackend(small_scene, Camera(width=32, height=64), render_mode="fused")
         network = build_dynamic_network(backend)
@@ -450,7 +450,7 @@ class TestEagerDispatch:
         runtime = ProcessRuntime(workers=2)
         parent = os.getpid()
         landed, gaps = {}, []
-        send, recv = process_engine.send_frame, process_engine.recv_frame
+        send, recv = link.send_frame, link.recv_frame
 
         def counting_send(conn, frame):
             if os.getpid() == parent and id(conn) in landed:
@@ -463,8 +463,8 @@ class TestEagerDispatch:
                 landed[id(conn)] = runtime.scheduler.steps
             return got
 
-        monkeypatch.setattr(process_engine, "send_frame", counting_send)
-        monkeypatch.setattr(process_engine, "recv_frame", counting_recv)
+        monkeypatch.setattr(link, "send_frame", counting_send)
+        monkeypatch.setattr(link, "recv_frame", counting_recv)
         backend.begin_job()
         outputs = runtime.run(network, inputs, timeout=120.0)
         monkeypatch.undo()

@@ -13,7 +13,8 @@ import time
 import numpy as np
 import pytest
 
-import repro.snet.runtime.process_engine as process_engine
+import repro.snet.runtime.data_plane as data_plane
+import repro.snet.runtime.link as link
 from repro.apps.backends import RealRenderBackend, SharedFrameRenderBackend
 from repro.apps.networks import build_static_network
 from repro.apps.workloads import extract_image, initial_record
@@ -141,8 +142,8 @@ def test_setup_twice_rejected_and_teardown_cleans_registries(farm):
     scene, camera, _ = farm
     backend = SharedFrameRenderBackend(scene, camera, render_mode="fused")
     network = build_static_network(backend)
-    boxes_before = dict(process_engine._BOX_REGISTRY)
-    shared_before = dict(process_engine._SHARED_OBJECTS)
+    boxes_before = dict(link._TEMPLATES)
+    shared_before = dict(data_plane._SHARED_OBJECTS)
     runtime = ProcessRuntime(workers=1)
     try:
         runtime.setup(network, broadcast=(scene,))
@@ -152,8 +153,8 @@ def test_setup_twice_rejected_and_teardown_cleans_registries(farm):
         runtime.teardown()
         runtime.teardown()  # idempotent
         backend.release()
-    assert process_engine._BOX_REGISTRY == boxes_before
-    assert process_engine._SHARED_OBJECTS == shared_before
+    assert link._TEMPLATES == boxes_before
+    assert data_plane._SHARED_OBJECTS == shared_before
 
 
 @fork_only

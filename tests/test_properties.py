@@ -25,6 +25,8 @@ from repro.mpisim.datatypes import payload_bytes
 
 from oracles import assert_same_tree
 
+pytestmark = pytest.mark.usefixtures("no_process_leaks")
+
 # -- strategies ---------------------------------------------------------------
 
 label_names = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=6)
@@ -424,6 +426,28 @@ class TestPlacementTransparency:
         runtime = ThreadedRuntime()
         outputs = runtime.run(
             declared(build_placement_plan(plan, placed=True)), inputs, timeout=10.0
+        )
+        assert sorted(repr(r) for r in outputs) == expected
+
+    @pytest.mark.parametrize("backend", ["process", "distributed"])
+    @settings(max_examples=40, deadline=None)
+    @given(placement_plans(), record_streams())
+    def test_fork_runtimes_match_the_unplaced_sequential_run(self, backend, plan, inputs):
+        # boxes reach the pool as stateless template batches, partitions
+        # reach opened channels: both claim kinds of the one fork worker
+        from repro.snet.runtime import DistributedRuntime, ProcessRuntime
+
+        if not ProcessRuntime.fork_available():
+            pytest.skip("needs the fork start method")
+        if backend == "process":
+            runtime = ProcessRuntime(workers=2)
+        else:
+            runtime = DistributedRuntime(nodes=2, chunk_size=3)
+        expected = sorted(
+            repr(r) for r in run_network(build_placement_plan(plan, placed=False), inputs)
+        )
+        outputs = runtime.run(
+            declared(build_placement_plan(plan, placed=True)), inputs, timeout=20.0
         )
         assert sorted(repr(r) for r in outputs) == expected
 
