@@ -23,10 +23,8 @@ statistics used by the benchmark harness.
 
 from __future__ import annotations
 
-import warnings
-import weakref
-from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Generator, List, Optional, Sequence
 
 from repro.cluster.sim import SimulationError, Store
 from repro.cluster.topology import Cluster
@@ -34,10 +32,11 @@ from repro.dsnet.config import DSNetConfig
 from repro.snet.base import Entity, PrimitiveEntity
 from repro.snet.boxes import Box
 from repro.snet.combinators import IndexSplit, Parallel, Serial, Star
-from repro.snet.errors import NetworkError, RuntimeError_
+from repro.snet.errors import RuntimeError_
 from repro.snet.network import Network
 from repro.snet.placement import StaticPlacement
 from repro.snet.records import Record
+from repro.snet.runtime.plan import plan_of
 
 __all__ = ["SimRunResult", "SimulatedDSNetRuntime"]
 
@@ -128,68 +127,17 @@ class SimulatedDSNetRuntime:
         config: Optional[DSNetConfig] = None,
         master_node: int = 0,
         check: str = "warn",
-        fuse: str = "auto",
     ):
         if check not in ("warn", "error", "off"):
             raise SimulationError(
                 f"check must be 'warn', 'error' or 'off', got {check!r}"
             )
-        if fuse not in ("auto", "off"):
-            raise SimulationError(
-                f"fuse must be 'auto' or 'off', got {fuse!r}"
-            )
         self.cluster = cluster
         self.config = config or DSNetConfig()
         self.master_node = master_node
         self.check = check
-        # accepted for interface parity with the executing runtimes; the
-        # simulator interprets entities sequentially, so there are no
-        # per-hop streams or locks for linearization to elide
-        self.fuse = fuse
-        self.fused_chains = 0
         self.box_invocations = 0
         self.records_transferred = 0
-        self._checked_networks: "weakref.WeakSet" = weakref.WeakSet()
-
-    def _validate_network(self, network: Entity) -> None:
-        """Statically analyze the network once per object (see EngineCore)."""
-        if self.check == "off":
-            return
-        try:
-            if network in self._checked_networks:
-                return
-        except TypeError:
-            pass
-        try:
-            from repro.snet.analysis import analyze_network
-
-            report = analyze_network(network, nodes=self.cluster.num_nodes)
-        except Exception as exc:
-            warnings.warn(
-                f"static network check skipped: analyzer failed ({exc!r})",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return
-        try:
-            self._checked_networks.add(network)
-        except TypeError:
-            pass
-        if not report.errors:
-            return
-        findings = "\n".join(d.format() for d in report.errors)
-        if self.check == "error":
-            raise NetworkError(
-                f"network {getattr(network, 'name', '<unnamed>')!r} failed "
-                f"static analysis with {len(report.errors)} error(s):\n"
-                + findings
-            )
-        warnings.warn(
-            f"static analysis found {len(report.errors)} error(s) in "
-            f"network {getattr(network, 'name', '<unnamed>')!r}:\n" + findings,
-            RuntimeWarning,
-            stacklevel=3,
-        )
 
     # -- cost helpers --------------------------------------------------------
     def _node_of(self, requested: int) -> int:
@@ -413,8 +361,13 @@ class SimulatedDSNetRuntime:
         inputs: Sequence[Record],
         fresh: bool = True,
     ) -> SimRunResult:
-        """Simulate the network on a finite input stream; returns the result."""
-        self._validate_network(network)
+        """Simulate the network on a finite input stream; returns the result.
+
+        The network's static analysis is the executing runtimes' own: read
+        from its cached plan (:func:`~repro.snet.runtime.plan.plan_of`).
+        """
+        if self.check != "off":
+            plan_of(network, self.cluster.num_nodes, self.check)
         target = network.copy() if fresh else network
         master = self._node_of(self.master_node)
         in_stream = _SimStream(self.cluster, "network-in")

@@ -38,7 +38,6 @@ __all__ = [
     "StaticPlacement",
     "placed_split",
     "placement_of",
-    "assign_default_placement",
     "iter_placement_roots",
     "structural_key",
 ]
@@ -254,19 +253,3 @@ def structural_key(entity: Entity) -> str:
     """
     description = repr(_describe_entity(entity)).encode()
     return hashlib.sha256(description).hexdigest()[:20]
-
-
-def assign_default_placement(entity: Entity, node: int = 0) -> None:
-    """Annotate every entity in a network with a ``placement`` attribute.
-
-    Entities below a :class:`StaticPlacement` inherit its node; entities below
-    a placed index split (``!@``) are marked as dynamically placed (the actual
-    node is only known per record at run time).  This is a convenience pass
-    used by the simulated distributed runtime.
-    """
-    setattr(entity, "placement", node)
-    if isinstance(entity, StaticPlacement):
-        node = entity.node
-        setattr(entity, "placement", node)
-    for child in entity.children():
-        assign_default_placement(child, node)

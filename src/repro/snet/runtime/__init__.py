@@ -8,42 +8,40 @@ engine — :class:`~repro.snet.runtime.core.EngineCore` — behind a
 in where records go:
 
 ``threaded`` — the correctness backend
-    :class:`ThreadedRuntime` = the core + the inline transport: the network
-    compiles to a graph of ports (one per entity instance; star levels and
-    split replicas created on demand) that one run-to-completion scheduler
-    drives on the calling thread.  Boxes execute for real, in process,
-    which makes it the reference for observable semantics — but CPU-bound
-    box code runs on one thread, so it cannot demonstrate wall-clock
+    :class:`ThreadedRuntime` = the core + the inline transport: every
+    entity instance is a port on one run-to-completion scheduler on the
+    calling thread.  Boxes execute for real, in process, which makes it
+    the reference for observable semantics, but cannot show wall-clock
     speedup.
 
 ``process`` — the wall-clock parallel backend
-    :class:`ProcessRuntime` = the core + the pool transport: invocations of
-    ``parallel_safe`` boxes are offloaded to a forked ``multiprocessing``
-    pool in chunked record batches.  CPU-bound boxes (the ray-tracing
-    solver) run outside the GIL, so a multi-core host shows the real
-    speedup the paper measures.  Semantics are pinned to the threaded
-    backend by the cross-backend conformance suite
-    (``tests/snet/test_runtime_conformance.py``).
+    :class:`ProcessRuntime` = the core + the pool transport: records of
+    ``parallel_safe`` boxes run in batches on forked workers, outside the
+    GIL, so a multi-core host shows the speedup the paper measures.
+    ``tests/snet/test_runtime_conformance.py`` pins it to the threaded
+    backend.
 
 ``distributed`` — the scale-out backend
-    :class:`DistributedRuntime` = the core + the partition transport: the
-    placement combinators of Distributed S-Net (``A @ num``, ``A !@ <tag>``)
-    are honoured for real — each placement partition executes in a worker
-    process ("compute node") and records cross partitions over a pipe
-    transport with the protocol-5 out-of-band data plane.
+    :class:`DistributedRuntime` = the core + the partition transport: each
+    placement partition (``A @ num``, ``A !@ <tag>``) executes in a worker
+    process ("compute node"), records crossing over pipe links.
 
 ``simulated`` (alias ``dsnet``) — the performance-model backend
     :class:`~repro.dsnet.simruntime.SimulatedDSNetRuntime` executes the graph
-    as discrete-event processes on a modelled cluster (CPUs, Ethernet, shared
-    file system) and reports virtual-time makespans; it reproduces the
-    paper's figures without needing the original 8-node testbed.
+    as discrete-event processes on a modelled cluster and reports
+    virtual-time makespans: the paper's figures without its testbed.
 
 Modules:
 
 * :mod:`repro.snet.runtime.stream` — bounded thread-safe streams with
   multi-writer reference counting (the render service's job queue),
-* :mod:`repro.snet.runtime.core` — :class:`EngineCore`, its port graph
-  and scheduler, and the :class:`Transport` seam,
+* :mod:`repro.snet.runtime.plan` — the :class:`Plan` a network object is
+  compiled to once: its analysis, fusable runs, star facts and placement
+  roots,
+* :mod:`repro.snet.runtime.ports` — the port of each entity kind,
+* :mod:`repro.snet.runtime.scheduler` — the run-to-completion scheduler,
+* :mod:`repro.snet.runtime.core` — :class:`EngineCore`, which instantiates
+  a plan's ports per run, and the :class:`Transport` seam,
 * :mod:`repro.snet.runtime.link` — the pipe link to a forked worker, its
   frame protocol and the one fork transport both fork-based runtimes use,
 * :mod:`repro.snet.runtime.data_plane` — protocol-5 out-of-band
@@ -64,7 +62,7 @@ from repro.snet.runtime.core import (
     Transport,
 )
 from repro.snet.runtime.data_plane import SharedObjectRef, dumps_records, loads_records
-from repro.snet.runtime.linearize import FusedChain, linearize
+from repro.snet.runtime.plan import FusedChain, Plan, plan_of
 from repro.snet.runtime.engine import ThreadedRuntime, run_threaded
 from repro.snet.runtime.process_engine import (
     BatchAutotuner,
@@ -99,7 +97,8 @@ __all__ = [
     "ProcessRuntime",
     "DistributedRuntime",
     "FusedChain",
-    "linearize",
+    "Plan",
+    "plan_of",
     "BatchAutotuner",
     "BoxWorkerError",
     "DistributedWorkerError",

@@ -7,66 +7,36 @@ simulated runtime (:mod:`repro.dsnet.simruntime`) models that mapping in
 virtual time; :class:`DistributedRuntime` *executes* it with a
 :class:`PartitionTransport`, the claim policy of
 :class:`~repro.snet.runtime.link.LinkTransport` that claims placement
-partitions.  The link protocol, the worker and the warm lifecycle are
-described once, in :mod:`repro.snet.runtime.link`.
+partitions (the link protocol, the worker and the warm lifecycle are in
+:mod:`repro.snet.runtime.link`; the rules in DESIGN.md, "Partitioning
+rules" and "Fault tolerance and elasticity").
 
-How a network is partitioned
-----------------------------
-
-The network is annotated with :func:`~repro.snet.placement.assign_default_placement`
-and split at its placement combinators:
-
-* every ``A @ num`` subtree becomes one **static partition** executing on
-  compute node ``placement_of(A @ num) % nodes``;
-* every placed index split ``A !@ <tag>`` becomes a family of **dynamic
-  partitions**: the replica for tag value *v* executes on node
-  ``v % nodes``, instantiated lazily when *v* is first observed — exactly
-  the paper's indexed placement;
-* everything *not* under a placement combinator (routing ports, the
-  merger's synchrocell chain, ``genImg``) runs on the coordinating parent's
-  scheduler with ordinary threaded-backend semantics, so stateful
-  primitives keep their single-home guarantee;
-* a network with **no placement combinators at all** is wrapped in an
-  implicit ``@ 0``, so the whole network executes on compute node 0 — any
-  S-Net program runs distributed unchanged.
-
-Partition templates are registered under the **structural content hash**
-of the placed subtree (:func:`~repro.snet.placement.structural_key`): two
-networks built twice from the same code hash identically, so a *warm*
-runtime distributes any structurally identical network, and a warm run
-whose partitions match no registered template raises loudly instead of
-silently executing in-process.  Placement combinators *nested inside* a
-partition are transparent (the outermost placement wins): a shipped
-subtree executes sequentially on its node with the reference interpreter
-semantics.
+The network is split at the placement roots its
+:class:`~repro.snet.runtime.plan.Plan` lists, each with its structural key
+and node; the network itself is never changed.  Every ``A @ num`` subtree
+is one **static partition** on node ``num % nodes``; every ``A !@ <tag>``
+a family of **dynamic partitions**, the replica for tag value *v* on node
+``v % nodes``, instantiated when *v* is first observed; everything else
+runs on the coordinating scheduler.  A network without placement
+combinators runs wholly on node 0 (an implicit ``@ 0``).  Templates are
+registered under the **structural content hash** of the placed subtree
+(:func:`~repro.snet.placement.structural_key`), so a *warm* runtime
+distributes any structurally identical network and refuses loudly one
+whose partitions match no template.  Placements nested inside a partition
+are transparent: the outermost wins.
 
 Each partition instance is a scheduler port (:class:`_PartitionPort`) with
 its own channel: ``OPEN`` copies the template on the node, the turn's
 records go out as ``DATA`` batches of up to ``chunk_size`` when the turn
-ends, and ``EOS`` flushes it.
-
-Fault tolerance
----------------
-
-Each partition port journals every batch it sends (references, not
-copies) with the count of result records already delivered downstream.
-When a read, a wait or a send finds a link dead, the failover runs there,
-on the scheduler's thread: the worker is respawned at its slot (or, if
-fork fails, its slots are re-mapped onto a surviving node), the affected
-channels are re-opened on the replacement from a **fresh template copy**,
-and their full journal is replayed from the start — partitions can be
-stateful (synchrocells), so replaying only the unacknowledged tail would
-be wrong.  The first ``delivered`` replayed results are skipped on
-receipt and the dead link is never read again, so no chunk is lost or
-double-counted; this relies on the S-Net purity contract (deterministic
-partitions).  Mid-run respawns are budgeted per run (``max_respawns``;
-``0`` fails fast): past the budget the dead-node error surfaces promptly,
-and frames sent to the dead link are counted in
-:attr:`DistributedRuntime.frames_dropped`.  A warm runtime revives dead
-workers before each run and is *elastic* between jobs:
-:meth:`DistributedRuntime.add_node` / :meth:`DistributedRuntime.remove_node`
-grow or shrink the live node set without a teardown.  On platforms
-without ``fork`` the runtime degrades to threaded in-process execution
+ends, and ``EOS`` flushes it.  Each port journals the batches it sends
+and counts the results delivered, so when a link is found dead the
+failover respawns the worker (or re-maps its slots onto a survivor),
+re-opens the affected channels from a fresh template copy, replays their
+journals from the start and skips the results already delivered — within
+the per-run ``max_respawns`` budget.  A warm runtime revives dead workers
+before each run and grows or shrinks between jobs
+(:meth:`DistributedRuntime.add_node` / :meth:`DistributedRuntime.remove_node`).
+Without ``fork`` the runtime degrades to threaded in-process execution
 with a :class:`RuntimeWarning`, treating every placement as transparent.
 """
 
@@ -79,15 +49,10 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.snet.base import Entity
 from repro.snet.combinators import IndexSplit
 from repro.snet.errors import RuntimeError_
-from repro.snet.placement import (
-    StaticPlacement,
-    assign_default_placement,
-    iter_placement_roots,
-    placement_of,
-    structural_key,
-)
+from repro.snet.placement import StaticPlacement, structural_key
 from repro.snet.records import Record
 from repro.snet.runtime.core import EngineCore, Port, PortWriter
+from repro.snet.runtime.plan import Placement, plan_of
 from repro.snet.runtime.data_plane import dumps_records, resolve_shared_in, swap_shared_out
 from repro.snet.runtime.link import (
     DATA,
@@ -112,12 +77,6 @@ __all__ = [
 
 class DistributedWorkerError(RuntimeError_):
     """A partition raised inside a node worker (message embeds the remote traceback)."""
-
-
-#: the structural key rides on the placement entity as an attribute, so it
-#: survives ``Entity.copy`` (star unrolling copies placed subtrees mid-run,
-#: long after the fork) without re-hashing
-_KEY_ATTR = "_dist_partition_key"
 
 
 class _PartitionPort(Port):
@@ -200,6 +159,8 @@ class PartitionTransport(LinkTransport):
         #: partition name -> compute node (static) or "!@<tag>" (dynamic);
         #: populated by the partitioning pass, kept for introspection
         self.partition_plan: Dict[str, Any] = {}
+        #: id of a placement root of the network in hand -> its plan facts
+        self._roots: Dict[int, Placement] = {}
 
     def _slots(self) -> int:
         return self.runtime.nodes
@@ -222,20 +183,16 @@ class PartitionTransport(LinkTransport):
         self.runtime._record_error(exc, source=self.name)
 
     # -- partitioning --------------------------------------------------------
-    def _claim(self, network: Entity, cold: bool) -> Entity:
-        """Partition ``network``: register every placement subtree pre-fork.
-
-        Registers the operand of each placement combinator under its
-        structural content key and stamps the combinator with that key
-        (the stamp survives ``Entity.copy``, so replicas made by
-        stars/splits after the fork still resolve their template without
-        re-hashing).  An entirely unplaced network is wrapped in an
-        implicit ``@ 0`` on a cold run; ``setup()`` warns instead.
-        """
-        roots = list(iter_placement_roots(network))
+    def _claim(self, network: Entity, cold: bool) -> None:
+        """Register the operand of every placement root under its structural
+        key, before the fork.  An entirely unplaced network runs wholly on
+        node 0, as if wrapped in ``@ 0``, on a cold run; ``setup()`` warns
+        instead."""
+        roots = plan_of(network, self.runtime.check_nodes).placements
         if not roots and cold:
-            network = StaticPlacement(network, 0, name=f"{network.name}@0")
-            roots = [network]
+            implicit = StaticPlacement(network, 0, name=f"{network.name}@0")
+            key = structural_key(implicit)
+            roots = (Placement(id(network), implicit.name, key, 0, None, network),)
         elif not roots:
             warnings.warn(
                 "DistributedRuntime.setup: the network has no placement "
@@ -243,83 +200,52 @@ class PartitionTransport(LinkTransport):
                 RuntimeWarning,
                 stacklevel=5,
             )
-        # annotate the whole tree (entities under a placement inherit its
-        # node; entities under !@ are dynamically placed) — the inspection
-        # surface placement_of()/``.placement`` readers rely on
-        assign_default_placement(network, 0)
-        plan: Dict[str, Any] = {}
         for root in roots:
-            key = structural_key(root)
-            setattr(root, _KEY_ATTR, key)
-            if key not in self._keys:
-                self._register(key, key, root.operand)
-            if isinstance(root, StaticPlacement):
-                plan[root.name] = placement_of(root)
-            else:
-                plan[root.name] = f"!@<{root.tag}>"
-        self.partition_plan = plan
-        return network
+            if root.key not in self._keys:
+                self._register(root.key, root.key, root.operand)
+        self.partition_plan = {
+            root.name: root.node if root.tag is None else f"!@<{root.tag}>" for root in roots
+        }
+        self._roots = {root.entity: root for root in roots}
 
-    def _resolve_key(self, entity: Entity) -> Optional[str]:
-        """Structural key of a placement combinator, if it is one of ours.
-
-        The stamp left by :meth:`_claim` rides ``Entity.copy``; an
-        unstamped combinator (a structurally identical network built
-        independently and run warm) is hashed on the spot and cached.
-        """
-        key = getattr(entity, _KEY_ATTR, None)
-        if key is None:
-            key = structural_key(entity)
-            try:
-                setattr(entity, _KEY_ATTR, key)
-            except AttributeError:  # pragma: no cover - slots-only entity
-                pass
-        return key if key in self._keys else None
-
-    def _check_warm_network(self, network: Entity) -> None:
-        """Refuse loudly when a warm run would not actually distribute.
-
-        A warm runtime distributes any network *structurally identical* to
-        the one it was set up with; anything else must not silently fall
-        back to in-process execution.
-        """
-        roots = list(iter_placement_roots(network))
+    # -- per-run lifecycle ---------------------------------------------------
+    def begin_run(
+        self, network: Entity, inputs: Sequence[Record], timeout: Optional[float]
+    ) -> None:
+        self.frames_dropped = 0
+        self._respawns_left = self.runtime.max_respawns
+        self._run_active = True
+        super().begin_run(network, inputs, timeout)
+        if not (self.runtime.is_warm and self._links):
+            return
+        # a warm runtime distributes any network structurally identical to
+        # the one it was set up with, and refuses loudly to run anything
+        # else in-process
+        roots = plan_of(network, self.runtime.check_nodes).placements
         if not roots:
             warnings.warn(
                 "DistributedRuntime: warm run of a network with no placement "
                 "combinators (@ / !@) — it executes in-process on the "
                 "coordinating node, not on the warm node workers",
                 RuntimeWarning,
-                stacklevel=4,
+                stacklevel=3,
             )
-            return
-        assign_default_placement(network, 0)
         for root in roots:
-            if self._resolve_key(root) is None:
+            if root.key not in self._keys:
                 raise RuntimeError_(
                     f"warm DistributedRuntime: partition {root.name!r} "
-                    f"(structural key {structural_key(root)}) matches no "
+                    f"(structural key {root.key}) matches no "
                     "template registered by setup(); a warm runtime only "
                     "distributes networks structurally identical to the one "
                     "it was set up with — call teardown() and setup() with "
                     "this network to redistribute it"
                 )
-
-    # -- per-run lifecycle ---------------------------------------------------
-    def begin_run(
-        self, network: Entity, inputs: Sequence[Record], timeout: Optional[float]
-    ) -> Entity:
-        self.frames_dropped = 0
-        self._respawns_left = self.runtime.max_respawns
-        self._run_active = True
-        network = super().begin_run(network, inputs, timeout)
-        if self.runtime.is_warm and self._links:
-            self._check_warm_network(network)
-        return network
+        self._roots = {root.entity: root for root in roots}
 
     def end_run(self) -> None:
         self._run_active = False
         self._channels.clear()  # an interrupted run (deadline/error) left some open
+        self._roots = {}
         super().end_run()
 
     def _link_of(self, ch: _PartitionPort) -> PipeLink:
@@ -499,31 +425,28 @@ class PartitionTransport(LinkTransport):
         return self.runtime.nodes
 
     # -- compilation seam ----------------------------------------------------
+    def _root(self, entity: Entity, static: bool) -> Optional[Placement]:
+        root = self._roots.get(id(entity)) if self._links else None
+        return root if root is not None and (root.tag is None) == static else None
+
     def compile_entity(self, entity: Entity, out: PortWriter) -> Optional[Port]:
-        if not self.claims_entity(entity):
+        root = self._root(entity, static=True)
+        if root is None:
             return None
-        return self._open_channel(
-            self._resolve_key(entity), placement_of(entity), entity.name, out
-        )
+        return self._open_channel(root.key, root.node, root.name, out)
 
     def compile_split_instance(
         self, entity: IndexSplit, value: int, out: PortWriter
     ) -> Optional[Port]:
-        if not self._links or not entity.placed:
-            return None
-        key = self._resolve_key(entity)
-        if key is None:
+        root = self._root(entity, static=False)
+        if root is None:
             return None
         # indexed placement: the replica for tag value v runs on node v
-        return self._open_channel(key, value, f"{entity.name}-{value}", out)
+        return self._open_channel(root.key, value, f"{root.name}-{value}", out)
 
     def claims_entity(self, entity: Entity) -> bool:
         """Mirror of :meth:`compile_entity`'s claim condition (no side effects)."""
-        return (
-            bool(self._links)
-            and isinstance(entity, StaticPlacement)
-            and self._resolve_key(entity) is not None
-        )
+        return self._root(entity, static=True) is not None
 
     def _open_channel(self, key: str, node: int, label: str, out: PortWriter) -> Port:
         """Wire one partition instance to its node worker: its port.

@@ -81,7 +81,7 @@ from repro.snet.base import Entity
 from repro.snet.combinators import _end, _feed
 from repro.snet.errors import RuntimeError_
 from repro.snet.records import Record
-from repro.snet.runtime.core import Port, Transport, warn_fork_degraded
+from repro.snet.runtime.core import Port, Transport
 from repro.snet.runtime.data_plane import (
     dumps_records,
     loads_records,
@@ -96,6 +96,22 @@ __all__ = [
     "encode_frame", "send_frame", "recv_frame", "PipeLink", "close_links",
     "ready_links", "wait_replies", "worker_main", "LinkTransport",
 ]
+
+def warn_fork_degraded(runtime_name: str, consequence: str) -> None:
+    """Announce that a fork-based transport degrades to threaded execution.
+
+    Shared by every transport that needs real OS processes: the message
+    wording ("degrading to threaded") is part of the degradation contract
+    tests pin on both the process and distributed engines.
+    """
+    warnings.warn(
+        f"{runtime_name}: the 'fork' start method is unavailable on this "
+        "platform; degrading to threaded in-process execution "
+        f"({consequence})",
+        RuntimeWarning,
+        stacklevel=5,
+    )
+
 
 # frame kinds (parent -> worker: OPEN/DATA/EOS/SHUTDOWN; worker -> parent:
 # RESULT/EOS_ACK/ERROR)
@@ -470,9 +486,8 @@ class LinkTransport(Transport):
         """How many workers to fork."""
         raise NotImplementedError
 
-    def _claim(self, network: Entity, cold: bool) -> Entity:
-        """Register the templates ``network`` needs (:meth:`_register`);
-        return the network to compile."""
+    def _claim(self, network: Entity, cold: bool) -> None:
+        """Register the templates ``network`` needs (:meth:`_register`)."""
         raise NotImplementedError
 
     def _settle(self, owed: Any, kind: int, meta: Any, records: List[Record]):
@@ -497,13 +512,13 @@ class LinkTransport(Transport):
             index=index,
         )
 
-    def _acquire(self, network: Entity, payloads: Iterable[Any], cold: bool) -> Entity:
+    def _acquire(self, network: Entity, payloads: Iterable[Any], cold: bool) -> None:
         """Register the templates and broadcast ``payloads``, then fork."""
         runtime = self.runtime
         if not runtime.fork_available():
             warn_fork_degraded(type(runtime).__name__, self.degraded)
-            return network
-        network = self._claim(network, cold)
+            return
+        self._claim(network, cold)
         if self._keys:
             if runtime.zero_copy:
                 for value in payloads:
@@ -512,7 +527,6 @@ class LinkTransport(Transport):
             # links for teardown to reap
             for index in range(self._slots()):
                 self._links.append(self._fork_link(index))
-        return network
 
     def _send(self, link: PipeLink, parts: List[bytes], owed: Any) -> None:
         self._bytes += sum(map(len, parts[1:]))
@@ -549,11 +563,12 @@ class LinkTransport(Transport):
 
     def begin_run(
         self, network: Entity, inputs: Sequence[Record], timeout: Optional[float]
-    ) -> Entity:
+    ) -> None:
         self._bytes = 0
         if not self.runtime.is_warm:
             fields = (rec[label] for rec in inputs for label in rec.fields())
-            return self._acquire(network, fields, cold=True)
+            self._acquire(network, fields, cold=True)
+            return
         # a worker that died since the last run, or a slot re-mapped onto a
         # survivor by a failover, gets a fresh fork
         links = self._links
@@ -565,7 +580,6 @@ class LinkTransport(Transport):
                 self.recoveries += 1
                 self.runtime.tracer.record(self.name, "worker-revived", slot=i)
             close_links([link for link in dict.fromkeys(old) if link not in links])
-        return network
 
     def end_run(self) -> None:
         if not self.runtime.is_warm:

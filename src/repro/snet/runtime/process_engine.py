@@ -13,8 +13,8 @@ DESIGN.md, "The process data plane".
 
 * **Stateless templates.**  S-Net boxes are stateless, so a box batch
   names its registered template and runs on it directly: no ``OPEN``, no
-  copy, any worker.  Star levels and split replicas share the template's
-  ``func``, so they resolve to its key.
+  copy, any worker.  Star levels and split replicas instantiate the very
+  box the template was registered for, so they resolve to its key.
 * **Eager, pull-style dispatch.**  A record that reaches a claimed box
   instance while some worker owes nothing is sent at once: in the dynamic
   farm a solver result releases the node token, the scheduler runs the
@@ -46,7 +46,7 @@ from repro.snet.base import Entity
 from repro.snet.boxes import Box
 from repro.snet.errors import RuntimeError_
 from repro.snet.records import Record
-from repro.snet.runtime.core import EngineCore, Port, PortWriter, _PrimitivePort
+from repro.snet.runtime.core import EngineCore
 from repro.snet.runtime.data_plane import (
     SharedObjectRef,
     dumps_records,
@@ -55,6 +55,7 @@ from repro.snet.runtime.data_plane import (
     swap_shared_out,
 )
 from repro.snet.runtime.link import DATA, ERROR, LinkTransport, PipeLink, encode_frame
+from repro.snet.runtime.ports import Port, PortWriter, _PrimitivePort
 from repro.snet.runtime.tracing import Tracer
 
 __all__ = [
@@ -158,20 +159,19 @@ class PoolTransport(LinkTransport):
         # apart boxes that share one function under different names/signatures
         return (id(ent.func), ent.name, repr(ent.box_signature))
 
-    def _claim(self, network: Entity, cold: bool) -> Entity:
+    def _claim(self, network: Entity, cold: bool) -> None:
         for ent in network.iter_entities():
             if isinstance(ent, Box) and ent.parallel_safe:
                 ident = self._template_key(ent)
                 if ident not in self._keys:
                     self._register(ident, next(_box_keys), ent)
-        return network
 
     def begin_run(
         self, network: Entity, inputs: Sequence[Record], timeout: Optional[float]
-    ) -> Entity:
+    ) -> None:
         self.batches_dispatched = 0
         self.batch_plan = {}
-        return super().begin_run(network, inputs, timeout)
+        super().begin_run(network, inputs, timeout)
 
     def end_run(self) -> None:
         self._backlog.clear()

@@ -34,6 +34,7 @@ from repro.snet.network import Network
 from repro.snet.patterns import Guard, Pattern, TagRef
 from repro.snet.placement import StaticPlacement
 from repro.snet.records import Record, Tag
+from repro.snet.runtime import ProcessRuntime, get_runtime
 from repro.snet.runtime.engine import ThreadedRuntime
 from repro.snet.types import Variant
 
@@ -261,32 +262,51 @@ class TestRuntimeCheckKnob:
         assert any("analyzer failed" in str(w.message) for w in caught)
 
 
-    def test_farm_is_analyzed_once_over_many_runs(self, monkeypatch):
-        # the verdict is cached per network object: warm jobs pay a
-        # dictionary lookup, and checking changes no pixel (check="off"
-        # still analyzes once, to prove the network safe to fuse)
+    @pytest.mark.parametrize(
+        "runtime_name, options",
+        [
+            ("threaded", {}),
+            pytest.param("process", {"workers": 2}, marks=pytest.mark.skipif(
+                not ProcessRuntime.fork_available(), reason="needs the fork start method")),
+        ],
+    )
+    def test_farm_is_analyzed_once_over_many_runs(self, runtime_name, options, monkeypatch):
+        # the network is compiled to one plan per object, analysis included:
+        # warm jobs pay a dictionary lookup, and checking changes no pixel
+        # (check="off" still analyzes once, to prove the network safe to fuse)
         import repro.snet.analysis as analysis_pkg
+        from repro.snet.runtime import plan as plan_module
 
-        analyzed = []
+        analyzed, planned = [], []
 
         def counting(network, **kwargs):
             analyzed.append(network)
             return analyze_network(network, **kwargs)
 
+        class CountingPlan(plan_module.Plan):
+            __slots__ = ()
+
+            def __init__(self, network, nodes=None):
+                planned.append(network)
+                super().__init__(network, nodes)
+
         monkeypatch.setattr(analysis_pkg, "analyze_network", counting)
+        monkeypatch.setattr(plan_module, "Plan", CountingPlan)
         scene = paper_scene(num_spheres=50)
         images = {}
         for check in ("off", "error"):
             analyzed.clear()
+            planned.clear()
             backend = build_farm_backend(scene, 24, 24, "records", "fused")
             network = build_static_network(backend, render_mode="fused")
-            runtime = ThreadedRuntime(check=check)
+            runtime = get_runtime(runtime_name, check=check, **options)
             for _ in range(5):
                 backend.begin_job()
                 runtime.run(network, farm_inputs("static", scene, nodes=1, tasks=4),
                             timeout=60)
             images[check] = extract_image(backend)
             assert analyzed == [network], check
+            assert planned == [network], check
         np.testing.assert_allclose(images["error"], images["off"], atol=1e-9)
 
 

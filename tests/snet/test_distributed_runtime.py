@@ -33,7 +33,8 @@ from repro.snet.runtime import (
     run_distributed,
     run_on,
 )
-from repro.snet.runtime.core import RunScheduler, _Collector
+from repro.snet.runtime.ports import _Collector
+from repro.snet.runtime.scheduler import RunScheduler
 from repro.snet.types import TypeSignature
 
 pytestmark = pytest.mark.usefixtures("no_process_leaks")

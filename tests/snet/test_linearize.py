@@ -1,10 +1,11 @@
-"""Sequential-chain linearization: the pass, its boundaries, its transparency.
+"""Sequential-chain fusion: the plan pass, its boundaries, its transparency.
 
-The rewrite (:mod:`repro.snet.runtime.linearize`) must be *observably
-invisible*: for every network and input stream, a runtime with ``fuse="auto"``
-produces exactly the record multiset a ``fuse="off"`` runtime produces — on
-every executing backend.  The structural tests pin what may and may not be
-fused; the conformance tests pin the output equality.
+The fusion pass (:meth:`repro.snet.runtime.plan.Plan.fuse`) must be
+*observably invisible*: for every network and input stream, a runtime with
+``fuse="auto"`` produces exactly the record multiset a ``fuse="off"``
+runtime produces — on every executing backend — and it never rewrites the
+caller's network.  The structural tests pin what may and may not be fused;
+the conformance tests pin the output equality.
 """
 
 from collections import Counter
@@ -24,7 +25,7 @@ from repro.snet.runtime import (
     FusedChain,
     ProcessRuntime,
     ThreadedRuntime,
-    linearize,
+    plan_of,
 )
 from repro.snet.runtime.tracing import Tracer
 from repro.snet.synchrocell import SyncroCell
@@ -108,37 +109,53 @@ class TestFusedChainSemantics:
         assert out.field("z") == 22
 
 
+def fuse(net, claims=lambda e: False):
+    """One run's fusion of ``net``: ({id of a spine: its stages}, chains)."""
+    return plan_of(net).fuse(claims)
+
+
+def stage_types(stages):
+    return [type(s).__name__ for s in stages]
+
+
 class TestRewriteStructure:
+    """What one run's fusion pass groups into fused stages; it rewrites no
+    entity of the network."""
+
     def test_pure_chain_collapses_to_one_entity(self):
         a, b, c = make_chain()
-        target, count = linearize((a >> b >> c).copy())
+        net = a >> b >> c
+        fused, count = fuse(net)
         assert count == 1
-        assert isinstance(target, FusedChain)
-        assert [s.name for s in target.stages] == ["stage_a", "stage_b", "stage_c"]
+        (chain,) = fused[id(net)]
+        assert isinstance(chain, FusedChain)
+        assert [s.name for s in chain.stages] == ["stage_a", "stage_b", "stage_c"]
+        # the pass rewrites no entity
+        assert "FusedChain" not in walk_types(net)
 
     def test_filters_fuse_with_boxes(self):
         a, b, _ = make_chain()
-        target, count = linearize(Serial(Serial(a, Filter.identity()), b).copy())
+        net = Serial(Serial(a, Filter.identity()), b)
+        fused, count = fuse(net)
         assert count == 1
-        assert isinstance(target, FusedChain)
-        assert len(target.stages) == 3
+        (chain,) = fused[id(net)]
+        assert isinstance(chain, FusedChain)
+        assert len(chain.stages) == 3
 
     def test_synchrocell_breaks_the_chain(self):
         a, b, c = make_chain()
         sync = SyncroCell([["p"], ["q"]])
         net = a >> b >> sync >> c
-        target, count = linearize(net.copy())
+        fused, count = fuse(net)
         assert count == 1  # only the a..b prefix fuses; c stays alone
-        names = walk_types(target)
-        assert "SyncroCell" in names
-        assert names.count("FusedChain") == 1
+        assert stage_types(fused[id(net)]) == ["FusedChain", "SyncroCell", "Box"]
 
     def test_single_primitive_runs_are_left_alone(self):
         a, _, _ = make_chain()
         sync = SyncroCell([["p"], ["q"]])
-        target, count = linearize((a >> sync).copy())
+        fused, count = fuse(a >> sync)
         assert count == 0
-        assert "FusedChain" not in walk_types(target)
+        assert fused == {}
 
     def test_parallel_branches_fuse_independently(self):
         a, b, c = make_chain()
@@ -147,54 +164,55 @@ class TestRewriteStructure:
         def d(w):
             return {"v": w}
 
-        target, count = linearize(((a >> b) | (c >> d)).copy())
+        net = (a >> b) | (c >> d)
+        fused, count = fuse(net)
         assert count == 2
-        assert isinstance(target, Parallel)
-        assert all(isinstance(br, FusedChain) for br in target.branches)
+        assert isinstance(net, Parallel)
+        for branch in net.branches:
+            assert stage_types(fused[id(branch)]) == ["FusedChain"]
 
     def test_star_operand_fuses_but_star_survives(self):
         a, b, _ = make_chain()
-        star = Star(Serial(a, b), Pattern(["z"]))
-        target, count = linearize(star.copy())
+        operand = Serial(a, b)
+        star = Star(operand, Pattern(["z"]))
+        fused, count = fuse(star)
         assert count == 1
-        assert isinstance(target, Star)
-        assert isinstance(target.operand, FusedChain)
+        assert stage_types(fused[id(operand)]) == ["FusedChain"]
+        assert star.operand is operand
 
     def test_placement_subtree_is_untouched(self):
         a, b, c = make_chain()
         placed = StaticPlacement(Serial(a, b), 1)
-        target, count = linearize(Serial(placed, c).copy())
+        fused, count = fuse(Serial(placed, c))
         assert count == 0
-        assert "FusedChain" not in walk_types(target)
+        assert fused == {}
 
     def test_placed_split_operand_is_untouched(self):
         a, b, _ = make_chain()
         split = IndexSplit(Serial(a, b), "node", placed=True)
-        target, count = linearize(split.copy())
+        fused, count = fuse(split)
         assert count == 0
-        assert "FusedChain" not in walk_types(target)
+        assert fused == {}
 
     def test_unplaced_split_operand_fuses(self):
         a, b, _ = make_chain()
         split = IndexSplit(Serial(a, b), "k")
-        target, count = linearize(split.copy())
+        fused, count = fuse(split)
         assert count == 1
-        assert isinstance(target.operand, FusedChain)
+        assert stage_types(fused[id(split.operand)]) == ["FusedChain"]
 
     def test_network_body_fuses(self):
         a, b, _ = make_chain()
-        target, count = linearize(Network("net", Serial(a, b)).copy())
+        net = Network("net", Serial(a, b))
+        fused, count = fuse(net)
         assert count == 1
-        assert isinstance(target, Network)
-        assert isinstance(target.body, FusedChain)
+        assert stage_types(fused[id(net.body)]) == ["FusedChain"]
 
     def test_claims_veto_fusion(self):
         a, b, c = make_chain()
-        target, count = linearize(
-            (a >> b >> c).copy(), claims=lambda e: e.name == "stage_b"
-        )
+        fused, count = fuse(a >> b >> c, claims=lambda e: e.name == "stage_b")
         assert count == 0
-        assert "FusedChain" not in walk_types(target)
+        assert fused == {}
 
     def test_claims_split_the_chain_around_the_claimed_stage(self):
         a, b, c = make_chain()
@@ -203,12 +221,18 @@ class TestRewriteStructure:
         def d(w):
             return {"v": w}
 
-        target, count = linearize(
-            (a >> b >> c >> d).copy(), claims=lambda e: e.name == "stage_c"
-        )
+        net = a >> b >> c >> d
+        fused, count = fuse(net, claims=lambda e: e.name == "stage_c")
         assert count == 1  # a..b fuses; c is claimed; d stands alone
-        names = [type(e).__name__ for e in target.iter_entities()]
-        assert names.count("FusedChain") == 1
+        assert stage_types(fused[id(net)]) == ["FusedChain", "Box", "Box"]
+
+    def test_a_claimed_combinator_keeps_its_spines_whole(self):
+        a, b, c = make_chain()
+        inner = Serial(b, c)
+        net = Parallel(a, inner)
+        fused, count = fuse(net, claims=lambda e: e is inner)
+        assert count == 0
+        assert fused == {}
 
 
 class TestEngineKnob:
@@ -230,12 +254,12 @@ class TestEngineKnob:
         assert runtime.fused_chains == 0
         assert sorted(r.field("w") for r in outputs) == [-1, 1, 3, 5]
 
-    def test_tracing_disables_fusion_and_keeps_per_stage_events(self):
+    def test_tracing_keeps_fusion_and_the_per_stage_events(self):
         a, b, c = make_chain()
         tracer = Tracer()
         runtime = ThreadedRuntime(tracer=tracer)
         runtime.run(a >> b >> c, [Record({"x": 1})])
-        assert runtime.fused_chains == 0
+        assert runtime.fused_chains == 1
         sources = {e.entity for e in tracer.events}
         assert {"stage_a", "stage_b", "stage_c"} <= sources
 
@@ -257,14 +281,17 @@ class TestEngineKnob:
         assert outputs == []
 
     def test_stale_runs_are_never_rewritten(self):
-        # fresh=False executes the caller's own object; the pass must not
-        # mutate a network the caller still holds
+        # every run instantiates the caller's own object: fusion happens in
+        # the run's ports and rewrites no entity the caller still holds
         a, b, _ = make_chain()
         net = Serial(a, b)
+        before = [(type(e), e.entity_id) for e in net.iter_entities()]
         runtime = ThreadedRuntime()
-        runtime.run(net, [Record({"x": 1})], fresh=False)
-        assert runtime.fused_chains == 0
-        assert isinstance(net.left, type(a))
+        outputs = runtime.run(net, [Record({"x": 1})])
+        assert runtime.fused_chains == 1
+        assert [r.field("z") for r in outputs] == [4]
+        assert [(type(e), e.entity_id) for e in net.iter_entities()] == before
+        assert net.left is a
 
     def test_process_pool_claims_exclude_offloaded_boxes(self):
         # parallel_safe boxes registered with the pool execute out of
@@ -311,16 +338,6 @@ class TestLinearizationTransparency:
         off = DistributedRuntime(nodes=2, fuse="off")
         assert multiset(on.run(self._net(), self._inputs())) == multiset(
             off.run(self._net(), self._inputs())
-        )
-
-    def test_simulated(self):
-        from repro.cluster.topology import paper_cluster
-        from repro.dsnet.simruntime import SimulatedDSNetRuntime
-
-        on = SimulatedDSNetRuntime(paper_cluster())
-        off = SimulatedDSNetRuntime(paper_cluster(), fuse="off")
-        assert multiset(on.run(self._net(), self._inputs()).outputs) == multiset(
-            off.run(self._net(), self._inputs()).outputs
         )
 
     def test_matches_sequential_reference(self):

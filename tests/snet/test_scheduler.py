@@ -23,10 +23,12 @@ import numpy as np
 import pytest
 
 from repro.apps.backends import RealRenderBackend
-from repro.apps.networks import build_dynamic_network
+from repro.apps.networks import build_dynamic_network, build_static_network
+from repro.apps.runner import farm_inputs
 from repro.apps.workloads import dynamic_input_records, extract_image
 from repro.raytracer import Camera
 from repro.raytracer.scene import random_scene
+from repro.snet.base import Entity
 from repro.snet.boxes import box
 from repro.snet.combinators import IndexSplit, Parallel, Serial, Star
 from repro.snet.errors import RuntimeError_
@@ -170,6 +172,56 @@ class TestCostModel:
         # each section and chunk used to walk every level its predecessors
         # unrolled: 168 steps per task at 32 tasks, 312 at 64
         assert steps[64] <= 2.2 * steps[32], steps
+
+    @pytest.mark.parametrize(
+        "runtime_name, options",
+        [("threaded", {}), pytest.param("process", {"workers": 2}, marks=fork_only)],
+    )
+    @pytest.mark.parametrize("farm, most", [("dynamic", 65), ("static", 32)])
+    def test_a_warm_frame_copies_only_synchrocells(
+        self, runtime_name, options, farm, most, small_scene, monkeypatch
+    ):
+        # a network is compiled once: each run instantiates its plan from the
+        # caller's entities and copies only the synchrocells, whose state is
+        # per instance (666 and 244 copies a frame when every run copied the
+        # network and every star level and split replica its operand)
+        backend = RealRenderBackend(small_scene, Camera(width=32, height=64), render_mode="fused")
+        if farm == "dynamic":
+            network = build_dynamic_network(backend)
+            inputs = lambda: dynamic_input_records(small_scene, nodes=2, tasks=32, tokens=2)
+        else:
+            network = build_static_network(backend, render_mode="fused")
+            inputs = lambda: farm_inputs("static", small_scene, nodes=2, tasks=32)
+        copied = collections.Counter()
+        entity_copy = Entity.copy
+
+        def counting_copy(self):
+            copied[type(self).__name__] += 1
+            return entity_copy(self)
+
+        runtime = get_runtime(runtime_name, **options).setup(network)
+        try:
+            for counted in (False, True):
+                if counted:
+                    monkeypatch.setattr(Entity, "copy", counting_copy)
+                backend.begin_job()
+                runtime.run(network, inputs(), timeout=120.0)
+            monkeypatch.undo()
+        finally:
+            runtime.teardown()
+        assert set(copied) == {"SyncroCell"}, copied
+        assert sum(copied.values()) <= most
+        assert runtime.fused_chains == 2
+
+    def test_a_traced_frame_takes_the_untraced_steps(self, small_scene):
+        # tracing instantiates the same plan: fused ports and star skips
+        # stay, and a fused port records each stage's events
+        plain = dynamic_frame("threaded", small_scene, 32)[2]
+        tracer = Tracer()
+        traced = dynamic_frame("threaded", small_scene, 32, tracer=tracer)[2]
+        assert (traced.steps, traced.fused_chains) == (plain.steps, plain.fused_chains)
+        assert plain.fused_chains == 2
+        assert tracer.events
 
     def test_deep_star_runs_without_recursion(self):
         # far deeper than the interpreter's recursion limit: each level is

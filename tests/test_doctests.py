@@ -26,6 +26,7 @@ AUDITED_MODULES = [
     "repro.snet.runtime.registry",
     "repro.snet.runtime.stream",
     "repro.snet.runtime.core",
+    "repro.snet.runtime.plan",
 ]
 
 
